@@ -59,10 +59,21 @@ def _parse_shape_arg(text: str):
         raise SystemExit(_usage_error(f"bad shape token {text!r}")) from None
 
 
+def _read_json(path: str):
+    """Parse a JSON file; a missing, unreadable or non-JSON file is a usage error."""
+    try:
+        with open(path) as fh:
+            return json.load(fh)
+    except OSError as exc:
+        reason = exc.strerror or type(exc).__name__
+    except ValueError as exc:
+        reason = f"not JSON ({exc})"
+    raise SystemExit(_usage_error(f"cannot read {path}: {reason}"))
+
+
 def _load_group(token: str) -> FiniteGroup:
     if token.startswith("@"):
-        with open(token[1:]) as fh:
-            return FiniteGroup.from_json(json.load(fh))
+        return FiniteGroup.from_json(_read_json(token[1:]))
     try:
         return builtin_group(token)
     except ValueError:
@@ -118,8 +129,7 @@ def cmd_check(args) -> int:
         except ValueError as exc:
             return _usage_error(str(exc))
     elif args.input:
-        with open(args.input) as fh:
-            x = table_from_json(json.load(fh))
+        x = table_from_json(_read_json(args.input))
     else:
         return _usage_error("check needs --nerve or --input")
     try:

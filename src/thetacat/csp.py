@@ -3,120 +3,165 @@
 Used to enumerate natural families: variables are cells (or face roots,
 or presheaf elements), domains are indices into the target's level
 sets, constraints are either functional (one value determines another
-through an action array) or relational tables.  Enumeration is
-deterministic: minimum-remaining-values variable order with index tie
-break, ascending value order, full arc propagation after every
-assignment.
+through an action array) or relational tables.
+
+A domain is an int bitmask: value v is in it when bit v is set, so
+values are non-negative ints.  Each constraint gives two directed arcs,
+and every arc carries a support mask per value of its source variable:
+the values of the other variable that the source value is compatible
+with.  The forward arc of a functional constraint b = arr[a] maps v to
+1 << arr[v], its backward arc maps w to the mask of the preimage of w,
+and a table arc maps a value to the mask of its allowed partners.  One
+revise rule serves every arc: the other variable keeps
+db & OR(support[v] for v in da).  The support arrays of a functional
+constraint are built once per action array and shared by every arc
+that passes the same array.
+
+The search state is the list of domain masks.  Each branch works on a
+copy of its parent's list, so backtracking restores the parent's
+snapshot and there is no undo trail.
+
+Enumeration is deterministic: minimum-remaining-values variable order
+with index tie break, ascending value order, full arc propagation after
+every assignment.  Propagation runs to the arc-consistency fixpoint,
+which is unique, so node counts, solution order and the node at which
+the budget trips do not depend on the order arcs are revised in.
 """
 
 from __future__ import annotations
 
+from functools import reduce
+from operator import itemgetter, or_
+
 from .errors import BudgetExceededError
+
+
+def _mask(values) -> int:
+    return reduce(or_, map((1).__lshift__, values), 0)
+
+
+def _values(mask: int) -> list[int]:
+    """The values in a domain mask, ascending."""
+    values = []
+    while mask:
+        low = mask & -mask
+        values.append(low.bit_length() - 1)
+        mask ^= low
+    return values
 
 
 class Network:
     def __init__(self):
-        self.domains: list[list[int]] = []
-        self.adj: list[list[tuple]] = []  # var -> list of (other, kind, data, forward)
+        self.domains: list[int] = []  # var -> bitmask of its values
+        # var -> list of (other, kind, supports, forward), kind "fn" or "tab";
+        # supports[v] is the mask of other's values compatible with value v.
+        # bench/tracer.py reads these (other, kind, data, forward) tuples,
+        # `domains` and `_nodes`.
+        self.adj: list[list[tuple]] = []
+        self._fn_supports: dict[int, tuple] = {}  # id(arr) -> (arr, fwd, bwd)
 
     def add_var(self, domain) -> int:
-        self.domains.append(sorted(set(domain)))
+        self.domains.append(_mask(domain))
         self.adj.append([])
         return len(self.domains) - 1
 
     def add_fn(self, a: int, b: int, arr) -> None:
         """Constrain value(b) == arr[value(a)]."""
-        self.adj[a].append((b, "fn", arr, True))
-        self.adj[b].append((a, "fn", arr, False))
+        entry = self._fn_supports.get(id(arr))
+        if entry is None:
+            fwd = [1 << w for w in arr]
+            bwd = [0] * (max(arr, default=-1) + 1)
+            for v, w in enumerate(arr):
+                bwd[w] |= 1 << v
+            # keeping arr alive keeps its id from being reused
+            entry = self._fn_supports[id(arr)] = (arr, fwd, bwd)
+        _, fwd, bwd = entry
+        width = self.domains[b].bit_length()
+        if len(bwd) < width:  # values of b outside arr's image: no support
+            bwd.extend([0] * (width - len(bwd)))
+        self.adj[a].append((b, "fn", fwd, True))
+        self.adj[b].append((a, "fn", bwd, False))
 
     def add_table(self, a: int, b: int, allowed: dict) -> None:
         """Constrain (value(a), value(b)) to pairs of `allowed`."""
-        self.adj[a].append((b, "tab", allowed, True))
-        reverse: dict[int, set[int]] = {}
+        da, db = self.domains[a], self.domains[b]
+        fwd = [0] * da.bit_length()
+        bwd = [0] * db.bit_length()
         for va, vbs in allowed.items():
-            for vb in vbs:
-                reverse.setdefault(vb, set()).add(va)
-        self.adj[b].append((a, "tab", reverse, False))
+            if da >> va & 1:
+                bit = 1 << va
+                m = 0
+                for vb in vbs:
+                    m |= 1 << vb
+                    if vb < len(bwd):
+                        bwd[vb] |= bit
+                fwd[va] = m & db
+        self.adj[a].append((b, "tab", fwd, True))
+        self.adj[b].append((a, "tab", bwd, False))
 
     # -- solving ------------------------------------------------------------
 
     def solve_all(self, budget: int = 10**7):
         """Yield every solution as a tuple of values, in canonical order."""
-        doms = [set(d) for d in self.domains]
-        if any(not d for d in doms):
-            return
         self._nodes = 0
         self._budget = budget
-        trail: list[tuple[int, int]] = []
-        if not self._propagate(list(range(len(doms))), doms, trail):
-            self._undo(doms, trail)
+        doms = list(self.domains)
+        if not all(doms):
             return
-        yield from self._search(doms)
+        # the (other, supports) columns of adj: zipping two lists is cheaper
+        # than unpacking the 4-tuples in the propagation loop
+        self._out = [
+            ([arc[0] for arc in arcs], [arc[2] for arc in arcs]) for arcs in self.adj
+        ]
+        if self._propagate(doms, list(range(len(doms)))):
+            yield from self._search(doms)
 
     def _search(self, doms):
-        n = len(doms)
-        best, size = -1, None
-        for i in range(n):
-            di = len(doms[i])
-            if di > 1 and (size is None or di < size):
-                best, size = i, di
-        if best < 0:
-            yield tuple(sorted(d)[0] for d in doms)
+        # minimum remaining values: the smallest domain above one value,
+        # the lowest index among those
+        sizes = list(map(int.bit_count, doms))
+        size = min(filter((1).__lt__, sizes), default=0)
+        if not size:
+            yield tuple(d.bit_length() - 1 for d in doms)
             return
-        for value in sorted(doms[best]):
+        best = sizes.index(size)
+        rest = doms[best]
+        while rest:
+            low = rest & -rest
+            rest ^= low
             self._nodes += 1
             if self._nodes > self._budget:
                 raise BudgetExceededError("enumeration budget exceeded", self._nodes)
-            trail: list[tuple[int, int]] = []
-            for v in list(doms[best]):
-                if v != value:
-                    doms[best].discard(v)
-                    trail.append((best, v))
-            if self._propagate([best], doms, trail):
-                yield from self._search(doms)
-            self._undo(doms, trail)
+            child = doms.copy()
+            child[best] = low
+            if self._propagate(child, [best]):
+                yield from self._search(child)
 
-    def _undo(self, doms, trail):
-        for var, v in trail:
-            doms[var].add(v)
-
-    def _propagate(self, dirty, doms, trail) -> bool:
-        queue = list(dirty)
+    def _propagate(self, doms, queue) -> bool:
+        """Revise arcs out of queued variables until nothing changes."""
+        out = self._out
         while queue:
             a = queue.pop()
             da = doms[a]
-            if not da:
-                return False
-            for b, kind, data, forward in self.adj[a]:
-                db = doms[b]
-                if kind == "fn":
-                    if forward:
-                        allowed = {data[v] for v in da}
-                    else:
-                        allowed = None  # filter below value by value
-                else:
-                    allowed = set()
-                    for v in da:
-                        allowed |= data.get(v, _EMPTY)
-                removed = False
-                if kind == "fn" and not forward:
-                    dbset = da
-                    for v in list(db):
-                        if data[v] not in dbset:
-                            db.discard(v)
-                            trail.append((b, v))
-                            removed = True
-                else:
-                    for v in list(db):
-                        if v not in allowed:
-                            db.discard(v)
-                            trail.append((b, v))
-                            removed = True
-                if not db:
-                    return False
-                if removed:
-                    queue.append(b)
+            others, supports = out[a]
+            if da & (da - 1):
+                pick = itemgetter(*_values(da))
+                for b, sup in zip(others, supports):
+                    db = doms[b]
+                    new = db & reduce(or_, pick(sup))
+                    if new != db:
+                        if not new:
+                            return False
+                        doms[b] = new
+                        queue.append(b)
+            else:
+                v = da.bit_length() - 1
+                for b, sup in zip(others, supports):
+                    db = doms[b]
+                    new = db & sup[v]
+                    if new != db:
+                        if not new:
+                            return False
+                        doms[b] = new
+                        queue.append(b)
         return True
-
-
-_EMPTY: frozenset = frozenset()

@@ -5,6 +5,7 @@ from __future__ import annotations
 import itertools
 
 from thetacat.delta import enumerate_monos
+from thetacat.errors import BudgetExceededError
 from thetacat.subshapes import SubOfRepresentable
 from thetacat.theta import (
     MorphismClass,
@@ -102,3 +103,118 @@ def family_is_natural(sub: SubOfRepresentable, x, value_at) -> bool:
                     ):
                         return False
     return True
+
+
+# ---------------------------------------------------------------------------
+# oracle: the set-domain solver that the bitset core of csp.Network
+# replaced, kept verbatim apart from its name.  Domains are sets, pruned
+# values go on a trail that is undone on backtrack.  Like the original,
+# it leaves `_nodes` unset when a domain is empty.
+
+
+class SetNetwork:
+    def __init__(self):
+        self.domains: list[list[int]] = []
+        self.adj: list[list[tuple]] = []  # var -> list of (other, kind, data, forward)
+
+    def add_var(self, domain) -> int:
+        self.domains.append(sorted(set(domain)))
+        self.adj.append([])
+        return len(self.domains) - 1
+
+    def add_fn(self, a: int, b: int, arr) -> None:
+        """Constrain value(b) == arr[value(a)]."""
+        self.adj[a].append((b, "fn", arr, True))
+        self.adj[b].append((a, "fn", arr, False))
+
+    def add_table(self, a: int, b: int, allowed: dict) -> None:
+        """Constrain (value(a), value(b)) to pairs of `allowed`."""
+        self.adj[a].append((b, "tab", allowed, True))
+        reverse: dict[int, set[int]] = {}
+        for va, vbs in allowed.items():
+            for vb in vbs:
+                reverse.setdefault(vb, set()).add(va)
+        self.adj[b].append((a, "tab", reverse, False))
+
+    # -- solving ------------------------------------------------------------
+
+    def solve_all(self, budget: int = 10**7):
+        """Yield every solution as a tuple of values, in canonical order."""
+        doms = [set(d) for d in self.domains]
+        if any(not d for d in doms):
+            return
+        self._nodes = 0
+        self._budget = budget
+        trail: list[tuple[int, int]] = []
+        if not self._propagate(list(range(len(doms))), doms, trail):
+            self._undo(doms, trail)
+            return
+        yield from self._search(doms)
+
+    def _search(self, doms):
+        n = len(doms)
+        best, size = -1, None
+        for i in range(n):
+            di = len(doms[i])
+            if di > 1 and (size is None or di < size):
+                best, size = i, di
+        if best < 0:
+            yield tuple(sorted(d)[0] for d in doms)
+            return
+        for value in sorted(doms[best]):
+            self._nodes += 1
+            if self._nodes > self._budget:
+                raise BudgetExceededError("enumeration budget exceeded", self._nodes)
+            trail: list[tuple[int, int]] = []
+            for v in list(doms[best]):
+                if v != value:
+                    doms[best].discard(v)
+                    trail.append((best, v))
+            if self._propagate([best], doms, trail):
+                yield from self._search(doms)
+            self._undo(doms, trail)
+
+    def _undo(self, doms, trail):
+        for var, v in trail:
+            doms[var].add(v)
+
+    def _propagate(self, dirty, doms, trail) -> bool:
+        queue = list(dirty)
+        while queue:
+            a = queue.pop()
+            da = doms[a]
+            if not da:
+                return False
+            for b, kind, data, forward in self.adj[a]:
+                db = doms[b]
+                if kind == "fn":
+                    if forward:
+                        allowed = {data[v] for v in da}
+                    else:
+                        allowed = None  # filter below value by value
+                else:
+                    allowed = set()
+                    for v in da:
+                        allowed |= data.get(v, _EMPTY)
+                removed = False
+                if kind == "fn" and not forward:
+                    dbset = da
+                    for v in list(db):
+                        if data[v] not in dbset:
+                            db.discard(v)
+                            trail.append((b, v))
+                            removed = True
+                else:
+                    for v in list(db):
+                        if v not in allowed:
+                            db.discard(v)
+                            trail.append((b, v))
+                            removed = True
+                if not db:
+                    return False
+                if removed:
+                    queue.append(b)
+        return True
+
+
+_EMPTY: frozenset = frozenset()

@@ -84,6 +84,15 @@ def test_window_cap_enforced(tmp_path):
     assert code == 1
 
 
+def test_check_budget_exceeded_report(tmp_path):
+    code, data = run_cli(
+        tmp_path, "check", "--mode", "strict-cat", "--nerve", "B2strict:Z2",
+        "--budget", "3",
+    )
+    assert code == 3
+    assert data == {"command": "check", "error": "budget exceeded", "nodes": 4}
+
+
 def test_certify_command(tmp_path):
     code, data = run_cli(tmp_path, "certify", "t[2]", "--gamma", "1:0,1:2")
     assert code == 0
@@ -119,6 +128,14 @@ def test_h2_command(tmp_path):
     assert data["num_classes"] == 1
 
 
+def test_h2_budget_exceeded_report(tmp_path):
+    code, data = run_cli(
+        tmp_path, "h2", "--group", "Z3", "--coeff", "Z2", "--budget", "90"
+    )
+    assert code == 3
+    assert data == {"command": "h2", "error": "budget exceeded", "nodes": 91}
+
+
 def test_h2_nonabelian_coeff(tmp_path):
     assert main(["h2", "--group", "Z2", "--coeff", "S3"]) == 1
 
@@ -149,3 +166,22 @@ def test_console_script_entrypoint():
     )
     assert proc.returncode == 0
     assert json.loads(proc.stdout)["count"] == 3
+
+
+def test_unreadable_input_files_exit_1(tmp_path):
+    bad = tmp_path / "bad.json"
+    bad.write_text("{not json")
+    for path in (tmp_path / "missing.json", tmp_path, bad):
+        for argv in (
+            ["check", "--mode", "cat", "--input", str(path)],
+            ["h2", "--group", f"@{path}", "--coeff", "Z2"],
+        ):
+            proc = subprocess.run(
+                [sys.executable, "-m", "thetacat.cli", *argv],
+                capture_output=True,
+                text=True,
+            )
+            assert proc.returncode == 1, (argv, proc.stderr)
+            assert "Traceback" not in proc.stderr
+            assert proc.stderr.startswith("thetacat: cannot read ")
+            assert proc.stderr.count("\n") == 1
