@@ -1,12 +1,13 @@
 """Inner-anodyne certificates: verification, construction, and search.
 
-A certificate is an ordered list of inner-horn attachments.  A step
-(C, c, (k, m)) attaches the image of y(c) to the current subpresheaf;
-it is valid when the pullback of the current subpresheaf along c is
-exactly the inner horn (k, m) of C and c identifies no two cells
-outside the horn, which makes the enlargement a pushout of an inner
-horn inclusion.  A verified certificate therefore witnesses membership
-of the inclusion in the cell-by-cell saturation of the inner horns.
+A certificate is an ordered list of inner-horn attachments.  Steps act
+on `SubOfRepresentable`: a step (C, c, (k, m)) attaches the image of
+y(c) to the current subpresheaf; it is valid when the pullback of the
+current subpresheaf along c is exactly the inner horn (k, m) of C and
+c identifies no two cells outside the horn, which makes the enlargement
+a pushout of an inner horn inclusion.  A verified certificate
+therefore witnesses membership of the inclusion in the cell-by-cell
+saturation of the inner horns.
 """
 
 from __future__ import annotations
@@ -18,8 +19,10 @@ from .errors import BudgetExceededError, ProofShapeViolation
 from .subshapes import (
     SubOfRepresentable,
     WindowSpec,
-    face_membership,
     full_sub,
+    horn,
+    image_cells,
+    pullback_along,
     spine,
     sub_union,
     union_of_faces,
@@ -32,6 +35,7 @@ from .theta import (
     compose_classes,
     enumerate_hom,
     face_class,
+    face_descriptor,
     faces_of,
     identity_class,
     inner_faces,
@@ -87,74 +91,55 @@ class VerifyReport(NamedTuple):
         }
 
 
-def _inner_horn_levels(c: Shape, k: int, m: int, window: WindowSpec) -> dict:
-    fds = tuple(fd for fd in faces_of(c) if not (fd.k == k and fd.m == m))
-    levels = {}
-    for b in window.shapes():
-        levels[b] = frozenset(
-            t
-            for t in enumerate_hom(b, c)
-            if any(face_membership(t, fd) for fd in fds)
-        )
-    return levels
+def _apply_step(current: SubOfRepresentable, step: Step) -> SubOfRepresentable:
+    levels = {
+        b: current.levels[b] | image_cells(step.attach, b)
+        for b in current.window.shapes()
+    }
+    return SubOfRepresentable(current.base, current.window, levels)
 
 
-def _apply_step(levels: dict, step: Step, window: WindowSpec) -> dict:
-    new = dict(levels)
-    for b in window.shapes():
-        added = frozenset(
-            compose_classes(step.attach, t) for t in enumerate_hom(b, step.cell)
-        )
-        new[b] = new[b] | added
-    return new
-
-
-def _step_admissible(
-    levels: dict, step: Step, window: WindowSpec
-) -> tuple[bool, str]:
+def _step_admissible(current: SubOfRepresentable, step: Step) -> tuple[bool, str]:
     c = step.attach
     k, m = step.horn
-    fd = next(
-        (f for f in faces_of(step.cell) if f.k == k and f.m == m), None
-    )
     if c.src != step.cell:
         return False, "attaching class does not start at the step cell"
-    if fd is None:
-        return False, f"no face ({k},{m}) on {step.cell}"
+    try:
+        fd = face_descriptor(step.cell, k, m)
+    except ValueError as exc:
+        return False, str(exc)
     if not fd.inner:
         return False, f"horn ({k},{m}) of {step.cell} is not inner"
-    horn_levels = _inner_horn_levels(step.cell, k, m, window)
+    window = current.window
+    inner_horn = horn(step.cell, k, m, window)
     for b in window.shapes():
-        current = levels[b]
+        members = current.levels[b]
         pullback = set()
         composites: dict = {}
         for t in enumerate_hom(b, step.cell):
             ct = compose_classes(c, t)
-            if ct in current:
+            if ct in members:
                 pullback.add(t)
             else:
                 # pushout needs c to be injective outside the horn
                 if ct in composites:
                     return False, f"attaching class identifies cells at level {b}"
                 composites[ct] = t
-        if pullback != horn_levels[b]:
+        if pullback != inner_horn.levels[b]:
             return False, f"pullback is not the horn at level {b}"
     return True, ""
 
 
-def verify_certificate(
-    cert: AnodyneCertificate, window: WindowSpec | None = None
-) -> VerifyReport:
+def verify_certificate(cert: AnodyneCertificate) -> VerifyReport:
     """Replay the steps, checking the pushout condition at each one."""
-    window = window or cert.window
-    levels = {b: cert.start.levels[b] for b in window.shapes()}
+    current = cert.start
     for i, step in enumerate(cert.steps):
-        ok, reason = _step_admissible(levels, step, window)
+        ok, reason = _step_admissible(current, step)
         if not ok:
             return VerifyReport(False, i, i, reason)
-        levels = _apply_step(levels, step, window)
-    for b in window.shapes():
-        if levels[b] != cert.end.levels[b]:
+        current = _apply_step(current, step)
+    for b in cert.window.shapes():
+        if current.levels[b] != cert.end.levels[b]:
             return VerifyReport(
                 False, len(cert.steps), None, f"result differs from target at {b}"
             )
@@ -211,16 +196,10 @@ def certify_union_inclusion(
 
 
 def _resolve_gamma(a: Shape, gamma) -> tuple[FaceDescriptor, ...]:
-    out = []
-    lookup = {(fd.k, fd.m): fd for fd in faces_of(a)}
-    for item in gamma:
-        if isinstance(item, FaceDescriptor):
-            out.append(item)
-        else:
-            k, m = item
-            if (k, m) not in lookup:
-                raise ValueError(f"no face ({k},{m}) on {a}")
-            out.append(lookup[(k, m)])
+    out = [
+        item if isinstance(item, FaceDescriptor) else face_descriptor(a, *item)
+        for item in gamma
+    ]
     return tuple(sorted(set(out), key=lambda fd: (fd.k, fd.m)))
 
 
@@ -230,29 +209,14 @@ def _transported_steps(
     """Steps attaching one missing face, via the recursion on its target."""
     beta = face_class(b_face)
     target = b_face.target
-    # levels of the restriction of the current union to the face
-    u_levels = {}
-    for b in window.shapes():
-        u_levels[b] = frozenset(
-            t
-            for t in enumerate_hom(b, target)
-            if any(face_membership(compose_classes(beta, t), fd) for fd in current)
-        )
+    restricted = pullback_along(union_of_faces(a, current, window), beta)
     gamma_b = [
         fd
         for fd in faces_of(target)
-        if face_class(fd) in u_levels[fd.target]
+        if face_class(fd) in restricted.levels[fd.target]
     ]
     # the restriction must be exactly a union of faces of the target
-    recognized = {
-        b: frozenset(
-            t
-            for t in enumerate_hom(b, target)
-            if any(face_membership(t, fd) for fd in gamma_b)
-        )
-        for b in window.shapes()
-    }
-    if recognized != u_levels:
+    if union_of_faces(target, gamma_b, window) != restricted:
         raise ProofShapeViolation(
             f"restriction of the union to face ({b_face.k},{b_face.m}) of {a} "
             "is not a union of faces",
@@ -335,47 +299,38 @@ def spine_probe(
             for h in horns:
                 candidates.append(Step(c_shape, c, h))
 
-    end_levels = {b: end.levels[b] for b in window.shapes()}
-    start_levels = {b: start.levels[b] for b in window.shapes()}
     nodes = 0
-    seen = set()
+    seen: set[SubOfRepresentable] = set()
     best: list[Step] | None = None
     max_depth = 0
 
-    def state_key(levels):
-        return tuple(frozenset(levels[b]) for b in window.shapes())
-
-    def within_target(levels):
-        return all(levels[b] <= end_levels[b] for b in window.shapes())
-
-    def dfs(levels, trail):
+    def dfs(current, trail):
         nonlocal nodes, best, max_depth
         max_depth = max(max_depth, len(trail))
-        if all(levels[b] == end_levels[b] for b in window.shapes()):
+        if current == end:
             best = list(trail)
             return True
-        key = state_key(levels)
-        if key in seen:
+        if current in seen:
             return False
-        seen.add(key)
+        seen.add(current)
         for step in candidates:
             nodes += 1
             if nodes > budget:
                 raise BudgetExceededError("probe budget exceeded", nodes)
-            ok, _ = _step_admissible(levels, step, window)
+            ok, _ = _step_admissible(current, step)
             if not ok:
                 continue
-            new_levels = _apply_step(levels, step, window)
-            if not within_target(new_levels):
+            new = _apply_step(current, step)
+            if not new.is_subset(end):
                 continue
             trail.append(step)
-            if dfs(new_levels, trail):
+            if dfs(new, trail):
                 return True
             trail.pop()
         return False
 
     try:
-        found = dfs(start_levels, [])
+        found = dfs(start, [])
     except BudgetExceededError:
         return ProbeResult(False, None, nodes, len(seen), max_depth)
     if not found:

@@ -12,6 +12,7 @@ from typing import NamedTuple
 from .presheaves import (
     FaceUnionFamily,
     Presheaf,
+    PresheafNatFamily,
     nat_face_union,
     restriction_key,
 )
@@ -166,39 +167,6 @@ def check(
 # inner fibrations
 
 
-class PresheafMorphism:
-    """A natural map of presheaves given by per-shape index arrays."""
-
-    def __init__(self, source: Presheaf, target: Presheaf, components: dict):
-        self.source = source
-        self.target = target
-        self.components = components  # Shape -> tuple[int, ...]
-
-    @classmethod
-    def to_terminal(cls, x: Presheaf, terminal: Presheaf, window: WindowSpec):
-        return cls(
-            x, terminal, {b: (0,) * x.size(b) for b in window.shapes()}
-        )
-
-    @classmethod
-    def identity(cls, x: Presheaf, window: WindowSpec):
-        return cls(
-            x, x, {b: tuple(range(x.size(b))) for b in window.shapes()}
-        )
-
-    def check_natural(self, window: WindowSpec) -> bool:
-        from .presheaves import generator_classes
-
-        for f in generator_classes(window):
-            src_arr = self.source.action(f)
-            tgt_arr = self.target.action(f)
-            phi_s, phi_d = self.components[f.src], self.components[f.dst]
-            for i in range(self.source.size(f.dst)):
-                if phi_s[src_arr[i]] != tgt_arr[phi_d[i]]:
-                    return False
-        return True
-
-
 class LiftingSquare(NamedTuple):
     shape: Shape
     k: int
@@ -222,7 +190,7 @@ class FibrationReport(NamedTuple):
 
 
 def inner_fibration_check(
-    phi: PresheafMorphism, window: WindowSpec, budget: int = 10**7
+    phi: PresheafNatFamily, window: WindowSpec, budget: int = 10**7
 ) -> FibrationReport:
     """Test the right lifting property against every inner horn in window.
 

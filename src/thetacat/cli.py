@@ -59,21 +59,30 @@ def _parse_shape_arg(text: str):
         raise SystemExit(_usage_error(f"bad shape token {text!r}")) from None
 
 
-def _read_json(path: str):
-    """Parse a JSON file; a missing, unreadable or non-JSON file is a usage error."""
+def _read_json(path: str, parse):
+    """Load a JSON file and build an object from it with `parse`.
+
+    A missing, unreadable or non-JSON file, or JSON that `parse` rejects,
+    is a usage error.
+    """
     try:
         with open(path) as fh:
-            return json.load(fh)
+            data = json.load(fh)
     except OSError as exc:
         reason = exc.strerror or type(exc).__name__
     except ValueError as exc:
         reason = f"not JSON ({exc})"
+    else:
+        try:
+            return parse(data)
+        except (AttributeError, IndexError, KeyError, TypeError, ValueError) as exc:
+            reason = f"invalid content ({type(exc).__name__}: {exc})"
     raise SystemExit(_usage_error(f"cannot read {path}: {reason}"))
 
 
 def _load_group(token: str) -> FiniteGroup:
     if token.startswith("@"):
-        return FiniteGroup.from_json(_read_json(token[1:]))
+        return _read_json(token[1:], FiniteGroup.from_json)
     try:
         return builtin_group(token)
     except ValueError:
@@ -129,7 +138,7 @@ def cmd_check(args) -> int:
         except ValueError as exc:
             return _usage_error(str(exc))
     elif args.input:
-        x = table_from_json(_read_json(args.input))
+        x = _read_json(args.input, table_from_json)
     else:
         return _usage_error("check needs --nerve or --input")
     try:
@@ -254,52 +263,43 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--version", action="version", version=__version__)
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(p):
-        p.add_argument("--max-dim", type=int, default=None)
-        p.add_argument("--max-entry", type=int, default=None)
-        p.add_argument("--budget", type=int, default=10**6)
+    def command(name, fn, summary):
+        p = sub.add_parser(name, help=summary)
         p.add_argument("--out", default=None)
-        p.add_argument("--seed", type=int, default=0)
+        p.set_defaults(fn=fn)
+        return p
 
-    p = sub.add_parser("faces", help="list the faces of a shape")
+    p = command("faces", cmd_faces, "list the faces of a shape")
     p.add_argument("shape")
-    common(p)
-    p.set_defaults(fn=cmd_faces)
 
-    p = sub.add_parser("hom", help="enumerate classes between two shapes")
+    p = command("hom", cmd_hom, "enumerate classes between two shapes")
     p.add_argument("src")
     p.add_argument("dst")
-    common(p)
-    p.set_defaults(fn=cmd_hom)
 
-    p = sub.add_parser("check", help="horn-filling check of a presheaf")
+    p = command("check", cmd_check, "horn-filling check of a presheaf")
     p.add_argument("--mode", required=True)
     p.add_argument("--nerve", default=None, help="B1:G, B2strict:A or B2em:A")
     p.add_argument("--input", default=None, help="windowed presheaf JSON file")
-    common(p)
-    p.set_defaults(fn=cmd_check)
+    p.add_argument("--max-dim", type=int, default=None)
+    p.add_argument("--max-entry", type=int, default=None)
+    p.add_argument("--budget", type=int, default=10**6)
 
-    p = sub.add_parser("certify", help="certificate for a union of faces")
+    p = command("certify", cmd_certify, "certificate for a union of faces")
     p.add_argument("shape")
     p.add_argument("--gamma", required=True, help="comma list of k:m faces")
-    common(p)
-    p.set_defaults(fn=cmd_certify)
 
-    p = sub.add_parser("probe", help="search a certificate from the spine")
+    p = command("probe", cmd_probe, "search a certificate from the spine")
     p.add_argument("shape")
     p.add_argument("--target", choices=("outer", "full"), default="full")
-    common(p)
-    p.set_defaults(fn=cmd_probe)
+    p.add_argument("--budget", type=int, default=10**6)
 
-    p = sub.add_parser("h2", help="maps, cocycles and homotopy classes")
+    p = command("h2", cmd_h2, "maps, cocycles and homotopy classes")
     p.add_argument("--group", required=True)
     p.add_argument("--coeff", required=True)
-    common(p)
-    p.set_defaults(fn=cmd_h2)
+    p.add_argument("--budget", type=int, default=10**6)
 
-    p = sub.add_parser("selftest", help="run every module's invariant suite")
-    common(p)
-    p.set_defaults(fn=cmd_selftest)
+    p = command("selftest", cmd_selftest, "run every module's invariant suite")
+    p.add_argument("--seed", type=int, default=0)
     return parser
 
 

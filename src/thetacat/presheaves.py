@@ -566,15 +566,18 @@ class PresheafNatFamily:
     def __hash__(self):
         return hash(self.key())
 
-    def is_natural_at(self, f: MorphismClass) -> bool:
-        """Check one naturality square (both shapes must be in the window)."""
-        src_arr = self.source.action(f)
-        tgt_arr = self.target.action(f)
-        phi_src, phi_dst = self.components[f.src], self.components[f.dst]
-        return all(
-            phi_src[src_arr[i]] == tgt_arr[phi_dst[i]]
-            for i in range(self.source.size(f.dst))
-        )
+    def is_natural(self) -> bool:
+        """Check every naturality square along the window's generators."""
+        for f in generator_classes(self.window):
+            src_arr = self.source.action(f)
+            tgt_arr = self.target.action(f)
+            phi_src, phi_dst = self.components[f.src], self.components[f.dst]
+            if any(
+                phi_src[src_arr[i]] != tgt_arr[phi_dst[i]]
+                for i in range(self.source.size(f.dst))
+            ):
+                return False
+        return True
 
     def to_json(self):
         return {

@@ -15,13 +15,6 @@ from . import anodyne, checkers, delta, groups, nerves, presheaves, subshapes, t
 from .subshapes import WindowSpec
 
 
-def _random_class(rng, shapes):
-    a = rng.choice(shapes)
-    b = rng.choice(shapes)
-    hom = theta.enumerate_hom(a, b)
-    return rng.choice(hom)
-
-
 def _delta_invariants(rng) -> dict:
     ok_assoc = True
     for _ in range(200):

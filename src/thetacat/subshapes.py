@@ -1,7 +1,9 @@
 """Subpresheaves of a representable: faces, boundaries, horns, spines.
 
-A subpresheaf is stored levelwise over a finite window of shapes as
-sets of classes into the base shape, always closed under
+`SubOfRepresentable` is the only subobject type: every face, horn,
+spine, union and pullback, and every state of an anodyne certificate,
+is one.  A subpresheaf is stored levelwise over a finite window of
+shapes as sets of classes into the base shape, always closed under
 precomposition.  Membership of a single cell in a face, horn or spine
 is decidable directly from the class data, so levels can also be
 computed at shapes far beyond the base.
@@ -23,6 +25,7 @@ from .theta import (
     compose_classes,
     enumerate_hom,
     face_class,
+    face_descriptor,
     faces_of,
     is_mono_cell,
 )
@@ -125,11 +128,6 @@ class SubOfRepresentable:
     def size(self) -> int:
         return sum(len(v) for v in self.levels.values())
 
-    def state_key(self):
-        return tuple(
-            (b, tuple(self.cells_sorted(b))) for b in self.window.shapes()
-        )
-
     def __eq__(self, other) -> bool:
         return (
             isinstance(other, SubOfRepresentable)
@@ -139,7 +137,7 @@ class SubOfRepresentable:
         )
 
     def __hash__(self):
-        return hash((self.base, self.window, self.state_key()))
+        return hash(tuple(self.levels[b] for b in self.window.shapes()))
 
     def is_subset(self, other: "SubOfRepresentable") -> bool:
         _check_compatible(self, other)
@@ -212,25 +210,10 @@ def union_of_faces(
     return _build(a, window, lambda s: in_union_of_faces(s, fds))
 
 
-class Horn(SubOfRepresentable):
-    pass
-
-
 def horn(a: Shape, k: int, m: int, window: WindowSpec) -> SubOfRepresentable:
-    """Union of all faces except (k, m); carries the missing face."""
-    window.require_covers(a)
-    missing = None
-    for fd in faces_of(a):
-        if fd.k == k and fd.m == m:
-            missing = fd
-    if missing is None:
-        raise ValueError(f"no face ({k},{m}) on {a}")
-    rest = tuple(fd for fd in faces_of(a) if fd != missing)
-    sub = union_of_faces(a, rest, window)
-    h = Horn(a, window, sub.levels)
-    object.__setattr__(h, "missing", missing)
-    object.__setattr__(h, "inner", missing.inner)
-    return h
+    """Union of all faces except (k, m)."""
+    missing = face_descriptor(a, k, m)
+    return union_of_faces(a, (fd for fd in faces_of(a) if fd != missing), window)
 
 
 def spine(a: Shape, window: WindowSpec) -> SubOfRepresentable:

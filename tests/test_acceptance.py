@@ -219,16 +219,16 @@ def test_c06_spine_probe():
         for fd in inner_faces(c_shape)
         for c in enumerate_hom(c_shape, a)
     ]
-    frontier = [{b: start.levels[b] for b in w.shapes()}]
+    frontier = [start]
     for _ in range(3):
         frontier = [
-            _apply_step(levels, step, w)
-            for levels in frontier
+            _apply_step(current, step)
+            for current in frontier
             for step in candidates
-            if _step_admissible(levels, step, w)[0]
+            if _step_admissible(current, step)[0]
         ]
-        for levels in frontier:
-            assert any(levels[b] != end.levels[b] for b in w.shapes())
+        for current in frontier:
+            assert any(current.levels[b] != end.levels[b] for b in w.shapes())
 
     r = spine_probe(shape(2, 1), "outer", budget=budget)
     assert r.found and r.nodes <= budget

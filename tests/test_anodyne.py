@@ -182,15 +182,17 @@ def test_certify_step_count_on_one_coordinate_shapes():
 
 def test_certificate_growth_is_strict():
     cert = certify_union_inclusion(shape(3), [(1, 0), (1, 3)])
-    levels = {b: cert.start.levels[b] for b in cert.window.shapes()}
+    current = cert.start
     for step in cert.steps:
-        ok, _ = _step_admissible(levels, step, cert.window)
+        ok, _ = _step_admissible(current, step)
         assert ok
-        new_levels = _apply_step(levels, step, cert.window)
-        assert any(len(new_levels[b]) > len(levels[b]) for b in cert.window.shapes())
+        new = _apply_step(current, step)
+        assert any(
+            len(new.levels[b]) > len(current.levels[b]) for b in cert.window.shapes()
+        )
         # never attach an already-present cell
-        assert step.attach not in levels[step.attach.src]
-        levels = new_levels
+        assert step.attach not in current.levels[step.attach.src]
+        current = new
 
 
 def test_certificate_json():
@@ -259,18 +261,18 @@ def test_probe_tetrahedron_no_three_step_certificate():
         for c in enumerate_hom(c_shape, a):
             for h in horns:
                 candidates.append(Step(c_shape, c, h))
-    frontier = [{b: start.levels[b] for b in w.shapes()}]
+    frontier = [start]
     for depth in range(3):
         nxt = []
-        for levels in frontier:
+        for current in frontier:
             for step in candidates:
-                ok, _ = _step_admissible(levels, step, w)
+                ok, _ = _step_admissible(current, step)
                 if ok:
-                    nxt.append(_apply_step(levels, step, w))
+                    nxt.append(_apply_step(current, step))
         frontier = nxt
         assert all(
-            any(levels[b] != end.levels[b] for b in w.shapes())
-            for levels in frontier
+            any(current.levels[b] != end.levels[b] for b in w.shapes())
+            for current in frontier
         ), f"found a {depth + 1}-step certificate"
 
 

@@ -2,7 +2,6 @@ import pytest
 
 from thetacat.checkers import (
     Mode,
-    PresheafMorphism,
     check,
     horn_filling,
     inner_fibration_check,
@@ -10,7 +9,12 @@ from thetacat.checkers import (
 )
 from thetacat.groups import builtin_group, cyclic
 from thetacat.nerves import nerve_b1, nerve_b2_em, nerve_b2_strict
-from thetacat.presheaves import Representable, SubAsPresheaf, TerminalPresheaf
+from thetacat.presheaves import (
+    PresheafNatFamily,
+    Representable,
+    SubAsPresheaf,
+    TerminalPresheaf,
+)
 from thetacat.subshapes import WindowSpec, horn, window_for
 from thetacat.theta import shape
 
@@ -121,8 +125,10 @@ def test_report_json():
 def test_inner_fibration_to_terminal_for_cat():
     w = WindowSpec(2, 2)
     b1 = nerve_b1(cyclic(2))
-    phi = PresheafMorphism.to_terminal(b1, TerminalPresheaf(), w)
-    assert phi.check_natural(w)
+    phi = PresheafNatFamily(
+        b1, TerminalPresheaf(), w, {b: (0,) * b1.size(b) for b in w.shapes()}
+    )
+    assert phi.is_natural()
     rep = inner_fibration_check(phi, w)
     assert rep.ok and rep.squares_checked > 0
 
@@ -130,7 +136,10 @@ def test_inner_fibration_to_terminal_for_cat():
 def test_inner_fibration_identity():
     w = WindowSpec(2, 2)
     b2 = nerve_b2_strict(cyclic(2))
-    rep = inner_fibration_check(PresheafMorphism.identity(b2, w), w)
+    phi = PresheafNatFamily(
+        b2, b2, w, {b: tuple(range(b2.size(b))) for b in w.shapes()}
+    )
+    rep = inner_fibration_check(phi, w)
     assert rep.ok
 
 
@@ -139,7 +148,9 @@ def test_inner_fibration_fault_detected():
     # filler for the tautological horn family
     w = window_for(shape(2))
     hp = SubAsPresheaf(horn(shape(2), 1, 1, w))
-    phi = PresheafMorphism.to_terminal(hp, TerminalPresheaf(), w)
+    phi = PresheafNatFamily(
+        hp, TerminalPresheaf(), w, {b: (0,) * hp.size(b) for b in w.shapes()}
+    )
     rep = inner_fibration_check(phi, w)
     assert not rep.ok
     assert rep.failures[0].shape == shape(2)

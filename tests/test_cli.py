@@ -171,7 +171,11 @@ def test_console_script_entrypoint():
 def test_unreadable_input_files_exit_1(tmp_path):
     bad = tmp_path / "bad.json"
     bad.write_text("{not json")
-    for path in (tmp_path / "missing.json", tmp_path, bad):
+    empty_object = tmp_path / "object.json"
+    empty_object.write_text("{}")
+    number_list = tmp_path / "list.json"
+    number_list.write_text("[1, 2]")
+    for path in (tmp_path / "missing.json", tmp_path, bad, empty_object, number_list):
         for argv in (
             ["check", "--mode", "cat", "--input", str(path)],
             ["h2", "--group", f"@{path}", "--coeff", "Z2"],
@@ -185,3 +189,19 @@ def test_unreadable_input_files_exit_1(tmp_path):
             assert "Traceback" not in proc.stderr
             assert proc.stderr.startswith("thetacat: cannot read ")
             assert proc.stderr.count("\n") == 1
+
+
+def test_flags_of_other_commands_exit_1():
+    for argv in (
+        ["certify", "t[3]", "--gamma", "1:0,1:3", "--max-dim", "5"],
+        ["probe", "t[3]", "--seed", "3"],
+        ["faces", "t[2]", "--budget", "3"],
+    ):
+        proc = subprocess.run(
+            [sys.executable, "-m", "thetacat.cli", *argv],
+            capture_output=True,
+            text=True,
+        )
+        assert proc.returncode == 1, (argv, proc.stderr)
+        assert "Traceback" not in proc.stderr
+        assert "unrecognized arguments" in proc.stderr

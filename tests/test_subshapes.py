@@ -105,10 +105,8 @@ def test_horn_equals_spine_on_triangle():
 
 
 def test_horn_missing_face_tagging():
-    h = horn(shape(2, 1), 2, 0, window_for(shape(2, 1)))
-    assert not h.inner
-    h = horn(shape(2, 1), 1, 1, window_for(shape(2, 1)))
-    assert h.inner
+    assert not face_descriptor(shape(2, 1), 2, 0).inner
+    assert face_descriptor(shape(2, 1), 1, 1).inner
     assert not any(fd.inner for fd in faces_of(shape(1, 1)))
 
 
@@ -136,6 +134,24 @@ def test_horn_union_face_is_boundary():
         for fd in faces_of(a):
             h = horn(a, fd.k, fd.m, w)
             assert sub_algebra("equal", sub_union(h, face_image(fd, w)), bd)
+
+
+def test_equal_subobjects_hash_equal():
+    # built different ways, equal subobjects are one element of a set
+    a = shape(2)
+    w = window_for(a)
+    pairs = [(horn(a, 1, 1, w), spine(a, w))]
+    w = WindowSpec(2, 2)
+    for a in w.shapes():
+        for fd in faces_of(a):
+            pairs.append(
+                (sub_union(horn(a, fd.k, fd.m, w), face_image(fd, w)), boundary(a, w))
+            )
+    assert len(pairs) > 1
+    for u, v in pairs:
+        assert u == v
+        assert hash(u) == hash(v)
+        assert len({u, v}) == 1
 
 
 def test_spine_in_outer_union():
