@@ -130,6 +130,24 @@ def _step_admissible(current: SubOfRepresentable, step: Step) -> tuple[bool, str
     return True, ""
 
 
+def _may_attach(current: SubOfRepresentable, step: Step) -> bool:
+    """A necessary condition for `_step_admissible`, from a few composites.
+
+    The identity of the step cell lies in no face, so `c` itself must be
+    outside `current`; the class of every face other than (k, m) lies in
+    the horn, so its composite with `c` must be inside.  The search
+    skips a candidate that fails here without building the horn.
+    """
+    c = step.attach
+    if c in current.levels[step.cell]:
+        return False
+    return all(
+        compose_classes(c, face_class(fd)) in current.levels[fd.target]
+        for fd in faces_of(step.cell)
+        if (fd.k, fd.m) != step.horn
+    )
+
+
 def verify_certificate(cert: AnodyneCertificate) -> VerifyReport:
     """Replay the steps, checking the pushout condition at each one."""
     current = cert.start
@@ -317,6 +335,8 @@ def spine_probe(
             nodes += 1
             if nodes > budget:
                 raise BudgetExceededError("probe budget exceeded", nodes)
+            if not _may_attach(current, step):
+                continue
             ok, _ = _step_admissible(current, step)
             if not ok:
                 continue

@@ -138,7 +138,12 @@ def cmd_check(args) -> int:
         except ValueError as exc:
             return _usage_error(str(exc))
     elif args.input:
-        x = _read_json(args.input, table_from_json)
+        def parse(data):
+            table = table_from_json(data)
+            table.require_covers(window)
+            return table
+
+        x = _read_json(args.input, parse)
     else:
         return _usage_error("check needs --nerve or --input")
     try:

@@ -12,9 +12,11 @@ class WindowInsufficientError(ValueError):
 
 
 class BudgetExceededError(RuntimeError):
-    """Raised when a search exceeds its node budget.
+    """Raised when a search or an enumeration exceeds its budget.
 
-    Carries the number of nodes visited before giving up.
+    `count` is the size of the work that went over the budget: the nodes
+    visited by a search, or the candidates of an enumeration refused
+    before it starts.
     """
 
     def __init__(self, message: str, count: int):

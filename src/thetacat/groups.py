@@ -189,9 +189,10 @@ def normalized_2cocycles(
     n, na = g_.order, a_.order
     others = [g for g in range(n) if g != g_.identity]
     free = [(g, h) for g in others for h in others]
-    if na ** len(free) > budget:
+    candidates = na ** len(free)
+    if candidates > budget:
         raise BudgetExceededError(
-            f"2-cocycle enumeration needs {na ** len(free)} candidates", 0
+            f"2-cocycle enumeration needs {candidates} candidates", candidates
         )
     zero = a_.identity
     out = []

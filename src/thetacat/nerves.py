@@ -107,9 +107,10 @@ class NerveB2EM(Presheaf):
         a_ = self.group
         trips = _triples(n)
         free = [t for t in trips if t[0] == 0]
-        if a_.order ** len(free) > self.level_budget:
+        tables = a_.order ** len(free)
+        if tables > self.level_budget:
             raise BudgetExceededError(
-                f"cocycle level at {b} needs {a_.order ** len(free)} tables", 0
+                f"cocycle level at {b} needs {tables} tables", tables
             )
         pos = {t: i for i, t in enumerate(trips)}
         out = []

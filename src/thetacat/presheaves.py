@@ -175,6 +175,33 @@ class TablePresheaf(Presheaf):
         row = self.actions_table[f]
         return self.elements(f.src)[row[self.index_of(f.dst, x)]]
 
+    def require_covers(self, window: WindowSpec) -> None:
+        """Raise ValueError unless the tables define x on the whole window.
+
+        Every window shape needs a level of distinct elements, and every
+        class between window shapes an action row of the right length
+        with entries indexing its source level: the checks act along
+        composite classes too, not only along the generators.
+        """
+        shapes = window.shapes()
+        for b in shapes:
+            if b not in self.levels:
+                raise ValueError(f"no level at {b}")
+            if len(set(self.levels[b])) != len(self.levels[b]):
+                raise ValueError(f"the level at {b} repeats an element")
+        for b1 in shapes:
+            for b2 in shapes:
+                size = len(self.levels[b1])
+                for f in enumerate_hom(b1, b2):
+                    row = self.actions_table.get(f)
+                    if row is None or len(row) != len(self.levels[b2]) or not all(
+                        isinstance(i, int) and 0 <= i < size for i in row
+                    ):
+                        comps = [list(c.values) for c in f.components]
+                        raise ValueError(
+                            f"no valid action row for {b1} -> {b2} {comps}"
+                        )
+
     @classmethod
     def from_presheaf(cls, x: Presheaf, window: WindowSpec, name=None):
         """Materialize every level and every action over a window."""

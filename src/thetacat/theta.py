@@ -383,9 +383,10 @@ class AutomorphismReport(NamedTuple):
 def automorphism_report(a: Shape, bound: int = 10**7) -> AutomorphismReport:
     """Count invertible self-classes by exhaustive two-sided inverse search."""
     hom = enumerate_hom(a, a)
-    if len(hom) * len(hom) > bound:
+    pairs = len(hom) * len(hom)
+    if pairs > bound:
         raise BudgetExceededError(
-            f"automorphism search on {a} needs {len(hom)**2} compositions", len(hom)
+            f"automorphism search on {a} needs {pairs} compositions", pairs
         )
     ident = identity_class(a)
     count = 0

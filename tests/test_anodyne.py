@@ -2,6 +2,7 @@ import itertools
 
 import pytest
 
+from thetacat import anodyne
 from thetacat.anodyne import (
     AnodyneCertificate,
     ProbeResult,
@@ -10,6 +11,7 @@ from thetacat.anodyne import (
     spine_probe,
     verify_certificate,
     _apply_step,
+    _may_attach,
     _step_admissible,
 )
 from thetacat.subshapes import (
@@ -27,6 +29,7 @@ from thetacat.theta import (
     inner_faces,
     outer_faces,
     faces_of,
+    parse_shape,
     shape,
 )
 
@@ -299,3 +302,65 @@ def test_probe_certificates_verify_on_larger_window():
 def test_probe_rejects_unknown_target():
     with pytest.raises(ValueError):
         spine_probe(shape(2), "boundary")
+
+
+# ---------------------------------------------------------------------------
+# the prefilter against the unfiltered search
+
+PREFILTER_PROBES = [
+    ("t[2]", "full"),
+    ("t[3]", "full"),
+    ("t[2,1]", "full"),
+    # the remaining probe jobs of the anodyne-certify benchmark
+    ("t[3]", "outer"),
+    ("t[2,1]", "outer"),
+    ("t[3,1]", "full"),
+    ("t[3,1]", "outer"),
+    ("t[2,1,1]", "full"),
+    ("t[4]", "full"),
+    ("t[2,2]", "full"),
+    ("t[1,3]", "full"),
+]
+
+
+def unfiltered_probe(monkeypatch, a, target, budget=10**6, tried=None):
+    """`spine_probe` with the prefilter passing every candidate.
+
+    Each candidate then goes to the full pushout check; with `tried`,
+    every one is logged there as (current, step, admissible).
+    """
+    with monkeypatch.context() as m:
+        m.setattr(anodyne, "_may_attach", lambda *_: True)
+        if tried is not None:
+
+            def logged(current, step):
+                ok, reason = _step_admissible(current, step)
+                tried.append((current, step, ok))
+                return ok, reason
+
+            m.setattr(anodyne, "_step_admissible", logged)
+        return spine_probe(a, target, budget=budget)
+
+
+@pytest.mark.parametrize("text,target", PREFILTER_PROBES)
+def test_probe_prefilter_matches_unfiltered_search(monkeypatch, text, target):
+    a = parse_shape(text)
+    tried = []
+    ref = unfiltered_probe(monkeypatch, a, target, tried=tried)
+    assert ref.found
+    assert spine_probe(a, target) == ref
+    assert len(tried) == ref.nodes
+    # each candidate the prefilter rejects fails the full pushout check too
+    rejected = [(c, s, ok) for c, s, ok in tried if not _may_attach(c, s)]
+    assert rejected
+    assert not any(ok for _, _, ok in rejected)
+
+
+@pytest.mark.parametrize("text,target", [("t[3]", "full"), ("t[2,1]", "outer")])
+def test_probe_prefilter_same_result_at_every_budget(monkeypatch, text, target):
+    a = parse_shape(text)
+    total = unfiltered_probe(monkeypatch, a, target).nodes
+    for budget in range(1, total + 1):
+        expected = unfiltered_probe(monkeypatch, a, target, budget=budget)
+        assert spine_probe(a, target, budget=budget) == expected, budget
+        assert expected.found == (budget == total)

@@ -71,6 +71,51 @@ def test_check_table_input(tmp_path):
     assert code == 0 and data["verdict"] == "pass"
 
 
+def test_tables_not_covering_the_window_exit_1(tmp_path):
+    from thetacat.groups import cyclic
+    from thetacat.nerves import nerve_b1
+    from thetacat.presheaves import TablePresheaf, table_to_json
+    from thetacat.subshapes import WindowSpec
+
+    good = table_to_json(
+        TablePresheaf.from_presheaf(nerve_b1(cyclic(2)), WindowSpec(1, 2))
+    )
+    no_row = json.loads(json.dumps(good))
+    no_row["actions"].pop()
+    bad_index = json.loads(json.dumps(good))
+    bad_index["actions"][3]["map"][0] = 99
+    short_row = json.loads(json.dumps(good))
+    short_row["actions"][3]["map"].pop()
+    repeated = json.loads(json.dumps(good))
+    level = repeated["levels"][1]["elements"]
+    level[1] = level[0]
+    unhashable = json.loads(json.dumps(good))
+    unhashable["levels"][1]["elements"][0] = {"a": 1}
+    cases = [
+        ({"levels": [], "actions": []}, []),
+        (no_row, ["--max-dim", "1", "--max-entry", "2"]),
+        (bad_index, ["--max-dim", "1", "--max-entry", "2"]),
+        (short_row, ["--max-dim", "1", "--max-entry", "2"]),
+        (repeated, ["--max-dim", "1", "--max-entry", "2"]),
+        (unhashable, ["--max-dim", "1", "--max-entry", "2"]),
+        # a table covering a smaller window than the one checked
+        (good, []),
+    ]
+    for i, (data, window) in enumerate(cases):
+        path = tmp_path / f"table{i}.json"
+        path.write_text(json.dumps(data))
+        proc = subprocess.run(
+            [sys.executable, "-m", "thetacat.cli", "check", "--mode", "cat",
+             "--input", str(path), *window],
+            capture_output=True,
+            text=True,
+        )
+        assert proc.returncode == 1, (i, proc.stderr)
+        assert "Traceback" not in proc.stderr
+        assert proc.stderr.startswith(f"thetacat: cannot read {path}: ")
+        assert proc.stderr.count("\n") == 1
+
+
 def test_check_usage_errors(tmp_path):
     assert main(["check", "--mode", "cat"]) == 1
     assert main(["check", "--mode", "nonsense", "--nerve", "B1:Z2"]) == 1
@@ -91,6 +136,13 @@ def test_check_budget_exceeded_report(tmp_path):
     )
     assert code == 3
     assert data == {"command": "check", "error": "budget exceeded", "nodes": 4}
+
+
+def test_h2_cocycle_budget_report(tmp_path):
+    # 25 free entries of a normalized table on S3, each in Z2
+    code, data = run_cli(tmp_path, "h2", "--group", "S3", "--coeff", "Z2")
+    assert code == 3
+    assert data == {"command": "h2", "error": "budget exceeded", "nodes": 2**25}
 
 
 def test_certify_command(tmp_path):

@@ -2,6 +2,7 @@ import random
 
 import pytest
 
+from thetacat.errors import BudgetExceededError
 from thetacat.groups import (
     Cocycle2,
     FiniteGroup,
@@ -209,6 +210,18 @@ def test_cocycle_counts_frozen():
     assert (len(data.z2), len(data.b2), data.classes) == (9, 3, 3)
     data = cocycle_tools(z2, z3)
     assert (len(data.z2), len(data.b2), data.classes) == (3, 3, 1)
+
+
+def test_budget_counts_refused_candidates():
+    z2, z3 = cyclic(2), cyclic(3)
+    # the t[3] level has 3 free entries (i, j, k) with i = 0
+    with pytest.raises(BudgetExceededError) as exc:
+        NerveB2EM(z2, level_budget=7).elements(shape(3))
+    assert exc.value.count == 2**3
+    # 4 free entries of a normalized table on Z3
+    with pytest.raises(BudgetExceededError) as exc:
+        normalized_2cocycles(z3, z3, budget=80)
+    assert exc.value.count == 3**4
 
 
 def test_cocycle_validate():

@@ -5,7 +5,7 @@ import pytest
 
 from conftest import brute_maximal_subobjects, shapes_with
 from thetacat.delta import MonotoneMap, constant_map, enumerate_monos, identity_map
-from thetacat.errors import IncomposableError
+from thetacat.errors import BudgetExceededError, IncomposableError
 from thetacat.theta import (
     POINT,
     MorphismClass,
@@ -242,6 +242,14 @@ def test_face_class_bounds():
 def test_automorphism_reports():
     for a in [POINT, shape(2), shape(2, 2), shape(1, 1), shape(3, 1)]:
         assert automorphism_report(a).num_automorphisms == 1
+
+
+def test_automorphism_budget_counts_compositions():
+    n = len(enumerate_hom(shape(2), shape(2)))
+    with pytest.raises(BudgetExceededError) as exc:
+        automorphism_report(shape(2), bound=n * n - 1)
+    assert exc.value.count == n * n
+    assert automorphism_report(shape(2), bound=n * n).num_automorphisms == 1
 
 
 def test_mono_cells_canonical():
