@@ -10,7 +10,6 @@ from __future__ import annotations
 from typing import NamedTuple
 
 from .presheaves import (
-    FaceUnionFamily,
     Presheaf,
     PresheafNatFamily,
     nat_face_union,

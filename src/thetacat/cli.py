@@ -14,14 +14,14 @@ from . import __version__
 from .anodyne import certify_union_inclusion, spine_probe, verify_certificate
 from .checkers import check, parse_mode
 from .errors import BudgetExceededError, ProofShapeViolation
-from .groups import FiniteGroup, builtin_group, cocycle_tools
+from .groups import FiniteGroup, builtin_group
 from .nerves import (
     cocycle_to_map,
     homotopy_classes,
     map_to_cocycle,
     nerve_from_spec,
 )
-from .presheaves import nat_presheaves, table_from_json
+from .presheaves import check_functoriality, table_from_json
 from .selftest import run_selftest
 from .subshapes import DEFAULT_WINDOW, WindowSpec
 from .theta import enumerate_hom, faces_of, parse_shape
@@ -150,14 +150,19 @@ def cmd_check(args) -> int:
         mode = parse_mode(args.mode)
     except ValueError as exc:
         return _usage_error(str(exc))
-    try:
-        report = check(x, mode, window, args.budget)
-    except BudgetExceededError as exc:
-        _write_report(
-            {"command": "check", "error": "budget exceeded", "nodes": exc.count},
-            args.out,
-        )
-        return 3
+    if args.input:
+        funct = check_functoriality(x, window, args.budget)
+        if not funct.ok:
+            report = {
+                "command": "check",
+                "subject": x.name,
+                "window": window.to_json(),
+                "verdict": "fail",
+                "functoriality": funct.to_json(),
+            }
+            _write_report(report, args.out)
+            return 2
+    report = check(x, mode, window, args.budget)
     _write_report(dict(report.to_json(), command="check"), args.out)
     return 0 if report.verdict else 2
 
@@ -216,21 +221,9 @@ def cmd_h2(args) -> int:
     a = _load_group(args.coeff)
     if not a.abelian:
         return _usage_error(f"coefficient group {a.name} is not abelian")
-    try:
-        data = cocycle_tools(g, a, args.budget)
-        from .nerves import H2_WINDOW, NerveB1, NerveB2EM
-
-        maps = nat_presheaves(NerveB1(g), NerveB2EM(a), H2_WINDOW, args.budget)
-        round_trip = all(
-            cocycle_to_map(map_to_cocycle(m)) == m for m in maps
-        )
-        hreport = homotopy_classes(g, a, budget=args.budget)
-    except BudgetExceededError as exc:
-        _write_report(
-            {"command": "h2", "error": "budget exceeded", "nodes": exc.count},
-            args.out,
-        )
-        return 3
+    hreport = homotopy_classes(g, a, budget=args.budget)
+    data, maps = hreport.h2, hreport.maps
+    round_trip = all(cocycle_to_map(map_to_cocycle(m)) == m for m in maps)
     report = {
         "command": "h2",
         "group": g.name,
@@ -319,7 +312,11 @@ def main(argv=None) -> int:
     except SystemExit as exc:
         code = exc.code
         return code if isinstance(code, int) else 1
-    except BudgetExceededError:
+    except BudgetExceededError as exc:
+        _write_report(
+            {"command": args.command, "error": "budget exceeded", "nodes": exc.count},
+            args.out,
+        )
         return 3
 
 

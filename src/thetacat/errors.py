@@ -15,8 +15,8 @@ class BudgetExceededError(RuntimeError):
     """Raised when a search or an enumeration exceeds its budget.
 
     `count` is the size of the work that went over the budget: the nodes
-    visited by a search, or the candidates of an enumeration refused
-    before it starts.
+    visited by a search, the pairs a functoriality check reached, or the
+    candidates of an enumeration refused before it starts.
     """
 
     def __init__(self, message: str, count: int):

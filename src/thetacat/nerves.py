@@ -22,7 +22,7 @@ from functools import lru_cache
 from typing import NamedTuple
 
 from .errors import BudgetExceededError
-from .groups import Cocycle2, FiniteGroup
+from .groups import Cocycle2, FiniteGroup, H2Data
 from .presheaves import Presheaf, PresheafNatFamily, nat_presheaves, product, Representable, ProductPresheaf
 from .subshapes import WindowSpec
 from .theta import MorphismClass, Shape, constant_class, shape
@@ -157,9 +157,6 @@ class NerveB2EM(Presheaf):
                 out.append(self.group.identity)
         return tuple(out)
 
-    def triple_index(self, n: int, t: tuple[int, int, int]) -> int:
-        return _triples(n).index(t)
-
 
 def nerve_b1(group: FiniteGroup) -> NerveB1:
     return NerveB1(group)
@@ -250,6 +247,8 @@ class HomotopyReport(NamedTuple):
     relation_was_transitive: bool
     pairs: tuple[tuple[int, int], ...]
     counterexample: dict | None
+    maps: tuple[PresheafNatFamily, ...]
+    h2: H2Data
 
 
 def vertex_inclusion_values(
@@ -290,6 +289,7 @@ def homotopy_classes(
 
     if not (window.contains(shape(3)) and window.contains(shape(2, 1))):
         raise ValueError("window must contain t[3] and t[2,1]")
+    h2 = cocycle_tools(g_, a_, budget)
     src, tgt = NerveB1(g_), NerveB2EM(a_)
     maps = nat_presheaves(src, tgt, window, budget)
     key_of = {m.key(): i for i, m in enumerate(maps)}
@@ -324,7 +324,6 @@ def homotopy_classes(
         if ra != rb:
             parent[max(ra, rb)] = min(ra, rb)
     classes = len({find(i) for i in range(len(maps))})
-    h2 = cocycle_tools(g_, a_, budget)
     agree = classes == h2.classes
     counterexample = None
     if not agree:
@@ -349,4 +348,6 @@ def homotopy_classes(
         transitive,
         tuple(sorted(pairs)),
         counterexample,
+        tuple(maps),
+        h2,
     )

@@ -17,17 +17,12 @@ are enumerated three ways, all exact:
 from __future__ import annotations
 
 import itertools
-import random
 from typing import NamedTuple
 
 from .csp import Network
 from .delta import constant_map
-from .subshapes import (
-    SubOfRepresentable,
-    WindowSpec,
-    face_intersection_cells,
-    window_for,
-)
+from .errors import BudgetExceededError
+from .subshapes import SubOfRepresentable, WindowSpec, face_intersection_cells
 from .theta import (
     FaceDescriptor,
     MorphismClass,
@@ -41,7 +36,6 @@ from .theta import (
     factor_through,
     identity_class,
     is_mono_cell,
-    mono_cells_into,
 )
 
 DEFAULT_BUDGET = 10**7
@@ -306,96 +300,67 @@ def extend(xn: Presheaf, n: int) -> ExtendedPresheaf:
 
 class FunctorialityReport(NamedTuple):
     ok: bool
-    mode: str
     identities_checked: int
     pairs_checked: int
-    violation: tuple | None
+    violation: tuple | None  # (shape,) or (f, g, x(g . f), x(f) x(g))
 
-
-def _composable_pair_count(window: WindowSpec) -> int:
-    shapes = window.shapes()
-    sizes = {
-        (b1, b2): len(enumerate_hom(b1, b2)) for b1 in shapes for b2 in shapes
-    }
-    total = 0
-    for b1 in shapes:
-        for b2 in shapes:
-            for b3 in shapes:
-                total += sizes[(b1, b2)] * sizes[(b2, b3)]
-    return total
+    def to_json(self) -> dict:
+        if self.violation is None:
+            violation = None
+        elif len(self.violation) == 1:
+            violation = {"identity": self.violation[0].to_json()}
+        else:
+            f, g, lhs, rhs = self.violation
+            violation = {
+                "f": f.to_json(),
+                "g": g.to_json(),
+                "action_of_composite": list(lhs),
+                "composite_of_actions": list(rhs),
+            }
+        return {
+            "identities_checked": self.identities_checked,
+            "pairs_checked": self.pairs_checked,
+            "violation": violation,
+        }
 
 
 def check_functoriality(
-    x: Presheaf,
-    window: WindowSpec,
-    pair_ceiling: int = 2_000_000,
-    samples: int = 300,
-    seed: int = 0,
+    x: Presheaf, window: WindowSpec, budget: int = DEFAULT_BUDGET
 ) -> FunctorialityReport:
     """Verify identity actions and composite actions over the window.
 
-    Exhaustive over all composable pairs when the window is small
-    enough, otherwise all generator pairs (faces and epis) plus a
-    seeded random sample of general pairs.
+    After the identity rows, checks x(g . f) = x(f) x(g) for every class
+    f between window shapes and every generator g out of f.dst.  This is
+    exact: every class of the window is a word in `generator_classes`
+    staying inside the window, so induction on the length of the word
+    gives every composable pair.  Raises BudgetExceededError once the
+    pairs checked exceed `budget`.
     """
     shapes = window.shapes()
-    ident = 0
-    for b in shapes:
-        arr = x.action(identity_class(b))
-        if arr != tuple(range(x.size(b))):
-            return FunctorialityReport(False, "identity", ident, 0, (b,))
-        ident += 1
-
-    def bad(f, g):
-        lhs = x.action(compose_classes(g, f))
-        garr, farr = x.action(g), x.action(f)
-        rhs = tuple(farr[v] for v in garr)
-        return None if lhs == rhs else (f, g, lhs, rhs)
-
+    for i, b in enumerate(shapes):
+        if x.action(identity_class(b)) != tuple(range(x.size(b))):
+            return FunctorialityReport(False, i, 0, (b,))
+    out_of: dict[Shape, list[MorphismClass]] = {b: [] for b in shapes}
+    for g in generator_classes(window):
+        out_of[g.src].append(g)
     pairs = 0
-    if _composable_pair_count(window) <= pair_ceiling:
-        for b1 in shapes:
-            for b2 in shapes:
-                for f in enumerate_hom(b1, b2):
-                    for b3 in shapes:
-                        for g in enumerate_hom(b2, b3):
-                            witness = bad(f, g)
-                            pairs += 1
-                            if witness:
-                                return FunctorialityReport(
-                                    False, "exhaustive", ident, pairs, witness
-                                )
-        return FunctorialityReport(True, "exhaustive", ident, pairs, None)
-
-    for b2 in shapes:
-        gens_in = [face_class(fd) for fd in faces_of(b2)]
-        for b in shapes:
-            gens_in.extend(epi_classes_between(b, b2))
-        gens_out = []
-        for b3 in shapes:
-            gens_out.extend(
-                fc
-                for fd in faces_of(b3)
-                if (fc := face_class(fd)).src == b2
-            )
-            gens_out.extend(epi_classes_between(b2, b3))
-        for f in gens_in:
-            for g in gens_out:
-                witness = bad(f, g)
-                pairs += 1
-                if witness:
-                    return FunctorialityReport(False, "generators", ident, pairs, witness)
-    rng = random.Random(seed)
-    for _ in range(samples):
-        b1, b2, b3 = (rng.choice(shapes) for _ in range(3))
-        h1, h2 = enumerate_hom(b1, b2), enumerate_hom(b2, b3)
-        if not h1 or not h2:
-            continue
-        witness = bad(rng.choice(h1), rng.choice(h2))
-        pairs += 1
-        if witness:
-            return FunctorialityReport(False, "generators+sampled", ident, pairs, witness)
-    return FunctorialityReport(True, "generators+sampled", ident, pairs, None)
+    for b1 in shapes:
+        for b2 in shapes:
+            for f in enumerate_hom(b1, b2):
+                farr = x.action(f)
+                for g in out_of[b2]:
+                    pairs += 1
+                    if pairs > budget:
+                        raise BudgetExceededError(
+                            "functoriality budget exceeded", pairs
+                        )
+                    lhs = x.action(compose_classes(g, f))
+                    rhs = tuple(farr[v] for v in x.action(g))
+                    if lhs != rhs:
+                        return FunctorialityReport(
+                            False, len(shapes), pairs, (f, g, lhs, rhs)
+                        )
+    return FunctorialityReport(True, len(shapes), pairs, None)
 
 
 # ---------------------------------------------------------------------------

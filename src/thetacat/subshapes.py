@@ -16,7 +16,7 @@ from dataclasses import dataclass
 from functools import lru_cache
 from typing import Iterable, NamedTuple
 
-from .delta import MonotoneMap, constant_map
+from .delta import MonotoneMap, coface_map, constant_map, identity_map
 from .errors import WindowInsufficientError
 from .theta import (
     FaceDescriptor,
@@ -314,7 +314,7 @@ def face_intersection_cells(
                         vals = tuple(v for v in range(ak + 1) if v not in (m1, m2))
                         comps.append(MonotoneMap(ak - 2, ak, vals))
                     else:
-                        comps.append(_identity(a.entry(j)))
+                        comps.append(identity_map(a.entry(j)))
                 comps.append(constant_map(0, a.entry(d + 1), 0))
                 src = Shape(
                     a.entries[: k - 1] + (ak - 2,) + a.entries[k:]
@@ -323,10 +323,10 @@ def face_intersection_cells(
             # entry 2, both outer vertices removed: only the middle vertex
             v = next(x for x in range(3) if x not in (m1, m2))
             if k == d:
-                comps = [_identity(a.entry(j)) for j in range(1, d)]
+                comps = [identity_map(a.entry(j)) for j in range(1, d)]
                 comps.append(constant_map(0, ak, v))
                 return (MorphismClass(Shape(a.entries[:-1]), a, tuple(comps)),)
-            comps = [_identity(a.entry(j)) for j in range(1, k)]
+            comps = [identity_map(a.entry(j)) for j in range(1, k)]
             comps.append(constant_map(0, ak, v))
             return (MorphismClass(Shape(a.entries[: k - 1]), a, tuple(comps)),)
         # twin faces of a dropped coordinate: everything of lower degree
@@ -335,7 +335,7 @@ def face_intersection_cells(
         src = Shape(a.entries[: d - 2])
         cells = []
         for v in range(a.entry(d - 1) + 1):
-            comps = [_identity(a.entry(j)) for j in range(1, d - 1)]
+            comps = [identity_map(a.entry(j)) for j in range(1, d - 1)]
             comps.append(constant_map(0, a.entry(d - 1), v))
             cells.append(MorphismClass(src, a, tuple(comps)))
         return tuple(cells)
@@ -347,13 +347,13 @@ def face_intersection_cells(
         entries = list(a.entries)
         for j in range(1, d + 1):
             if j == k1:
-                comps.append(_skip(a.entry(j), m1))
+                comps.append(coface_map(a.entry(j), m1))
                 entries[j - 1] -= 1
             elif j == k2:
-                comps.append(_skip(a.entry(j), m2))
+                comps.append(coface_map(a.entry(j), m2))
                 entries[j - 1] -= 1
             else:
-                comps.append(_identity(a.entry(j)))
+                comps.append(identity_map(a.entry(j)))
         comps.append(constant_map(0, a.entry(d + 1), 0))
         return (MorphismClass(Shape(tuple(entries)), a, tuple(comps)),)
     # k2 = d drops its coordinate, k1 < d decrements
@@ -361,17 +361,9 @@ def face_intersection_cells(
     entries = list(a.entries[:-1])
     for j in range(1, d):
         if j == k1:
-            comps.append(_skip(a.entry(j), m1))
+            comps.append(coface_map(a.entry(j), m1))
             entries[j - 1] -= 1
         else:
-            comps.append(_identity(a.entry(j)))
+            comps.append(identity_map(a.entry(j)))
     comps.append(constant_map(0, 1, 1 - m2))
     return (MorphismClass(Shape(tuple(entries)), a, tuple(comps)),)
-
-
-def _identity(n: int) -> MonotoneMap:
-    return MonotoneMap(n, n, tuple(range(n + 1)))
-
-
-def _skip(n: int, m: int) -> MonotoneMap:
-    return MonotoneMap(n - 1, n, tuple(i if i < m else i + 1 for i in range(n)))

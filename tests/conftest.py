@@ -6,6 +6,7 @@ import itertools
 
 from thetacat.delta import enumerate_monos
 from thetacat.errors import BudgetExceededError
+from thetacat.presheaves import TablePresheaf
 from thetacat.subshapes import SubOfRepresentable
 from thetacat.theta import (
     MorphismClass,
@@ -103,6 +104,42 @@ def family_is_natural(sub: SubOfRepresentable, x, value_at) -> bool:
                     ):
                         return False
     return True
+
+
+# ---------------------------------------------------------------------------
+# oracle: functoriality over every composable pair of the window
+
+
+def all_pairs_functorial(x, window) -> bool:
+    """Identity rows, then x(g . f) = x(f) x(g) for every composable pair."""
+    shapes = window.shapes()
+    if any(x.action(identity_class(b)) != tuple(range(x.size(b))) for b in shapes):
+        return False
+    for b1 in shapes:
+        for b2 in shapes:
+            for f in enumerate_hom(b1, b2):
+                farr = x.action(f)
+                for b3 in shapes:
+                    for g in enumerate_hom(b2, b3):
+                        rhs = tuple(farr[v] for v in x.action(g))
+                        if x.action(compose_classes(g, f)) != rhs:
+                            return False
+    return True
+
+
+def swap_in_first_row(table: TablePresheaf) -> TablePresheaf:
+    """The table with two distinct entries swapped in the first
+    non-identity action row that has two."""
+    actions = dict(table.actions_table)
+    for f, row in actions.items():
+        if len(set(row)) > 1 and not f.is_identity():
+            i = 0
+            j = next(j for j in range(len(row)) if row[j] != row[i])
+            r = list(row)
+            r[i], r[j] = r[j], r[i]
+            actions[f] = tuple(r)
+            break
+    return TablePresheaf(table.levels, actions)
 
 
 # ---------------------------------------------------------------------------

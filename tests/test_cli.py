@@ -71,6 +71,42 @@ def test_check_table_input(tmp_path):
     assert code == 0 and data["verdict"] == "pass"
 
 
+def test_table_that_is_not_a_presheaf_exit_2(tmp_path):
+    from conftest import swap_in_first_row
+    from thetacat.groups import cyclic
+    from thetacat.nerves import nerve_b1
+    from thetacat.presheaves import (
+        TablePresheaf,
+        check_functoriality,
+        table_to_json,
+    )
+    from thetacat.subshapes import WindowSpec
+
+    window = WindowSpec(1, 2)
+    good = TablePresheaf.from_presheaf(nerve_b1(cyclic(2)), window)
+    bad = swap_in_first_row(good)
+    for name, tbl in (("good", good), ("bad", bad)):
+        (tmp_path / f"{name}.json").write_text(json.dumps(table_to_json(tbl)))
+    for mode in ("cat", "groupoid"):
+        argv = ["check", "--mode", mode, "--max-dim", "1", "--max-entry", "2"]
+        code, data = run_cli(tmp_path, *argv, "--input", str(tmp_path / "good.json"))
+        assert code == 0 and data["verdict"] == "pass" and data["horns"]
+        code, data = run_cli(tmp_path, *argv, "--input", str(tmp_path / "bad.json"))
+        assert code == 2
+        assert data == {
+            "command": "check",
+            "subject": "table",
+            "window": {"max_dim": 1, "max_entry": 2},
+            "verdict": "fail",
+            "functoriality": check_functoriality(bad, window).to_json(),
+        }
+        violation = data["functoriality"]["violation"]
+        assert set(violation) == {
+            "f", "g", "action_of_composite", "composite_of_actions"
+        }
+        assert violation["action_of_composite"] != violation["composite_of_actions"]
+
+
 def test_tables_not_covering_the_window_exit_1(tmp_path):
     from thetacat.groups import cyclic
     from thetacat.nerves import nerve_b1

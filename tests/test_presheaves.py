@@ -1,11 +1,17 @@
+import itertools
 import random
 
 import pytest
 
-from conftest import family_is_natural, shapes_with
+from conftest import (
+    all_pairs_functorial,
+    family_is_natural,
+    shapes_with,
+    swap_in_first_row,
+)
 from thetacat.errors import BudgetExceededError
-from thetacat.groups import cyclic
-from thetacat.nerves import NerveB2EM, nerve_b1
+from thetacat.groups import cyclic, symmetric_3
+from thetacat.nerves import NerveB2EM, nerve_b1, nerve_b2_em, nerve_b2_strict
 from thetacat.presheaves import (
     FaceUnionFamily,
     Presheaf,
@@ -17,6 +23,7 @@ from thetacat.presheaves import (
     check_functoriality,
     enumerate_nat,
     extend,
+    generator_classes,
     nat_cells,
     nat_face_union,
     nat_presheaves,
@@ -37,6 +44,7 @@ from thetacat.subshapes import (
 )
 from thetacat.theta import (
     POINT,
+    compose_classes,
     enumerate_hom,
     faces_of,
     identity_class,
@@ -46,24 +54,102 @@ from thetacat.theta import (
 
 def test_representable_functoriality():
     rep = check_functoriality(Representable(shape(2, 1)), WindowSpec(2, 2))
-    assert rep.ok and rep.mode == "exhaustive"
+    assert rep.ok
 
 
 def test_table_fault_injection_gives_witness():
     tbl = TablePresheaf.from_presheaf(nerve_b1(cyclic(2)), WindowSpec(1, 2))
     assert check_functoriality(tbl, WindowSpec(1, 2)).ok
-    corrupted = dict(tbl.actions_table)
-    for f, row in corrupted.items():
-        if len(set(row)) > 1 and not f.is_identity():
-            i = 0
-            j = next(j for j in range(len(row)) if row[j] != row[i])
+    rep = check_functoriality(swap_in_first_row(tbl), WindowSpec(1, 2))
+    assert not rep.ok and rep.violation is not None
+
+
+# the presheaves the functoriality tests of this file and test_nerves pass
+FUNCTORIAL = [
+    (lambda: Representable(shape(2, 1)), WindowSpec(2, 2)),
+    (lambda: nerve_b1(cyclic(2)), WindowSpec(1, 2)),
+    (lambda: product(nerve_b1(cyclic(2)), Representable(shape(1))), WindowSpec(1, 2)),
+    (lambda: extend(truncate(nerve_b1(cyclic(2)), 1), 1), WindowSpec(2, 2)),
+    (lambda: nerve_b1(cyclic(2)), WindowSpec(2, 2)),
+    (lambda: nerve_b1(symmetric_3()), WindowSpec(2, 2)),
+    (lambda: nerve_b2_strict(cyclic(2)), WindowSpec(2, 2)),
+    (lambda: nerve_b2_strict(cyclic(3)), WindowSpec(1, 3)),
+    (lambda: nerve_b2_em(cyclic(2)), WindowSpec(2, 2)),
+    (lambda: nerve_b2_em(cyclic(3)), WindowSpec(1, 3)),
+]
+
+
+@pytest.mark.parametrize(
+    "make, window",
+    FUNCTORIAL,
+    ids=["y21", "B1Z2-12", "prod", "extend", "B1Z2-22", "B1S3", "B2Z2", "B2Z3",
+         "EMZ2", "EMZ3"],
+)
+def test_functoriality_agrees_with_all_pairs(make, window):
+    x = make()
+    assert check_functoriality(x, window).ok
+    assert all_pairs_functorial(x, window)
+
+
+@pytest.mark.parametrize(
+    "make, window",
+    [
+        (lambda: nerve_b1(cyclic(2)), WindowSpec(1, 2)),
+        (lambda: Representable(shape(1)), WindowSpec(1, 2)),
+        (lambda: nerve_b2_em(cyclic(2)), WindowSpec(1, 3)),
+    ],
+    ids=["B1Z2", "y1", "EMZ2"],
+)
+def test_functoriality_agrees_with_all_pairs_on_every_swap(make, window):
+    tbl = TablePresheaf.from_presheaf(make(), window)
+    swaps = 0
+    for f, row in tbl.actions_table.items():
+        for i, j in itertools.combinations(range(len(row)), 2):
+            if row[i] == row[j]:
+                continue
             r = list(row)
             r[i], r[j] = r[j], r[i]
-            corrupted[f] = tuple(r)
-            break
-    bad = TablePresheaf(tbl.levels, corrupted)
-    rep = check_functoriality(bad, WindowSpec(1, 2))
-    assert not rep.ok and rep.violation is not None
+            bad = TablePresheaf(tbl.levels, {**tbl.actions_table, f: tuple(r)})
+            assert (
+                check_functoriality(bad, window).ok
+                == all_pairs_functorial(bad, window)
+            ), (f, i, j)
+            swaps += 1
+    assert swaps > 0
+
+
+def test_functoriality_budget_counts_pairs():
+    x, window = nerve_b1(cyclic(2)), WindowSpec(2, 2)
+    pairs = check_functoriality(x, window).pairs_checked
+    assert check_functoriality(x, window, budget=pairs).ok
+    with pytest.raises(BudgetExceededError) as exc:
+        check_functoriality(x, window, budget=pairs - 1)
+    assert exc.value.count == pairs
+
+
+@pytest.mark.parametrize(
+    "window",
+    [WindowSpec(2, 2), WindowSpec(1, 3), WindowSpec(2, 3), WindowSpec(3, 2)],
+    ids=lambda w: f"{w.max_dim}-{w.max_entry}",
+)
+def test_generators_reach_every_class(window):
+    # the premise of check_functoriality, nat_presheaves and is_natural
+    shapes = window.shapes()
+    out_of = {b: [] for b in shapes}
+    for g in generator_classes(window):
+        out_of[g.src].append(g)
+    reached = {identity_class(b) for b in shapes}
+    frontier = list(reached)
+    while frontier:
+        h = frontier.pop()
+        for g in out_of[h.dst]:
+            c = compose_classes(g, h)
+            if c not in reached:
+                reached.add(c)
+                frontier.append(c)
+    assert reached == {
+        f for b1 in shapes for b2 in shapes for f in enumerate_hom(b1, b2)
+    }
 
 
 def test_table_json_roundtrip():
