@@ -238,9 +238,7 @@ def cocycle_to_map(
 class HomotopyReport(NamedTuple):
     group: str
     coeffs: str
-    num_maps: int
     num_classes: int
-    h2_classes: int
     agree: bool
     relation_was_reflexive: bool
     relation_was_symmetric: bool
@@ -339,9 +337,7 @@ def homotopy_classes(
     return HomotopyReport(
         g_.name,
         a_.name,
-        len(maps),
         classes,
-        h2.classes,
         agree,
         reflexive,
         symmetric,

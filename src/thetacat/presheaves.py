@@ -22,7 +22,12 @@ from typing import NamedTuple
 from .csp import Network
 from .delta import constant_map
 from .errors import BudgetExceededError
-from .subshapes import SubOfRepresentable, WindowSpec, face_intersection_cells
+from .subshapes import (
+    SubOfRepresentable,
+    WindowSpec,
+    face_intersection_cells,
+    nondegenerate_cells,
+)
 from .theta import (
     FaceDescriptor,
     MorphismClass,
@@ -35,7 +40,6 @@ from .theta import (
     faces_of,
     factor_through,
     identity_class,
-    is_mono_cell,
 )
 
 DEFAULT_BUDGET = 10**7
@@ -503,12 +507,7 @@ def nat_cells(
     sub: SubOfRepresentable, x: Presheaf, budget: int = DEFAULT_BUDGET
 ) -> list[CellFamily]:
     """All natural families on a subpresheaf, by generic cell search."""
-    cells = [
-        s
-        for b in sub.window.shapes()
-        for s in sub.cells_sorted(b)
-        if is_mono_cell(s)
-    ]
+    cells = [s for _, s in nondegenerate_cells(sub)]
     cells.sort(key=lambda s: (s.src.dim + sum(s.src.entries), s.src, _ckey(s)))
     pos = {s: i for i, s in enumerate(cells)}
     net = Network()

@@ -27,7 +27,7 @@ from .theta import (
     face_class,
     face_descriptor,
     faces_of,
-    is_mono_cell,
+    mono_cells_into,
 )
 
 
@@ -276,11 +276,11 @@ def image_cells(c: MorphismClass, b: Shape) -> frozenset:
 
 def nondegenerate_cells(u: SubOfRepresentable) -> list[tuple[Shape, MorphismClass]]:
     """Cells not of the form s'.e for a non-identity componentwise epi e."""
-    out = []
-    for b in u.window.shapes():
-        for s in u.cells_sorted(b):
-            if is_mono_cell(s):
-                out.append((b, s))
+    out = [
+        (s.src, s)
+        for s in mono_cells_into(u.base)
+        if u.window.contains(s.src) and s in u.levels[s.src]
+    ]
     out.sort(key=lambda p: (p[0].dim, p[0].entries, _cell_key(p[1])))
     return out
 

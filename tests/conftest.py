@@ -7,12 +7,13 @@ import itertools
 from thetacat.delta import enumerate_monos
 from thetacat.errors import BudgetExceededError
 from thetacat.presheaves import TablePresheaf
-from thetacat.subshapes import SubOfRepresentable
+from thetacat.subshapes import SubOfRepresentable, horn
 from thetacat.theta import (
     MorphismClass,
     Shape,
     compose_classes,
     enumerate_hom,
+    face_descriptor,
     factor_through,
     identity_class,
     mono_cells_into,
@@ -140,6 +141,61 @@ def swap_in_first_row(table: TablePresheaf) -> TablePresheaf:
             actions[f] = tuple(r)
             break
     return TablePresheaf(table.levels, actions)
+
+
+def constants_to_all_ones(table: TablePresheaf) -> TablePresheaf:
+    """The table with the row of every degree-1 (constant) class sending
+    every element to the all-ones string of its source level.
+
+    Composites with faces keep a class constant, so the corrupted rows
+    agree with each other along every face; only the epis see them.
+    """
+    actions = dict(table.actions_table)
+    for f, row in actions.items():
+        if f.degree == 1:
+            level = table.levels[f.src]
+            ones = next(i for i, e in enumerate(level) if all(v == 1 for v in e))
+            actions[f] = (ones,) * len(row)
+    return TablePresheaf(table.levels, actions)
+
+
+# ---------------------------------------------------------------------------
+# oracle: the anodyne step check level by level
+#
+# The step check that `anodyne._step_admissible` replaced, kept verbatim
+# apart from its name: it builds the horn and compares the pullback with
+# it at every window level, composing c with every cell of the step cell.
+
+
+def full_level_step_check(current: SubOfRepresentable, step) -> tuple[bool, str]:
+    c = step.attach
+    k, m = step.horn
+    if c.src != step.cell:
+        return False, "attaching class does not start at the step cell"
+    try:
+        fd = face_descriptor(step.cell, k, m)
+    except ValueError as exc:
+        return False, str(exc)
+    if not fd.inner:
+        return False, f"horn ({k},{m}) of {step.cell} is not inner"
+    window = current.window
+    inner_horn = horn(step.cell, k, m, window)
+    for b in window.shapes():
+        members = current.levels[b]
+        pullback = set()
+        composites: dict = {}
+        for t in enumerate_hom(b, step.cell):
+            ct = compose_classes(c, t)
+            if ct in members:
+                pullback.add(t)
+            else:
+                # pushout needs c to be injective outside the horn
+                if ct in composites:
+                    return False, f"attaching class identifies cells at level {b}"
+                composites[ct] = t
+        if pullback != inner_horn.levels[b]:
+            return False, f"pullback is not the horn at level {b}"
+    return True, ""
 
 
 # ---------------------------------------------------------------------------

@@ -290,7 +290,7 @@ def test_c09_homotopy_classes_vs_h2():
         rep = homotopy_classes(builtin_group(gname), builtin_group(aname))
         assert rep.agree, rep.counterexample
         assert rep.num_classes == classes
-        assert rep.h2_classes == classes
+        assert rep.h2.classes == classes
         # a disagreement must carry the full counterexample bundle
         assert rep.counterexample is None
     report(f"C9 homotopy classes match H^2 (2, 1, 3): PASS {time.time()-t0:.1f}s")

@@ -2,6 +2,7 @@ import itertools
 
 import pytest
 
+from conftest import full_level_step_check
 from thetacat import anodyne
 from thetacat.anodyne import (
     AnodyneCertificate,
@@ -11,9 +12,9 @@ from thetacat.anodyne import (
     spine_probe,
     verify_certificate,
     _apply_step,
-    _may_attach,
     _step_admissible,
 )
+from thetacat.errors import WindowInsufficientError
 from thetacat.subshapes import (
     WindowSpec,
     full_sub,
@@ -305,7 +306,13 @@ def test_probe_rejects_unknown_target():
 
 
 # ---------------------------------------------------------------------------
-# the prefilter against the unfiltered search
+# the step check against the full-level oracle
+#
+# Parts 1 and 2 of the step check act as a prefilter: from a few
+# composites they reject most candidates the search tries.  The
+# unfiltered reference is the same search with every candidate decided
+# by `full_level_step_check`, which builds the horn and compares the
+# pullback with it at every level.
 
 PREFILTER_PROBES = [
     ("t[2]", "full"),
@@ -323,22 +330,10 @@ PREFILTER_PROBES = [
 ]
 
 
-def unfiltered_probe(monkeypatch, a, target, budget=10**6, tried=None):
-    """`spine_probe` with the prefilter passing every candidate.
-
-    Each candidate then goes to the full pushout check; with `tried`,
-    every one is logged there as (current, step, admissible).
-    """
+def unfiltered_probe(monkeypatch, a, target, budget=10**6):
+    """`spine_probe` with every candidate decided by the full-level oracle."""
     with monkeypatch.context() as m:
-        m.setattr(anodyne, "_may_attach", lambda *_: True)
-        if tried is not None:
-
-            def logged(current, step):
-                ok, reason = _step_admissible(current, step)
-                tried.append((current, step, ok))
-                return ok, reason
-
-            m.setattr(anodyne, "_step_admissible", logged)
+        m.setattr(anodyne, "_step_admissible", full_level_step_check)
         return spine_probe(a, target, budget=budget)
 
 
@@ -346,14 +341,22 @@ def unfiltered_probe(monkeypatch, a, target, budget=10**6, tried=None):
 def test_probe_prefilter_matches_unfiltered_search(monkeypatch, text, target):
     a = parse_shape(text)
     tried = []
-    ref = unfiltered_probe(monkeypatch, a, target, tried=tried)
-    assert ref.found
-    assert spine_probe(a, target) == ref
-    assert len(tried) == ref.nodes
-    # each candidate the prefilter rejects fails the full pushout check too
-    rejected = [(c, s, ok) for c, s, ok in tried if not _may_attach(c, s)]
-    assert rejected
-    assert not any(ok for _, _, ok in rejected)
+
+    def logged(current, step):
+        ok, reason = _step_admissible(current, step)
+        tried.append((current, step, ok))
+        return ok, reason
+
+    with monkeypatch.context() as m:
+        m.setattr(anodyne, "_step_admissible", logged)
+        result = spine_probe(a, target)
+    assert result.found
+    assert len(tried) == result.nodes
+    # the same verdict as the oracle on every candidate the search tries
+    for current, step, ok in tried:
+        assert full_level_step_check(current, step)[0] == ok, step
+    assert any(ok for _, _, ok in tried) and not all(ok for _, _, ok in tried)
+    assert unfiltered_probe(monkeypatch, a, target) == result
 
 
 @pytest.mark.parametrize("text,target", [("t[3]", "full"), ("t[2,1]", "outer")])
@@ -364,3 +367,43 @@ def test_probe_prefilter_same_result_at_every_budget(monkeypatch, text, target):
         expected = unfiltered_probe(monkeypatch, a, target, budget=budget)
         assert spine_probe(a, target, budget=budget) == expected, budget
         assert expected.found == (budget == total)
+
+
+@pytest.mark.parametrize(
+    "a", list(WindowSpec(2, 2).shapes()) + [shape(3)], ids=str
+)
+def test_step_check_matches_oracle_on_every_start_and_step(a):
+    # starts: the spine, the full subobject and every union of faces;
+    # steps: every class into `a` from a window shape, with every face
+    # of its source as the horn, outer ones included
+    w = window_for(a)
+    fds = faces_of(a)
+    starts = {spine(a, w), full_sub(a, w)} | {
+        union_of_faces(a, chosen, w)
+        for r in range(len(fds) + 1)
+        for chosen in itertools.combinations(fds, r)
+    }
+    steps = [
+        Step(c_shape, c, (fd.k, fd.m))
+        for c_shape in w.shapes()
+        for fd in faces_of(c_shape)
+        for c in enumerate_hom(c_shape, a)
+    ]
+    accepted = 0
+    for current in starts:
+        for step in steps:
+            ok = _step_admissible(current, step)[0]
+            assert ok == full_level_step_check(current, step)[0], (current, step)
+            accepted += ok
+    assert (accepted > 0) == any(inner_faces(b) for b in w.shapes())
+
+
+def test_step_cell_outside_the_window_raises():
+    a = shape(2)
+    w = window_for(a)
+    cell = shape(3)
+    c = next(c for c in enumerate_hom(cell, a) if c.degree == 2)
+    step = Step(cell, c, (1, 1))
+    for check in (_step_admissible, full_level_step_check):
+        with pytest.raises(WindowInsufficientError):
+            check(spine(a, w), step)

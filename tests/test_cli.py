@@ -72,7 +72,7 @@ def test_check_table_input(tmp_path):
 
 
 def test_table_that_is_not_a_presheaf_exit_2(tmp_path):
-    from conftest import swap_in_first_row
+    from conftest import constants_to_all_ones, swap_in_first_row
     from thetacat.groups import cyclic
     from thetacat.nerves import nerve_b1
     from thetacat.presheaves import (
@@ -84,27 +84,40 @@ def test_table_that_is_not_a_presheaf_exit_2(tmp_path):
 
     window = WindowSpec(1, 2)
     good = TablePresheaf.from_presheaf(nerve_b1(cyclic(2)), window)
-    bad = swap_in_first_row(good)
-    for name, tbl in (("good", good), ("bad", bad)):
+    # a swapped row, and a fault that only the epi generators see
+    tables = {
+        "good": good,
+        "swapped": swap_in_first_row(good),
+        "constants": constants_to_all_ones(good),
+    }
+    for name, tbl in tables.items():
         (tmp_path / f"{name}.json").write_text(json.dumps(table_to_json(tbl)))
     for mode in ("cat", "groupoid"):
         argv = ["check", "--mode", mode, "--max-dim", "1", "--max-entry", "2"]
         code, data = run_cli(tmp_path, *argv, "--input", str(tmp_path / "good.json"))
         assert code == 0 and data["verdict"] == "pass" and data["horns"]
-        code, data = run_cli(tmp_path, *argv, "--input", str(tmp_path / "bad.json"))
-        assert code == 2
-        assert data == {
-            "command": "check",
-            "subject": "table",
-            "window": {"max_dim": 1, "max_entry": 2},
-            "verdict": "fail",
-            "functoriality": check_functoriality(bad, window).to_json(),
-        }
-        violation = data["functoriality"]["violation"]
-        assert set(violation) == {
-            "f", "g", "action_of_composite", "composite_of_actions"
-        }
-        assert violation["action_of_composite"] != violation["composite_of_actions"]
+        for name in ("swapped", "constants"):
+            bad = tables[name]
+            code, data = run_cli(
+                tmp_path, *argv, "--input", str(tmp_path / f"{name}.json")
+            )
+            assert code == 2
+            assert data == {
+                "command": "check",
+                "subject": "table",
+                "window": {"max_dim": 1, "max_entry": 2},
+                "verdict": "fail",
+                "functoriality": check_functoriality(bad, window).to_json(),
+            }
+            violation = data["functoriality"]["violation"]
+            assert set(violation) == {
+                "f", "g", "action_of_composite", "composite_of_actions"
+            }
+            assert (
+                violation["action_of_composite"] != violation["composite_of_actions"]
+            )
+            if name == "constants":
+                assert violation["g"]["components"][0]["values"] == [0, 0, 1]
 
 
 def test_tables_not_covering_the_window_exit_1(tmp_path):

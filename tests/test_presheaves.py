@@ -5,6 +5,7 @@ import pytest
 
 from conftest import (
     all_pairs_functorial,
+    constants_to_all_ones,
     family_is_natural,
     shapes_with,
     swap_in_first_row,
@@ -46,6 +47,7 @@ from thetacat.theta import (
     POINT,
     compose_classes,
     enumerate_hom,
+    epi_classes_between,
     faces_of,
     identity_class,
     shape,
@@ -116,6 +118,25 @@ def test_functoriality_agrees_with_all_pairs_on_every_swap(make, window):
             ), (f, i, j)
             swaps += 1
     assert swaps > 0
+
+
+@pytest.mark.parametrize(
+    "window",
+    [WindowSpec(1, 2), WindowSpec(2, 2), WindowSpec(1, 3)],
+    ids=lambda w: f"{w.max_dim}-{w.max_entry}",
+)
+def test_functoriality_rejects_a_fault_only_epis_see(window):
+    bad = constants_to_all_ones(
+        TablePresheaf.from_presheaf(nerve_b1(cyclic(2)), window)
+    )
+    rep = check_functoriality(bad, window)
+    assert not rep.ok
+    assert not all_pairs_functorial(bad, window)
+    _, g, lhs, rhs = rep.violation
+    assert lhs != rhs
+    # the witness is the epi t[2] -> t[1] with values (0, 0, 1)
+    assert g in epi_classes_between(shape(2), shape(1))
+    assert g.components[0].values == (0, 0, 1)
 
 
 def test_functoriality_budget_counts_pairs():

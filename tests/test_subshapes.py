@@ -20,6 +20,7 @@ from thetacat.subshapes import (
     face_membership,
     full_sub,
     horn,
+    image_cells,
     nondegenerate_cells,
     pullback_along,
     spine,
@@ -250,23 +251,43 @@ def test_nondegenerate_cells_counts():
 
 
 def test_nondegenerate_cells_match_brute_force():
-    sub = full_sub(shape(2, 1), window_for(shape(2, 1)))
-    w = sub.window
-    brute = set()
-    for b in w.shapes():
-        for s in sub.levels[b]:
-            degenerate = False
-            for b2 in w.shapes():
-                for e in epi_classes_between(b, b2):
-                    if e.is_identity():
-                        continue
-                    if any(
-                        compose_classes(s2, e) == s for s2 in sub.levels[b2]
-                    ):
-                        degenerate = True
-            if not degenerate:
-                brute.add((b, s))
-    assert brute == set(nondegenerate_cells(sub))
+    for sub in (
+        full_sub(shape(2, 1), window_for(shape(2, 1))),
+        full_sub(shape(3), window_for(shape(3))),
+        boundary(shape(1, 2), window_for(shape(1, 2))),
+    ):
+        w = sub.window
+        brute = set()
+        for b in w.shapes():
+            for s in sub.levels[b]:
+                degenerate = False
+                for b2 in w.shapes():
+                    for e in epi_classes_between(b, b2):
+                        if e.is_identity():
+                            continue
+                        if any(
+                            compose_classes(s2, e) == s for s2 in sub.levels[b2]
+                        ):
+                            degenerate = True
+                if not degenerate:
+                    brute.add((b, s))
+        assert brute == set(nondegenerate_cells(sub)), sub.base
+
+
+def test_face_image_is_image_of_face_class():
+    # the step check of `anodyne` reads each face off its class
+    cases = list(WindowSpec(2, 3).shapes()) + [
+        shape(1, 1, 1), shape(2, 1, 1), shape(2, 2, 2), shape(3, 2)
+    ]
+    checked = 0
+    for a in cases:
+        w = window_for(a)
+        for fd in faces_of(a):
+            for b in w.shapes():
+                members = {s for s in enumerate_hom(b, a) if face_membership(s, fd)}
+                assert members == image_cells(face_class(fd), b), (a, fd, b)
+                checked += 1
+    assert checked == 858
 
 
 def test_face_intersections_brute_force():
