@@ -1,4 +1,5 @@
 import itertools
+import random
 
 import pytest
 
@@ -14,20 +15,31 @@ from thetacat.anodyne import (
     _apply_step,
     _step_admissible,
 )
+from thetacat.delta import MonotoneMap
 from thetacat.errors import WindowInsufficientError
 from thetacat.subshapes import (
+    SubOfRepresentable,
     WindowSpec,
     full_sub,
+    image_cells,
+    in_union_of_faces,
     spine,
     sub_union,
     union_of_faces,
     window_for,
 )
 from thetacat.theta import (
+    MorphismClass,
     Shape,
+    compose_classes,
     enumerate_hom,
+    epi_classes_between,
+    epi_mono_factor_class,
+    face_class,
     identity_class,
     inner_faces,
+    is_mono_cell,
+    mono_cells_into,
     outer_faces,
     faces_of,
     parse_shape,
@@ -101,23 +113,38 @@ def test_verify_rejects_inexact_pullback():
 
 
 def test_verify_rejects_noninjective_attachment():
-    # collapse of the triangle onto the interval identifies cells
+    # the collapse of the triangle onto the interval is rejected because
+    # it is already present: the spine of t[1] is all of t[1]
     a = shape(1)
     w = window_for(shape(2))
-    wa = WindowSpec(w.max_dim, w.max_entry)
-    start = spine(a, wa)
     collapse = [
         c
         for c in enumerate_hom(shape(2), a)
         if c.degree == 2 and c.components[0].values == (0, 0, 1)
     ][0]
-    cert = AnodyneCertificate(
-        a, wa, start, full_sub(a, wa),
-        steps=(Step(shape(2), collapse, (1, 1)),),
-        start_tag="spine", end_tag="full",
+    # t[2] -> t[2] with components (0, 0, 2) and a constant is not in the
+    # spine, and the face test rejects it: its face (1, 0) is the edge
+    # 0 -> 2, which the spine misses
+    b = shape(2)
+    degenerate = MorphismClass(
+        b, b, (MonotoneMap(2, 2, (0, 0, 2)), MonotoneMap(0, 0, (0,)))
     )
-    rep = verify_certificate(cert)
-    assert not rep.ok
+    degenerate.validate()
+    assert not is_mono_cell(degenerate)
+    assert degenerate not in spine(b, w).levels[b]
+    for base, c, reason in [
+        (a, collapse, "pullback is not the horn at level t[2]"),
+        (b, degenerate, "pullback is not the horn at level t[1]"),
+    ]:
+        start = spine(base, w)
+        step = Step(shape(2), c, (1, 1))
+        assert _step_admissible(start, step) == (False, reason)
+        assert not full_level_step_check(start, step)[0]
+        cert = AnodyneCertificate(
+            base, w, start, full_sub(base, w), steps=(step,),
+            start_tag="spine", end_tag="full",
+        )
+        assert not verify_certificate(cert).ok
 
 
 def test_certify_triangle_outer():
@@ -308,8 +335,8 @@ def test_probe_rejects_unknown_target():
 # ---------------------------------------------------------------------------
 # the step check against the full-level oracle
 #
-# Parts 1 and 2 of the step check act as a prefilter: from a few
-# composites they reject most candidates the search tries.  The
+# The step check acts as a prefilter: from one composite per face of
+# the step cell it decides every candidate the search tries.  The
 # unfiltered reference is the same search with every candidate decided
 # by `full_level_step_check`, which builds the horn and compares the
 # pullback with it at every level.
@@ -369,13 +396,55 @@ def test_probe_prefilter_same_result_at_every_budget(monkeypatch, text, target):
         assert expected.found == (budget == total)
 
 
+@pytest.mark.parametrize("text,target", PREFILTER_PROBES)
+def test_probe_certificates_verify_on_windows_one_step_larger(text, target):
+    # the windowed verdict does not depend on the window: a certificate
+    # found on window_for(a) verifies again with one more dimension and
+    # with one more entry
+    a = parse_shape(text)
+    steps = spine_probe(a, target).certificate.steps
+    w = window_for(a)
+    for big in (
+        WindowSpec(w.max_dim + 1, w.max_entry),
+        WindowSpec(w.max_dim, w.max_entry + 1),
+    ):
+        start = spine(a, big)
+        if target == "full":
+            end = full_sub(a, big)
+        else:
+            end = sub_union(start, union_of_faces(a, outer_faces(a), big))
+        cert = AnodyneCertificate(a, big, start, end, steps, "spine", target)
+        assert verify_certificate(cert).ok, big
+
+
+RANDOM_START_SHAPES = (shape(3), shape(2, 1), shape(1, 2))
+
+
+def random_closed_starts(a: Shape, w: WindowSpec, draws: int):
+    """Seeded unions of the images of one to four random proper mono
+    cells of `a`: closed under precomposition, and often not unions of
+    faces."""
+    rng = random.Random(0)
+    cells = [mu for mu in mono_cells_into(a) if mu != identity_class(a)]
+    out = []
+    for _ in range(draws):
+        chosen = rng.sample(cells, rng.randint(1, 4))
+        levels = {
+            b: frozenset().union(*(image_cells(mu, b) for mu in chosen))
+            for b in w.shapes()
+        }
+        out.append(SubOfRepresentable(a, w, levels))
+    return out
+
+
 @pytest.mark.parametrize(
     "a", list(WindowSpec(2, 2).shapes()) + [shape(3)], ids=str
 )
 def test_step_check_matches_oracle_on_every_start_and_step(a):
-    # starts: the spine, the full subobject and every union of faces;
-    # steps: every class into `a` from a window shape, with every face
-    # of its source as the horn, outer ones included
+    # starts: the spine, the full subobject, every union of faces and,
+    # on RANDOM_START_SHAPES, 20 random closed starts; steps: every
+    # class into `a` from a window shape, with every face of its source
+    # as the horn, outer ones included
     w = window_for(a)
     fds = faces_of(a)
     starts = {spine(a, w), full_sub(a, w)} | {
@@ -383,6 +452,8 @@ def test_step_check_matches_oracle_on_every_start_and_step(a):
         for r in range(len(fds) + 1)
         for chosen in itertools.combinations(fds, r)
     }
+    if a in RANDOM_START_SHAPES:
+        starts |= set(random_closed_starts(a, w, 20))
     steps = [
         Step(c_shape, c, (fd.k, fd.m))
         for c_shape in w.shapes()
@@ -407,3 +478,82 @@ def test_step_cell_outside_the_window_raises():
     for check in (_step_admissible, full_level_step_check):
         with pytest.raises(WindowInsufficientError):
             check(spine(a, w), step)
+
+
+# ---------------------------------------------------------------------------
+# the lemmas behind the step check (module docstring of `anodyne`)
+
+LEMMA_SHAPES = list(WindowSpec(2, 3).shapes()) + [
+    shape(1, 1, 1),
+    shape(2, 1, 1),
+    shape(2, 2, 2),
+    shape(3, 2),
+]
+
+
+def test_lemma_l1_cells_outside_an_inner_horn():
+    # the mono cells outside the horn are the identity and the horn face
+    checked = 0
+    for a in LEMMA_SHAPES:
+        for fd in inner_faces(a):
+            others = [other for other in faces_of(a) if other != fd]
+            outside = {
+                mu for mu in mono_cells_into(a) if not in_union_of_faces(mu, others)
+            }
+            assert outside == {identity_class(a), face_class(fd)}, (a, fd)
+            checked += 1
+    assert checked > 20
+    # every cell is an epi with a section followed by a mono cell
+    epis = set()
+    for a in LEMMA_SHAPES:
+        for b in window_for(a).shapes():
+            for t in enumerate_hom(b, a):
+                e, mu = epi_mono_factor_class(t)
+                assert is_mono_cell(mu) and compose_classes(mu, e) == t, t
+                epis.add(e)
+    for e in epis:
+        assert any(
+            compose_classes(e, s) == identity_class(e.dst)
+            for s in enumerate_hom(e.dst, e.src)
+        ), e
+
+
+def sections_through_two_faces(e: MorphismClass):
+    """(f1, f2, s) with faces f1 != f2 of e.src, s . f1 = s . f2 = id
+    and e = (e . f1) . s."""
+    a = e.src
+    for f1, f2 in itertools.permutations(faces_of(a), 2):
+        if f1.target != f2.target:
+            continue
+        one = identity_class(f1.target)
+        for s in epi_classes_between(a, f1.target):
+            if (
+                compose_classes(s, face_class(f1)) == one
+                and compose_classes(s, face_class(f2)) == one
+                and compose_classes(compose_classes(e, face_class(f1)), s) == e
+            ):
+                return f1, f2, s
+    return None
+
+
+def test_lemma_l2_degenerate_epis_factor_through_two_faces():
+    checked = 0
+    for a in LEMMA_SHAPES:
+        for target in window_for(a).shapes():
+            for e in epi_classes_between(a, target):
+                if e == identity_class(a):
+                    continue
+                assert sections_through_two_faces(e) is not None, e
+                checked += 1
+    assert checked > 200
+
+
+def test_lemma_l3_mono_cells_compose_injectively():
+    checked = 0
+    for a in LEMMA_SHAPES:
+        for mu in mono_cells_into(a):
+            for b in window_for(a).shapes():
+                cells = enumerate_hom(b, mu.src)
+                assert len({compose_classes(mu, t) for t in cells}) == len(cells)
+                checked += 1
+    assert checked > 8000
