@@ -15,7 +15,8 @@ and a table arc maps a value to the mask of its allowed partners.  One
 revise rule serves every arc: the other variable keeps
 db & OR(support[v] for v in da).  The support arrays of a functional
 constraint are built once per action array and shared by every arc
-that passes the same array.
+that passes the same array; `add_arcs` takes support arrays a caller
+built once and shares between networks, which only read them.
 
 The search state is the list of domain masks.  Each branch works on a
 copy of its parent's list, so backtracking restores the parent's
@@ -79,8 +80,7 @@ class Network:
         width = self.domains[b].bit_length()
         if len(bwd) < width:  # values of b outside arr's image: no support
             bwd.extend([0] * (width - len(bwd)))
-        self.adj[a].append((b, "fn", fwd, True))
-        self.adj[b].append((a, "fn", bwd, False))
+        self.add_arcs(a, b, "fn", fwd, bwd)
 
     def add_table(self, a: int, b: int, allowed: dict) -> None:
         """Constrain (value(a), value(b)) to pairs of `allowed`."""
@@ -96,8 +96,13 @@ class Network:
                     if vb < len(bwd):
                         bwd[vb] |= bit
                 fwd[va] = m & db
-        self.adj[a].append((b, "tab", fwd, True))
-        self.adj[b].append((a, "tab", bwd, False))
+        self.add_arcs(a, b, "tab", fwd, bwd)
+
+    def add_arcs(self, a: int, b: int, kind: str, fwd, bwd) -> None:
+        """Add a constraint's two arcs: fwd[v] masks b's values that
+        support a = v, bwd[w] masks a's values that support b = w."""
+        self.adj[a].append((b, kind, fwd, True))
+        self.adj[b].append((a, kind, bwd, False))
 
     # -- solving ------------------------------------------------------------
 

@@ -54,6 +54,7 @@ class Presheaf:
         self._elems: dict[Shape, tuple] = {}
         self._index: dict[Shape, dict] = {}
         self._actions: dict[MorphismClass, tuple[int, ...]] = {}
+        self._face_pairs: dict[tuple, tuple | None] = {}  # see _face_pair_supports
 
     # subclasses implement these two
     def _elements(self, b: Shape) -> tuple:
@@ -434,25 +435,35 @@ def nat_face_union(
     for fd in roots:
         net.add_var(range(x.size(fd.target)))
     for i, fd1 in enumerate(roots):
-        arr1 = {}
         for j in range(i + 1, len(roots)):
-            fd2 = roots[j]
-            shared = face_intersection_cells(fd1, fd2)
-            if not shared:
-                continue
-            keys1, keys2 = _shared_keys(x, fd1, shared), _shared_keys(x, fd2, shared)
-            allowed: dict[int, set[int]] = {}
-            buckets: dict[tuple, list[int]] = {}
-            for v2, key in enumerate(keys2):
-                buckets.setdefault(key, []).append(v2)
-            for v1, key in enumerate(keys1):
-                allowed[v1] = set(buckets.get(key, ()))
-            net.add_table(i, j, allowed)
+            supports = _face_pair_supports(x, fd1, roots[j])
+            if supports is not None:
+                net.add_arcs(i, j, "tab", *supports)
     out = []
     for sol in net.solve_all(budget):
         out.append(FaceUnionFamily(a, roots, x, sol))
     out.sort(key=lambda fam: fam.root_values)
     return out
+
+
+def _face_pair_supports(x: Presheaf, fd1: FaceDescriptor, fd2: FaceDescriptor):
+    """The (fwd, bwd) support masks of the compatibility table of two root
+    faces over their full levels, or None when the faces share no cell.
+    Memoized on x: every horn of a shape reuses its face pairs' tables."""
+    if (fd1, fd2) not in x._face_pairs:
+        shared = face_intersection_cells(fd1, fd2)
+        supports = None
+        if shared:
+            keys1, keys2 = _shared_keys(x, fd1, shared), _shared_keys(x, fd2, shared)
+            masks1: dict[tuple, int] = {}  # key -> mask of the values with it
+            masks2: dict[tuple, int] = {}
+            for masks, keys in ((masks1, keys1), (masks2, keys2)):
+                for v, key in enumerate(keys):
+                    masks[key] = masks.get(key, 0) | 1 << v
+            fwd = [masks2.get(key, 0) for key in keys1]
+            supports = fwd, [masks1.get(key, 0) for key in keys2]
+        x._face_pairs[(fd1, fd2)] = supports
+    return x._face_pairs[(fd1, fd2)]
 
 
 def _shared_keys(x: Presheaf, fd: FaceDescriptor, shared) -> list[tuple]:

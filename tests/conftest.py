@@ -4,11 +4,19 @@ from __future__ import annotations
 
 import itertools
 
+from thetacat.csp import Network
 from thetacat.delta import enumerate_monos
 from thetacat.errors import BudgetExceededError
-from thetacat.presheaves import TablePresheaf
-from thetacat.subshapes import SubOfRepresentable, horn
+from thetacat.presheaves import (
+    DEFAULT_BUDGET,
+    FaceUnionFamily,
+    Presheaf,
+    TablePresheaf,
+    _shared_keys,
+)
+from thetacat.subshapes import SubOfRepresentable, face_intersection_cells, horn
 from thetacat.theta import (
+    FaceDescriptor,
     MorphismClass,
     Shape,
     compose_classes,
@@ -196,6 +204,48 @@ def full_level_step_check(current: SubOfRepresentable, step) -> tuple[bool, str]
         if pullback != inner_horn.levels[b]:
             return False, f"pullback is not the horn at level {b}"
     return True, ""
+
+
+# ---------------------------------------------------------------------------
+# oracle: face-union families with every face-pair table built per call
+#
+# The body of `presheaves.nat_face_union` before its face-pair support
+# masks were memoized on the presheaf, kept verbatim apart from its name:
+# each call rebuilds the compatibility table of every pair of roots and
+# hands it to `Network.add_table`.
+
+
+def face_union_oracle(
+    a: Shape,
+    roots: tuple[FaceDescriptor, ...],
+    x: Presheaf,
+    budget: int = DEFAULT_BUDGET,
+) -> list[FaceUnionFamily]:
+    """All natural families on the union of the given face images."""
+    roots = tuple(roots)
+    net = Network()
+    for fd in roots:
+        net.add_var(range(x.size(fd.target)))
+    for i, fd1 in enumerate(roots):
+        arr1 = {}
+        for j in range(i + 1, len(roots)):
+            fd2 = roots[j]
+            shared = face_intersection_cells(fd1, fd2)
+            if not shared:
+                continue
+            keys1, keys2 = _shared_keys(x, fd1, shared), _shared_keys(x, fd2, shared)
+            allowed: dict[int, set[int]] = {}
+            buckets: dict[tuple, list[int]] = {}
+            for v2, key in enumerate(keys2):
+                buckets.setdefault(key, []).append(v2)
+            for v1, key in enumerate(keys1):
+                allowed[v1] = set(buckets.get(key, ()))
+            net.add_table(i, j, allowed)
+    out = []
+    for sol in net.solve_all(budget):
+        out.append(FaceUnionFamily(a, roots, x, sol))
+    out.sort(key=lambda fam: fam.root_values)
+    return out
 
 
 # ---------------------------------------------------------------------------

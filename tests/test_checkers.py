@@ -1,5 +1,7 @@
 import pytest
+from conftest import face_union_oracle
 
+from thetacat import checkers
 from thetacat.checkers import (
     Mode,
     check,
@@ -163,3 +165,28 @@ def test_representable_horn_records_finite():
     rec = horn_filling(y, shape(2), 1, 1)
     assert rec.nat_size >= rec.x_size >= 0
     assert len(rec.fiber_sizes) == rec.nat_size
+
+
+@pytest.mark.parametrize("nerve", [nerve_b1, nerve_b2_strict])
+def test_reports_match_per_call_face_tables(nerve, monkeypatch):
+    # the same checks with every face-pair table rebuilt per horn
+    w = WindowSpec(2, 2)
+
+    def reports():
+        x = nerve(cyclic(2))
+        to_terminal = PresheafNatFamily(
+            x, TerminalPresheaf(), w, {b: (0,) * x.size(b) for b in w.shapes()}
+        )
+        identity = PresheafNatFamily(
+            x, x, w, {b: tuple(range(x.size(b))) for b in w.shapes()}
+        )
+        return (
+            check(x, "strict-cat", w).to_json(),
+            check(x, "strict-groupoid", w).to_json(),
+            inner_fibration_check(to_terminal, w),
+            inner_fibration_check(identity, w),
+        )
+
+    memoized = reports()
+    monkeypatch.setattr(checkers, "nat_face_union", face_union_oracle)
+    assert reports() == memoized

@@ -1,6 +1,10 @@
 import json
+import re
 import subprocess
 import sys
+
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from thetacat.cli import main
 
@@ -187,6 +191,19 @@ def test_check_budget_exceeded_report(tmp_path):
     assert data == {"command": "check", "error": "budget exceeded", "nodes": 4}
 
 
+def test_check_budget_report_after_reused_face_tables(tmp_path):
+    # every horn before t[3,3] searches at most 104 nodes, so the budget
+    # trips on the first horn of t[3,3] (four inner faces, 832 nodes), after
+    # the horns of t[2,3] and t[3,2] (three inner faces each) reused their
+    # face-pair tables; all horns of a shape search the same number of nodes
+    code, data = run_cli(
+        tmp_path, "check", "--mode", "strict-cat", "--nerve", "B2strict:Z2",
+        "--budget", "831",
+    )
+    assert code == 3
+    assert data == {"command": "check", "error": "budget exceeded", "nodes": 832}
+
+
 def test_h2_cocycle_budget_report(tmp_path):
     # 25 free entries of a normalized table on S3, each in Z2
     code, data = run_cli(tmp_path, "h2", "--group", "S3", "--coeff", "Z2")
@@ -306,3 +323,59 @@ def test_flags_of_other_commands_exit_1():
         assert proc.returncode == 1, (argv, proc.stderr)
         assert "Traceback" not in proc.stderr
         assert "unrecognized arguments" in proc.stderr
+
+
+def _small_numbers(token: str) -> bool:
+    """No number above 3, so a token that parses names a small shape."""
+    return all(int(run) <= 3 for run in re.findall(r"[0-9]+", token))
+
+
+_junk = st.text(alphabet="t[]0123,: x-", max_size=10)
+_shapes = st.one_of(
+    _junk,
+    # mostly well formed, so that many runs get past the parser
+    st.builds(
+        lambda head, entries, tail: head + ",".join(map(str, entries)) + tail,
+        st.sampled_from(["t[", "t[", "t[", "t", "[", "T[", " t[", "t("]),
+        st.lists(st.integers(-1, 3), max_size=3),
+        st.sampled_from(["]", "]", "]", "", "]]", ",]", "] ", ")"]),
+    ),
+).filter(_small_numbers)
+_gammas = st.one_of(
+    _junk,
+    st.lists(
+        st.tuples(st.integers(-1, 3), st.integers(-1, 3)).map("{0[0]}:{0[1]}".format),
+        max_size=5,
+    ).map(",".join),
+).filter(_small_numbers)
+_targets = st.one_of(st.sampled_from(["full", "outer", "inner", ""]), _junk)
+_modes = st.one_of(
+    st.sampled_from(["cat", "strict-cat", "groupoid", "strict-groupoid"]),
+    st.builds(
+        "{}:{}".format,
+        st.sampled_from(["n-strict", "n-cat", "cat", ""]),
+        st.one_of(st.integers(-2, 3).map(str), _junk),
+    ),
+    _junk,
+)
+_argvs = st.one_of(
+    st.builds(lambda a: ["faces", a], _shapes),
+    st.builds(
+        lambda a, t: ["probe", a, "--target", t, "--budget", "5"], _shapes, _targets
+    ),
+    st.builds(lambda a, g: ["certify", a, "--gamma", g], _shapes, _gammas),
+    st.builds(lambda g: ["certify", "t[2]", "--gamma", g], _gammas),
+    st.builds(
+        lambda m: ["check", "--mode", m, "--nerve", "B1:Z2",
+                   "--max-dim", "1", "--max-entry", "2"],
+        _modes,
+    ),
+)
+
+
+@settings(max_examples=200, derandomize=True, deadline=None)
+@given(_argvs)
+def test_cli_never_tracebacks(argv):
+    # malformed shape tokens, --gamma lists, --target and --mode strings end
+    # in an exit code; any other exception escaping main fails the test
+    assert main(argv) in (0, 1, 2, 3)

@@ -6,12 +6,13 @@ import pytest
 from conftest import (
     all_pairs_functorial,
     constants_to_all_ones,
+    face_union_oracle,
     family_is_natural,
     shapes_with,
     swap_in_first_row,
 )
 from thetacat.errors import BudgetExceededError
-from thetacat.groups import cyclic, symmetric_3
+from thetacat.groups import cyclic, klein_four, symmetric_3
 from thetacat.nerves import NerveB2EM, nerve_b1, nerve_b2_em, nerve_b2_strict
 from thetacat.presheaves import (
     FaceUnionFamily,
@@ -48,6 +49,7 @@ from thetacat.theta import (
     compose_classes,
     enumerate_hom,
     epi_classes_between,
+    face_descriptor,
     faces_of,
     identity_class,
     shape,
@@ -264,6 +266,71 @@ def test_nat_face_union_inner_horn_of_triangle():
     keys = {fam.key() for fam in fams}
     hits = {restriction_key(b1, a, i, roots) for i in range(b1.size(a))}
     assert hits == keys  # the restriction is a bijection onto the families
+
+
+# every horn of these shapes, inner and outer, goes through both routes
+MEMO_SHAPES = (*WindowSpec(2, 3).shapes(), shape(2, 2, 1))
+
+
+def _b1_z3_table() -> TablePresheaf:
+    """B1(Z3) as explicit tables over WindowSpec(2, 3) and window_for(t[2,2,1])."""
+    x = nerve_b1(cyclic(3))
+    parts = [
+        TablePresheaf.from_presheaf(x, w)
+        for w in (WindowSpec(2, 3), window_for(shape(2, 2, 1)))
+    ]
+    levels = {b: lv for part in parts for b, lv in part.levels.items()}
+    actions = {f: row for part in parts for f, row in part.actions_table.items()}
+    return TablePresheaf(levels, actions, "table(B1(Z3))")
+
+
+MEMO_PRESHEAVES = {
+    "B1(Z2)": lambda: nerve_b1(cyclic(2)),
+    "B1(V4)": lambda: nerve_b1(klein_four()),
+    "B2strict(Z2)": lambda: nerve_b2_strict(cyclic(2)),
+    "y(t[2,1])": lambda: Representable(shape(2, 1)),
+    "table(B1(Z3))": _b1_z3_table,
+}
+
+
+def _horn_roots(a, fd):
+    return tuple(f for f in faces_of(a) if f != fd)
+
+
+@pytest.mark.parametrize("name", sorted(MEMO_PRESHEAVES))
+def test_nat_face_union_matches_per_call_tables(name):
+    # the memoized face-pair tables must not depend on which horns filled
+    # the memo first: request the horns in check order and in reverse
+    horns = [(a, fd) for a in MEMO_SHAPES for fd in faces_of(a)]
+    oracle_x = MEMO_PRESHEAVES[name]()
+    expected = {
+        (a, fd): face_union_oracle(a, _horn_roots(a, fd), oracle_x) for a, fd in horns
+    }
+    for order in (horns, horns[::-1]):
+        x = MEMO_PRESHEAVES[name]()
+        for a, fd in order:
+            assert nat_face_union(a, _horn_roots(a, fd), x) == expected[(a, fd)]
+
+
+def _outcome(route, a, roots, x, budget):
+    try:
+        return [f.root_values for f in route(a, roots, x, budget)], None
+    except BudgetExceededError as exc:
+        return None, exc.count
+
+
+@pytest.mark.parametrize(
+    "a, k, m, nodes", [(shape(2, 2), 2, 1, 28), (shape(2, 3), 2, 1, 104)]
+)
+def test_nat_face_union_budget_trips_like_per_call_tables(a, k, m, nodes):
+    # every budget from 1 up to the horn's node count on B2strict(Z2); from
+    # the second budget on, the memoized route reuses its tables
+    x, oracle_x = nerve_b2_strict(cyclic(2)), nerve_b2_strict(cyclic(2))
+    roots = _horn_roots(a, face_descriptor(a, k, m))
+    for budget in range(1, nodes + 1):
+        want = _outcome(face_union_oracle, a, roots, oracle_x, budget)
+        assert _outcome(nat_face_union, a, roots, x, budget) == want, budget
+        assert (want[1] is None) == (budget == nodes)
 
 
 def test_face_union_families_agree_with_cell_search():
