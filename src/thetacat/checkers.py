@@ -9,14 +9,9 @@ from __future__ import annotations
 
 from typing import NamedTuple
 
-from .presheaves import (
-    Presheaf,
-    PresheafNatFamily,
-    nat_face_union,
-    restriction_key,
-)
+from .presheaves import Presheaf, PresheafNatFamily, nat_face_union
 from .subshapes import WindowSpec
-from .theta import Shape, faces_of, face_descriptor
+from .theta import Shape, face_class, faces_of, face_descriptor
 
 
 class Mode(NamedTuple):
@@ -92,6 +87,13 @@ class HornRecord(NamedTuple):
         }
 
 
+def _root_values(x: Presheaf, roots):
+    """For each element of x(a), in index order, the root values of its
+    restriction to the union of the roots; each root's face array is read
+    once."""
+    return zip(*(x.action(face_class(fd)) for fd in roots))
+
+
 def horn_filling(
     x: Presheaf, a: Shape, k: int, m: int, budget: int = 10**7
 ) -> HornRecord:
@@ -100,8 +102,7 @@ def horn_filling(
     roots = tuple(fd for fd in faces_of(a) if fd != missing)
     families = nat_face_union(a, roots, x, budget)
     keys = {fam.key(): 0 for fam in families}
-    for idx in range(x.size(a)):
-        key = restriction_key(x, a, idx, roots)
+    for idx, key in enumerate(_root_values(x, roots)):
         if key not in keys:
             raise AssertionError(
                 f"restriction of element {idx} of {x.name}({a}) is not natural"
@@ -207,16 +208,16 @@ def inner_fibration_check(
             roots = tuple(f for f in faces_of(a) if f != fd)
             x_families = nat_face_union(a, roots, x, budget)
             x_keys: dict[tuple, list[int]] = {}
-            for idx in range(x.size(a)):
-                x_keys.setdefault(restriction_key(x, a, idx, roots), []).append(idx)
+            for idx, key in enumerate(_root_values(x, roots)):
+                x_keys.setdefault(key, []).append(idx)
             y_keys: dict[tuple, list[int]] = {}
-            for idx in range(y.size(a)):
-                y_keys.setdefault(restriction_key(y, a, idx, roots), []).append(idx)
+            for idx, key in enumerate(_root_values(y, roots)):
+                y_keys.setdefault(key, []).append(idx)
             phi_a = phi.components[a]
             for fam in x_families:
                 pushed = tuple(
                     phi.components[root.target][val]
-                    for root, val in zip(roots, fam.root_values)
+                    for root, val in zip(roots, fam.values)
                 )
                 for v in y_keys.get(pushed, ()):
                     checked += 1

@@ -62,20 +62,22 @@ def _parse_shape_arg(text: str):
 def _read_json(path: str, parse):
     """Load a JSON file and build an object from it with `parse`.
 
-    A missing, unreadable or non-JSON file, or JSON that `parse` rejects,
-    is a usage error.
+    A missing, unreadable or non-JSON file, JSON nested too deeply to
+    decode or to parse, or JSON that `parse` rejects, is a usage error.
     """
     try:
         with open(path) as fh:
             data = json.load(fh)
     except OSError as exc:
         reason = exc.strerror or type(exc).__name__
-    except ValueError as exc:
+    except (RecursionError, ValueError) as exc:
         reason = f"not JSON ({exc})"
     else:
         try:
             return parse(data)
-        except (AttributeError, IndexError, KeyError, TypeError, ValueError) as exc:
+        except (
+            AttributeError, IndexError, KeyError, RecursionError, TypeError, ValueError
+        ) as exc:
             reason = f"invalid content ({type(exc).__name__}: {exc})"
     raise SystemExit(_usage_error(f"cannot read {path}: {reason}"))
 

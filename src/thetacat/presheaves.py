@@ -8,7 +8,8 @@ are enumerated three ways, all exact:
 * out of a union of face images, by solving for the values on the face
   roots with compatibility on the maximal common cells of face pairs;
 * out of an arbitrary subpresheaf of a representable, by solving for
-  the values on its nondegenerate cells with face incidences;
+  the values on its nondegenerate cells with face incidences (both
+  routes give a `CellFamily`);
 * between two presheaves, by solving for all level values with
   constraints along a generating family of classes (faces and
   componentwise epis), which every class of the window factors through.
@@ -369,58 +370,48 @@ def check_functoriality(
 
 
 # ---------------------------------------------------------------------------
-# natural families out of unions of face images
+# natural families on subpresheaves of a representable
 
 
-class FaceUnionFamily:
-    """A natural family on a union of faces, stored by its root values.
+class CellFamily:
+    """A natural family on a subpresheaf of a representable, stored by its
+    values on mono cells that generate the subpresheaf: the face classes
+    of a union of faces, or every nondegenerate cell.
 
-    root_values[i] is an index into x.elements(roots[i].target); the
-    value at any other cell of the union is derived by factoring the
-    cell through a containing root.
+    values[i] is an index into x.elements(cells[i].src); the value at any
+    other cell is derived by factoring its mono part through the first
+    stored cell that contains it, then acting by its epi part.
     """
 
-    __slots__ = ("base", "roots", "x", "root_values")
+    __slots__ = ("x", "cells", "values")
 
-    def __init__(self, base, roots, x, root_values):
-        self.base = base
-        self.roots = roots
+    def __init__(self, x, cells, values):
         self.x = x
-        self.root_values = tuple(root_values)
+        self.cells = cells
+        self.values = tuple(values)
 
     def key(self):
-        return self.root_values
+        return self.values
 
     def value_at(self, cell: MorphismClass):
-        """The family's value on any cell of the union (as an element)."""
+        """The family's value on any cell of the subpresheaf (as an element)."""
         epi, mono = epi_mono_factor_class(cell)
-        for fd, val in zip(self.roots, self.root_values):
-            u = factor_through(mono, face_class(fd))
+        for c, val in zip(self.cells, self.values):
+            u = factor_through(mono, c)
             if u is not None:
-                xm = self.x.apply(u, self.x.elements(fd.target)[val])
+                xm = self.x.apply(u, self.x.elements(c.src)[val])
                 return self.x.apply(epi, xm) if not epi.is_identity() else xm
-        raise ValueError(f"cell {cell} is not in the union of the roots")
+        raise ValueError(f"cell {cell} is not in the subpresheaf")
 
     def __eq__(self, other):
         return (
-            isinstance(other, FaceUnionFamily)
-            and self.base == other.base
-            and self.roots == other.roots
-            and self.root_values == other.root_values
+            isinstance(other, CellFamily)
+            and self.cells == other.cells
+            and self.values == other.values
         )
 
     def __hash__(self):
-        return hash((self.base, self.roots, self.root_values))
-
-    def to_json(self):
-        return {
-            "base": list(self.base.entries),
-            "roots": [[fd.k, fd.m] for fd in self.roots],
-            "values": [
-                self.x.label(self.x.elements(fd.target)[v])
-                for fd, v in zip(self.roots, self.root_values)
-            ],
-        }
+        return hash((self.cells, self.values))
 
 
 def nat_face_union(
@@ -428,8 +419,9 @@ def nat_face_union(
     roots: tuple[FaceDescriptor, ...],
     x: Presheaf,
     budget: int = DEFAULT_BUDGET,
-) -> list[FaceUnionFamily]:
-    """All natural families on the union of the given face images."""
+) -> list[CellFamily]:
+    """All natural families on the union of the given face images, stored
+    by their values on the roots' face classes."""
     roots = tuple(roots)
     net = Network()
     for fd in roots:
@@ -439,10 +431,9 @@ def nat_face_union(
             supports = _face_pair_supports(x, fd1, roots[j])
             if supports is not None:
                 net.add_arcs(i, j, "tab", *supports)
-    out = []
-    for sol in net.solve_all(budget):
-        out.append(FaceUnionFamily(a, roots, x, sol))
-    out.sort(key=lambda fam: fam.root_values)
+    cells = tuple(face_class(fd) for fd in roots)
+    out = [CellFamily(x, cells, sol) for sol in net.solve_all(budget)]
+    out.sort(key=lambda fam: fam.values)
     return out
 
 
@@ -477,43 +468,6 @@ def _shared_keys(x: Presheaf, fd: FaceDescriptor, shared) -> list[tuple]:
     return [tuple(arr[v] for arr in arrays) for v in range(x.size(fd.target))]
 
 
-def restriction_key(x: Presheaf, a: Shape, xa_index: int, roots) -> tuple[int, ...]:
-    """Root values of the family obtained by restricting an element of x(a)."""
-    return tuple(x.action(face_class(fd))[xa_index] for fd in roots)
-
-
-# ---------------------------------------------------------------------------
-# natural families out of an arbitrary subpresheaf of a representable
-
-
-class CellFamily:
-    """A natural family on a subpresheaf, stored on its nondegenerate cells."""
-
-    __slots__ = ("sub", "x", "cells", "values")
-
-    def __init__(self, sub, x, cells, values):
-        self.sub = sub
-        self.x = x
-        self.cells = cells
-        self.values = tuple(values)
-
-    def value_at(self, cell: MorphismClass):
-        epi, mono = epi_mono_factor_class(cell)
-        idx = self.cells.index(mono)
-        xm = self.x.elements(mono.src)[self.values[idx]]
-        return self.x.apply(epi, xm) if not epi.is_identity() else xm
-
-    def __eq__(self, other):
-        return (
-            isinstance(other, CellFamily)
-            and self.cells == other.cells
-            and self.values == other.values
-        )
-
-    def __hash__(self):
-        return hash((self.cells, self.values))
-
-
 def nat_cells(
     sub: SubOfRepresentable, x: Presheaf, budget: int = DEFAULT_BUDGET
 ) -> list[CellFamily]:
@@ -529,7 +483,7 @@ def nat_cells(
             fc = face_class(fd)
             lower = compose_classes(s, fc)
             net.add_fn(pos[s], pos[lower], x.action(fc))
-    out = [CellFamily(sub, x, tuple(cells), sol) for sol in net.solve_all(budget)]
+    out = [CellFamily(x, tuple(cells), sol) for sol in net.solve_all(budget)]
     out.sort(key=lambda fam: fam.values)
     return out
 

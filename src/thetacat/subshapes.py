@@ -125,9 +125,6 @@ class SubOfRepresentable:
     def cells_sorted(self, b: Shape) -> list[MorphismClass]:
         return sorted(self.levels[b], key=_cell_key)
 
-    def size(self) -> int:
-        return sum(len(v) for v in self.levels.values())
-
     def __eq__(self, other) -> bool:
         return (
             isinstance(other, SubOfRepresentable)

@@ -4,15 +4,17 @@ from __future__ import annotations
 
 import itertools
 
+from thetacat.checkers import FibrationReport, HornRecord, LiftingSquare
 from thetacat.csp import Network
 from thetacat.delta import enumerate_monos
 from thetacat.errors import BudgetExceededError
 from thetacat.presheaves import (
     DEFAULT_BUDGET,
-    FaceUnionFamily,
+    CellFamily,
     Presheaf,
     TablePresheaf,
     _shared_keys,
+    nat_face_union,
 )
 from thetacat.subshapes import SubOfRepresentable, face_intersection_cells, horn
 from thetacat.theta import (
@@ -21,8 +23,10 @@ from thetacat.theta import (
     Shape,
     compose_classes,
     enumerate_hom,
+    face_class,
     face_descriptor,
     factor_through,
+    faces_of,
     identity_class,
     mono_cells_into,
 )
@@ -220,7 +224,7 @@ def face_union_oracle(
     roots: tuple[FaceDescriptor, ...],
     x: Presheaf,
     budget: int = DEFAULT_BUDGET,
-) -> list[FaceUnionFamily]:
+) -> list[CellFamily]:
     """All natural families on the union of the given face images."""
     roots = tuple(roots)
     net = Network()
@@ -243,9 +247,83 @@ def face_union_oracle(
             net.add_table(i, j, allowed)
     out = []
     for sol in net.solve_all(budget):
-        out.append(FaceUnionFamily(a, roots, x, sol))
-    out.sort(key=lambda fam: fam.root_values)
+        out.append(CellFamily(x, tuple(face_class(fd) for fd in roots), sol))
+    out.sort(key=lambda fam: fam.values)
     return out
+
+
+# ---------------------------------------------------------------------------
+# oracle: horn filling and inner fibrations with root values per element
+#
+# The bodies of `checkers.horn_filling` and `checkers.inner_fibration_check`
+# before each horn's face arrays were read once, kept verbatim apart from
+# their names and `fam.values`: every element looks up each root's face
+# class and action array again, through `restriction_key`.
+
+
+def restriction_key(x: Presheaf, a: Shape, xa_index: int, roots) -> tuple[int, ...]:
+    """Root values of the family obtained by restricting an element of x(a)."""
+    return tuple(x.action(face_class(fd))[xa_index] for fd in roots)
+
+
+def horn_filling_oracle(
+    x: Presheaf, a: Shape, k: int, m: int, budget: int = 10**7
+) -> HornRecord:
+    """One horn: the family count, the restriction map, and its fibers."""
+    missing = face_descriptor(a, k, m)
+    roots = tuple(fd for fd in faces_of(a) if fd != missing)
+    families = nat_face_union(a, roots, x, budget)
+    keys = {fam.key(): 0 for fam in families}
+    for idx in range(x.size(a)):
+        key = restriction_key(x, a, idx, roots)
+        if key not in keys:
+            raise AssertionError(
+                f"restriction of element {idx} of {x.name}({a}) is not natural"
+            )
+        keys[key] += 1
+    fibers = tuple(sorted(keys.values()))
+    surjective = all(c > 0 for c in keys.values())
+    bijective = surjective and all(c == 1 for c in keys.values())
+    return HornRecord(
+        a, k, m, missing.inner, x.size(a), len(families), fibers, surjective, bijective
+    )
+
+
+def inner_fibration_oracle(phi, window, budget: int = 10**7) -> FibrationReport:
+    """Test the right lifting property against every inner horn in window."""
+    x, y = phi.source, phi.target
+    checked = 0
+    failures = []
+    for a in window.shapes():
+        for fd in faces_of(a):
+            if not fd.inner:
+                continue
+            roots = tuple(f for f in faces_of(a) if f != fd)
+            x_families = nat_face_union(a, roots, x, budget)
+            x_keys: dict[tuple, list[int]] = {}
+            for idx in range(x.size(a)):
+                x_keys.setdefault(restriction_key(x, a, idx, roots), []).append(idx)
+            y_keys: dict[tuple, list[int]] = {}
+            for idx in range(y.size(a)):
+                y_keys.setdefault(restriction_key(y, a, idx, roots), []).append(idx)
+            phi_a = phi.components[a]
+            for fam in x_families:
+                pushed = tuple(
+                    phi.components[root.target][val]
+                    for root, val in zip(roots, fam.values)
+                )
+                for v in y_keys.get(pushed, ()):
+                    checked += 1
+                    lifts = [
+                        ix
+                        for ix in x_keys.get(fam.key(), ())
+                        if phi_a[ix] == v
+                    ]
+                    if not lifts:
+                        failures.append(
+                            LiftingSquare(a, fd.k, fd.m, fam.key(), v)
+                        )
+    return FibrationReport(not failures, checked, tuple(failures))
 
 
 # ---------------------------------------------------------------------------

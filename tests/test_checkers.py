@@ -1,5 +1,6 @@
 import pytest
-from conftest import face_union_oracle
+from conftest import face_union_oracle, horn_filling_oracle, inner_fibration_oracle
+from test_presheaves import MEMO_PRESHEAVES, MEMO_SHAPES
 
 from thetacat import checkers
 from thetacat.checkers import (
@@ -15,10 +16,11 @@ from thetacat.presheaves import (
     PresheafNatFamily,
     Representable,
     SubAsPresheaf,
+    TablePresheaf,
     TerminalPresheaf,
 )
 from thetacat.subshapes import WindowSpec, horn, window_for
-from thetacat.theta import shape
+from thetacat.theta import face_class, face_descriptor, faces_of, shape
 
 
 def test_parse_mode():
@@ -190,3 +192,60 @@ def test_reports_match_per_call_face_tables(nerve, monkeypatch):
     memoized = reports()
     monkeypatch.setattr(checkers, "nat_face_union", face_union_oracle)
     assert reports() == memoized
+
+
+def test_horn_filling_rejects_a_restriction_that_is_not_natural():
+    # swapping two entries of one face row of y(t[1]) leaves element 0 of
+    # the t[2] level with root values that no family on the horn has
+    y = TablePresheaf.from_presheaf(Representable(shape(1)), WindowSpec(1, 2))
+    f = face_class(face_descriptor(shape(2), 1, 0))
+    row = list(y.actions_table[f])
+    row[0], row[1] = row[1], row[0]
+    y.actions_table[f] = tuple(row)
+    with pytest.raises(AssertionError, match=r"element 0 of .* is not natural"):
+        horn_filling(y, shape(2), 1, 1)
+
+
+@pytest.mark.parametrize("name", sorted(MEMO_PRESHEAVES))
+def test_horn_records_match_per_element_restriction(name):
+    # every horn, inner and outer: root values read once per horn against
+    # the face class and action array looked up again for every element
+    x, oracle_x = MEMO_PRESHEAVES[name](), MEMO_PRESHEAVES[name]()
+    for a in MEMO_SHAPES:
+        for fd in faces_of(a):
+            assert horn_filling(x, a, fd.k, fd.m) == horn_filling_oracle(
+                oracle_x, a, fd.k, fd.m
+            ), (a, fd)
+
+
+def _to_terminal(x, w):
+    return PresheafNatFamily(
+        x, TerminalPresheaf(), w, {b: (0,) * x.size(b) for b in w.shapes()}
+    )
+
+
+def _identity(x, w):
+    return PresheafNatFamily(x, x, w, {b: tuple(range(x.size(b))) for b in w.shapes()})
+
+
+# the inner_fibration_check cases of this file
+FIBRATIONS = {
+    "B1(Z2) -> 1": lambda: _to_terminal(nerve_b1(cyclic(2)), WindowSpec(2, 2)),
+    "B1(Z2) -> B1(Z2)": lambda: _identity(nerve_b1(cyclic(2)), WindowSpec(2, 2)),
+    "B2strict(Z2) -> 1": lambda: _to_terminal(
+        nerve_b2_strict(cyclic(2)), WindowSpec(2, 2)
+    ),
+    "B2strict(Z2) -> B2strict(Z2)": lambda: _identity(
+        nerve_b2_strict(cyclic(2)), WindowSpec(2, 2)
+    ),
+    "horn(t[2], 1, 1) -> 1": lambda: _to_terminal(
+        SubAsPresheaf(horn(shape(2), 1, 1, window_for(shape(2)))), window_for(shape(2))
+    ),
+}
+
+
+@pytest.mark.parametrize("name", sorted(FIBRATIONS))
+def test_fibration_reports_match_per_element_restriction(name):
+    phi, oracle_phi = FIBRATIONS[name](), FIBRATIONS[name]()
+    want = inner_fibration_oracle(oracle_phi, oracle_phi.window)
+    assert inner_fibration_check(phi, phi.window) == want

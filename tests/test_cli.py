@@ -1,7 +1,10 @@
+import copy
 import json
 import re
 import subprocess
 import sys
+import tempfile
+from pathlib import Path
 
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -293,7 +296,23 @@ def test_unreadable_input_files_exit_1(tmp_path):
     empty_object.write_text("{}")
     number_list = tmp_path / "list.json"
     number_list.write_text("[1, 2]")
-    for path in (tmp_path / "missing.json", tmp_path, bad, empty_object, number_list):
+    # too deep for the JSON decoder, and deep enough to decode but not to freeze
+    deep = tmp_path / "deep.json"
+    deep.write_text("[" * 100000 + "]" * 100000)
+    deep_element = tmp_path / "deep_element.json"
+    nested = "[" * 600 + "]" * 600
+    deep_element.write_text(
+        '{"levels": [{"shape": [], "elements": [%s]}], "actions": []}' % nested
+    )
+    for path in (
+        tmp_path / "missing.json",
+        tmp_path,
+        bad,
+        empty_object,
+        number_list,
+        deep,
+        deep_element,
+    ):
         for argv in (
             ["check", "--mode", "cat", "--input", str(path)],
             ["h2", "--group", f"@{path}", "--coeff", "Z2"],
@@ -379,3 +398,102 @@ def test_cli_never_tracebacks(argv):
     # malformed shape tokens, --gamma lists, --target and --mode strings end
     # in an exit code; any other exception escaping main fails the test
     assert main(argv) in (0, 1, 2, 3)
+
+
+def _valid_table() -> dict:
+    from thetacat.groups import cyclic
+    from thetacat.nerves import nerve_b1
+    from thetacat.presheaves import TablePresheaf, table_to_json
+    from thetacat.subshapes import WindowSpec
+
+    tbl = TablePresheaf.from_presheaf(nerve_b1(cyclic(2)), WindowSpec(1, 2))
+    return table_to_json(tbl)
+
+
+_TABLE = _valid_table()
+_DELETE = object()
+_json_junk = st.recursive(
+    st.one_of(
+        st.none(), st.booleans(), st.integers(-3, 5), st.text("ab[]{}", max_size=3)
+    ),
+    lambda inner: st.one_of(
+        st.lists(inner, max_size=3),
+        st.dictionaries(
+            st.sampled_from(["levels", "actions", "shape", "elements", "class",
+                             "map", "src", "dst", "components", "dom", "cod",
+                             "values"]),
+            inner,
+            max_size=3,
+        ),
+    ),
+    max_leaves=8,
+)
+# paths into the table document whose value a case replaces or deletes
+_level = st.integers(0, len(_TABLE["levels"]) - 1).map(lambda i: ("levels", i))
+_action = st.integers(0, len(_TABLE["actions"]) - 1).map(lambda i: ("actions", i))
+_paths = st.one_of(
+    st.sampled_from([(), ("levels",), ("actions",)]),
+    st.builds(lambda p, k: p + k, _level,
+              st.sampled_from([(), ("shape",), ("elements",), ("elements", 0)])),
+    st.builds(lambda p, k: p + k, _action,
+              st.sampled_from([(), ("map",), ("map", 0), ("class",),
+                               ("class", "src"), ("class", "dst"),
+                               ("class", "components"),
+                               ("class", "components", 0),
+                               ("class", "components", 0, "dom"),
+                               ("class", "components", 0, "cod"),
+                               ("class", "components", 0, "values"),
+                               ("class", "components", 0, "values", 0)])),
+)
+
+
+def _table_text(path, value) -> str:
+    """The valid table with the value at `path` replaced (or deleted)."""
+    doc = copy.deepcopy(_TABLE)
+    if not path:
+        return json.dumps(None if value is _DELETE else value)
+    parent = doc
+    for key in path[:-1]:
+        parent = parent[key]
+    if value is _DELETE:
+        del parent[path[-1]]
+    else:
+        parent[path[-1]] = value
+    return json.dumps(doc)
+
+
+_table_texts = st.one_of(
+    st.builds(_table_text, _paths, st.one_of(st.just(_DELETE), _json_junk)),
+    # an action entry kept in range, so that the table covers the window
+    # and may fail functoriality instead
+    st.builds(_table_text, _action.map(lambda p: p + ("map", 0)), st.integers(0, 1)),
+    # cut short, so that the file is not JSON
+    st.integers(0, 400).map(lambda n: json.dumps(_TABLE)[:n]),
+)
+_budget_argvs = st.builds(
+    lambda argv, budget: [*argv, "--budget", str(budget)],
+    st.sampled_from([
+        ["check", "--mode", "cat", "--nerve", "B1:Z2",
+         "--max-dim", "1", "--max-entry", "2"],
+        ["probe", "t[2]"],
+        ["h2", "--group", "Z2", "--coeff", "Z2"],
+    ]),
+    st.sampled_from([-1, 0, 1, 10**9]),
+)
+
+
+@settings(max_examples=200, derandomize=True, deadline=None)
+@given(st.one_of(_table_texts, _budget_argvs))
+def test_cli_inputs_and_budgets_never_traceback(case):
+    # malformed --input tables (junk levels and actions, wrong types, bad
+    # class JSON, cut-short files) and edge budgets end in an exit code;
+    # any other exception escaping main fails the test
+    if isinstance(case, list):
+        assert main(case) in (0, 1, 2, 3)
+        return
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "table.json"
+        path.write_text(case)
+        argv = ["check", "--mode", "cat", "--max-dim", "1", "--max-entry", "2",
+                "--input", str(path)]
+        assert main(argv) in (0, 1, 2, 3)

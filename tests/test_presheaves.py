@@ -15,7 +15,6 @@ from thetacat.errors import BudgetExceededError
 from thetacat.groups import cyclic, klein_four, symmetric_3
 from thetacat.nerves import NerveB2EM, nerve_b1, nerve_b2_em, nerve_b2_strict
 from thetacat.presheaves import (
-    FaceUnionFamily,
     Presheaf,
     ProductPresheaf,
     Representable,
@@ -31,7 +30,6 @@ from thetacat.presheaves import (
     nat_presheaves,
     product,
     project_class,
-    restriction_key,
     table_from_json,
     table_to_json,
     truncate,
@@ -49,6 +47,7 @@ from thetacat.theta import (
     compose_classes,
     enumerate_hom,
     epi_classes_between,
+    face_class,
     face_descriptor,
     faces_of,
     identity_class,
@@ -264,7 +263,7 @@ def test_nat_face_union_inner_horn_of_triangle():
     fams = nat_face_union(a, roots, b1)
     assert len(fams) == 4
     keys = {fam.key() for fam in fams}
-    hits = {restriction_key(b1, a, i, roots) for i in range(b1.size(a))}
+    hits = set(zip(*(b1.action(face_class(fd)) for fd in roots)))
     assert hits == keys  # the restriction is a bijection onto the families
 
 
@@ -314,7 +313,7 @@ def test_nat_face_union_matches_per_call_tables(name):
 
 def _outcome(route, a, roots, x, budget):
     try:
-        return [f.root_values for f in route(a, roots, x, budget)], None
+        return [f.values for f in route(a, roots, x, budget)], None
     except BudgetExceededError as exc:
         return None, exc.count
 
