@@ -38,7 +38,7 @@ from .subshapes import (
     SubOfRepresentable,
     WindowSpec,
     full_sub,
-    image_cells,
+    image,
     pullback_along,
     spine,
     sub_union,
@@ -109,11 +109,7 @@ class VerifyReport(NamedTuple):
 
 
 def _apply_step(current: SubOfRepresentable, step: Step) -> SubOfRepresentable:
-    levels = {
-        b: current.levels[b] | image_cells(step.attach, b)
-        for b in current.window.shapes()
-    }
-    return SubOfRepresentable(current.base, current.window, levels)
+    return sub_union(current, image(step.attach, current.window))
 
 
 def _step_admissible(current: SubOfRepresentable, step: Step) -> tuple[bool, str]:
@@ -136,10 +132,10 @@ def _step_admissible(current: SubOfRepresentable, step: Step) -> tuple[bool, str
     current.window.require_covers(step.cell)
     # implied by the horn face's test below, by closure; checked first
     # because it rejects most candidates of the search without a composite
-    if c in current.levels[step.cell]:
+    if c in current:
         return False, f"pullback is not the horn at level {step.cell}"
     for other in faces_of(step.cell):
-        present = compose_classes(c, face_class(other)) in current.levels[other.target]
+        present = compose_classes(c, face_class(other)) in current
         if present == (other == fd):
             return False, f"pullback is not the horn at level {other.target}"
     return True, ""
@@ -153,11 +149,13 @@ def verify_certificate(cert: AnodyneCertificate) -> VerifyReport:
         if not ok:
             return VerifyReport(False, i, i, reason)
         current = _apply_step(current, step)
-    for b in cert.window.shapes():
-        if current.levels[b] != cert.end.levels[b]:
-            return VerifyReport(
-                False, len(cert.steps), None, f"result differs from target at {b}"
-            )
+    if current.cells != cert.end.cells:
+        # levels are derived only here, to name the first differing shape
+        for b in cert.window.shapes():
+            if current.level(b) != cert.end.level(b):
+                return VerifyReport(
+                    False, len(cert.steps), None, f"result differs from target at {b}"
+                )
     return VerifyReport(True, len(cert.steps), None, "")
 
 
@@ -228,7 +226,7 @@ def _transported_steps(
     gamma_b = [
         fd
         for fd in faces_of(target)
-        if face_class(fd) in restricted.levels[fd.target]
+        if face_class(fd) in restricted.cells
     ]
     # the restriction must be exactly a union of faces of the target
     if union_of_faces(target, gamma_b, window) != restricted:

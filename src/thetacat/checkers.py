@@ -100,7 +100,7 @@ def horn_filling(
     """One horn: the family count, the restriction map, and its fibers."""
     missing = face_descriptor(a, k, m)
     roots = tuple(fd for fd in faces_of(a) if fd != missing)
-    families = nat_face_union(a, roots, x, budget)
+    families = nat_face_union(roots, x, budget)
     keys = {fam.key(): 0 for fam in families}
     for idx, key in enumerate(_root_values(x, roots)):
         if key not in keys:
@@ -206,7 +206,7 @@ def inner_fibration_check(
             if not fd.inner:
                 continue
             roots = tuple(f for f in faces_of(a) if f != fd)
-            x_families = nat_face_union(a, roots, x, budget)
+            x_families = nat_face_union(roots, x, budget)
             x_keys: dict[tuple, list[int]] = {}
             for idx, key in enumerate(_root_values(x, roots)):
                 x_keys.setdefault(key, []).append(idx)

@@ -309,6 +309,8 @@ def main(argv=None) -> int:
         args = parser.parse_args(argv)
     except SystemExit as exc:
         return 1 if exc.code not in (0, None) else 0
+    if getattr(args, "budget", 1) < 1:
+        return _usage_error(f"budget must be at least 1, got {args.budget}")
     try:
         return args.fn(args)
     except SystemExit as exc:

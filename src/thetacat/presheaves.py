@@ -415,7 +415,6 @@ class CellFamily:
 
 
 def nat_face_union(
-    a: Shape,
     roots: tuple[FaceDescriptor, ...],
     x: Presheaf,
     budget: int = DEFAULT_BUDGET,

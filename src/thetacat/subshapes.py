@@ -2,11 +2,15 @@
 
 `SubOfRepresentable` is the only subobject type: every face, horn,
 spine, union and pullback, and every state of an anodyne certificate,
-is one.  A subpresheaf is stored levelwise over a finite window of
-shapes as sets of classes into the base shape, always closed under
-precomposition.  Membership of a single cell in a face, horn or spine
-is decidable directly from the class data, so levels can also be
-computed at shapes far beyond the base.
+is one.  The category is Eilenberg-Zilber: every cell is, in exactly
+one way, a componentwise epi followed by a mono cell, and the epi has
+a section.  So a subpresheaf of a representable, closed under
+precomposition, is fixed by the mono cells it contains, and a cell lies
+in it exactly when its mono part does.  It is stored by those mono
+cells over a finite window of shapes, and its levels are derived on
+demand.  Membership of a single cell in a face, horn or spine is
+decidable directly from the class data, so levels can also be computed
+at shapes far beyond the base.
 """
 
 from __future__ import annotations
@@ -24,6 +28,7 @@ from .theta import (
     Shape,
     compose_classes,
     enumerate_hom,
+    epi_mono_factor_class,
     face_class,
     face_descriptor,
     faces_of,
@@ -108,45 +113,39 @@ def spine_membership(s: MorphismClass) -> bool:
 
 
 # ---------------------------------------------------------------------------
-# the levelwise container
+# the container
 
 
 @dataclass(frozen=True)
 class SubOfRepresentable:
-    """A levelwise subset of Hom(-, base) over a window."""
+    """A subpresheaf of Hom(-, base) over a window, stored by its mono
+    cells: `cells` holds the mono cells into `base` that it contains and
+    whose source lies in the window."""
 
     base: Shape
     window: WindowSpec
-    levels: dict  # Shape -> frozenset[MorphismClass]
+    cells: frozenset  # of MorphismClass
+
+    def __contains__(self, s: MorphismClass) -> bool:
+        return epi_mono_factor_class(s)[1] in self.cells
 
     def level(self, b: Shape) -> frozenset:
-        return self.levels[b]
+        return frozenset(s for s in enumerate_hom(b, self.base) if s in self)
 
     def cells_sorted(self, b: Shape) -> list[MorphismClass]:
-        return sorted(self.levels[b], key=_cell_key)
-
-    def __eq__(self, other) -> bool:
-        return (
-            isinstance(other, SubOfRepresentable)
-            and self.base == other.base
-            and self.window == other.window
-            and self.levels == other.levels
-        )
-
-    def __hash__(self):
-        return hash(tuple(self.levels[b] for b in self.window.shapes()))
+        return sorted(self.level(b), key=_cell_key)
 
     def is_subset(self, other: "SubOfRepresentable") -> bool:
         _check_compatible(self, other)
-        return all(self.levels[b] <= other.levels[b] for b in self.window.shapes())
+        return self.cells <= other.cells
 
     def check_closure(self) -> None:
         """Verify closure under precomposition, exhaustively on the window."""
         for b2 in self.window.shapes():
-            for s in self.levels[b2]:
+            for s in self.level(b2):
                 for b1 in self.window.shapes():
                     for f in enumerate_hom(b1, b2):
-                        if compose_classes(s, f) not in self.levels[b1]:
+                        if compose_classes(s, f) not in self:
                             raise AssertionError(
                                 f"not closed: {s} along {f} at level {b1}"
                             )
@@ -156,12 +155,9 @@ class SubOfRepresentable:
             "base": list(self.base.entries),
             "window": self.window.to_json(),
             "levels": [
-                {
-                    "shape": list(b.entries),
-                    "cells": [s.to_json() for s in self.cells_sorted(b)],
-                }
+                {"shape": list(b.entries), "cells": [s.to_json() for s in cells]}
                 for b in self.window.shapes()
-                if self.levels[b]
+                if (cells := self.cells_sorted(b))
             ],
         }
 
@@ -175,12 +171,13 @@ def _check_compatible(u: SubOfRepresentable, v: SubOfRepresentable) -> None:
         raise ValueError("subpresheaves live on different bases or windows")
 
 
+def _window_mono_cells(a: Shape, window: WindowSpec):
+    return (s for s in mono_cells_into(a) if window.contains(s.src))
+
+
 def _build(base: Shape, window: WindowSpec, predicate) -> SubOfRepresentable:
-    levels = {
-        b: frozenset(s for s in enumerate_hom(b, base) if predicate(s))
-        for b in window.shapes()
-    }
-    return SubOfRepresentable(base, window, levels)
+    cells = frozenset(s for s in _window_mono_cells(base, window) if predicate(s))
+    return SubOfRepresentable(base, window, cells)
 
 
 def full_sub(a: Shape, window: WindowSpec) -> SubOfRepresentable:
@@ -219,21 +216,17 @@ def spine(a: Shape, window: WindowSpec) -> SubOfRepresentable:
 
 
 # ---------------------------------------------------------------------------
-# set algebra and pullbacks
+# set algebra, pullbacks and images
 
 
 def sub_union(u: SubOfRepresentable, v: SubOfRepresentable) -> SubOfRepresentable:
     _check_compatible(u, v)
-    return SubOfRepresentable(
-        u.base, u.window, {b: u.levels[b] | v.levels[b] for b in u.window.shapes()}
-    )
+    return SubOfRepresentable(u.base, u.window, u.cells | v.cells)
 
 
 def sub_intersect(u: SubOfRepresentable, v: SubOfRepresentable) -> SubOfRepresentable:
     _check_compatible(u, v)
-    return SubOfRepresentable(
-        u.base, u.window, {b: u.levels[b] & v.levels[b] for b in u.window.shapes()}
-    )
+    return SubOfRepresentable(u.base, u.window, u.cells & v.cells)
 
 
 def sub_algebra(op: str, u: SubOfRepresentable, v: SubOfRepresentable):
@@ -244,40 +237,31 @@ def sub_algebra(op: str, u: SubOfRepresentable, v: SubOfRepresentable):
         return sub_intersect(u, v)
     if op == "equal":
         _check_compatible(u, v)
-        return u.levels == v.levels
+        return u.cells == v.cells
     if op == "subset":
         return u.is_subset(v)
     raise ValueError(f"unknown set operation {op!r}")
 
 
-def pullback_along(
-    u: SubOfRepresentable, c: MorphismClass, window: WindowSpec | None = None
-) -> SubOfRepresentable:
+def pullback_along(u: SubOfRepresentable, c: MorphismClass) -> SubOfRepresentable:
     """Cells t of y(c.src) whose composite with c lies in u."""
     if c.dst != u.base:
         raise ValueError(f"{c} does not land in {u.base}")
-    window = window or u.window
-    levels = {}
-    for b in window.shapes():
-        members = u.levels[b]
-        levels[b] = frozenset(
-            t for t in enumerate_hom(b, c.src) if compose_classes(c, t) in members
-        )
-    return SubOfRepresentable(c.src, window, levels)
+    return _build(c.src, u.window, lambda t: compose_classes(c, t) in u)
 
 
-def image_cells(c: MorphismClass, b: Shape) -> frozenset:
-    """The level of the image of y(c) at a shape."""
-    return frozenset(compose_classes(c, t) for t in enumerate_hom(b, c.src))
+def image(c: MorphismClass, window: WindowSpec) -> SubOfRepresentable:
+    """The image of y(c): the mono parts of c . t for the mono cells t."""
+    cells = frozenset(
+        epi_mono_factor_class(compose_classes(c, t))[1]
+        for t in _window_mono_cells(c.src, window)
+    )
+    return SubOfRepresentable(c.dst, window, cells)
 
 
 def nondegenerate_cells(u: SubOfRepresentable) -> list[tuple[Shape, MorphismClass]]:
     """Cells not of the form s'.e for a non-identity componentwise epi e."""
-    out = [
-        (s.src, s)
-        for s in mono_cells_into(u.base)
-        if u.window.contains(s.src) and s in u.levels[s.src]
-    ]
+    out = [(s.src, s) for s in u.cells]
     out.sort(key=lambda p: (p[0].dim, p[0].entries, _cell_key(p[1])))
     return out
 

@@ -335,6 +335,7 @@ def factor_through(s: MorphismClass, m: MorphismClass) -> MorphismClass | None:
     return MorphismClass(s.src, m.src, tuple(comps))
 
 
+@lru_cache(maxsize=None)
 def epi_mono_factor_class(s: MorphismClass) -> tuple[MorphismClass, MorphismClass]:
     """Factor a class as (canonical mono cell) after (componentwise epi)."""
     q = s.degree

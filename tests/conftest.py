@@ -98,6 +98,46 @@ def classical_spine(n: int, level: int):
 
 
 # ---------------------------------------------------------------------------
+# oracle: subobjects of a representable level by level
+#
+# The builders that `SubOfRepresentable` used before it was stored by its
+# mono cells, returning the levels over the window as a dict: every cell
+# of every window level filtered by the predicate, and images and
+# pullbacks along c read off the composites of c with every cell of every
+# level, computed once per class.
+
+
+def levelwise_sub(base: Shape, window, predicate) -> dict:
+    return {
+        b: frozenset(s for s in enumerate_hom(b, base) if predicate(s))
+        for b in window.shapes()
+    }
+
+
+def levelwise_composites(c: MorphismClass, window) -> dict:
+    """For each window shape b, every composite c . t of a cell t: b -> c.src,
+    with the cells t that give it."""
+    out = {}
+    for b in window.shapes():
+        fibers: dict = {}
+        for t in enumerate_hom(b, c.src):
+            fibers.setdefault(compose_classes(c, t), []).append(t)
+        out[b] = fibers
+    return out
+
+
+def levelwise_image(composites: dict) -> dict:
+    return {b: frozenset(fibers) for b, fibers in composites.items()}
+
+
+def levelwise_pullback(levels: dict, composites: dict) -> dict:
+    return {
+        b: frozenset(t for ct in fibers.keys() & levels[b] for t in fibers[ct])
+        for b, fibers in composites.items()
+    }
+
+
+# ---------------------------------------------------------------------------
 # oracle: exhaustive naturality of an enumerated family
 
 
@@ -106,12 +146,12 @@ def family_is_natural(sub: SubOfRepresentable, x, value_at) -> bool:
     window = sub.window
     values = {}
     for b in window.shapes():
-        for s in sub.levels[b]:
+        for s in sub.level(b):
             values[(b, s)] = value_at(s)
     for b1 in window.shapes():
         for b2 in window.shapes():
             for f in enumerate_hom(b1, b2):
-                for s in sub.levels[b2]:
+                for s in sub.level(b2):
                     if values[(b1, compose_classes(s, f))] != x.apply(
                         f, values[(b2, s)]
                     ):
@@ -193,7 +233,7 @@ def full_level_step_check(current: SubOfRepresentable, step) -> tuple[bool, str]
     window = current.window
     inner_horn = horn(step.cell, k, m, window)
     for b in window.shapes():
-        members = current.levels[b]
+        members = current.level(b)
         pullback = set()
         composites: dict = {}
         for t in enumerate_hom(b, step.cell):
@@ -205,7 +245,7 @@ def full_level_step_check(current: SubOfRepresentable, step) -> tuple[bool, str]
                 if ct in composites:
                     return False, f"attaching class identifies cells at level {b}"
                 composites[ct] = t
-        if pullback != inner_horn.levels[b]:
+        if pullback != inner_horn.level(b):
             return False, f"pullback is not the horn at level {b}"
     return True, ""
 
@@ -214,13 +254,13 @@ def full_level_step_check(current: SubOfRepresentable, step) -> tuple[bool, str]
 # oracle: face-union families with every face-pair table built per call
 #
 # The body of `presheaves.nat_face_union` before its face-pair support
-# masks were memoized on the presheaf, kept verbatim apart from its name:
+# masks were memoized on the presheaf, kept verbatim apart from its name
+# (its parameters follow `nat_face_union`):
 # each call rebuilds the compatibility table of every pair of roots and
 # hands it to `Network.add_table`.
 
 
 def face_union_oracle(
-    a: Shape,
     roots: tuple[FaceDescriptor, ...],
     x: Presheaf,
     budget: int = DEFAULT_BUDGET,
@@ -272,7 +312,7 @@ def horn_filling_oracle(
     """One horn: the family count, the restriction map, and its fibers."""
     missing = face_descriptor(a, k, m)
     roots = tuple(fd for fd in faces_of(a) if fd != missing)
-    families = nat_face_union(a, roots, x, budget)
+    families = nat_face_union(roots, x, budget)
     keys = {fam.key(): 0 for fam in families}
     for idx in range(x.size(a)):
         key = restriction_key(x, a, idx, roots)
@@ -299,7 +339,7 @@ def inner_fibration_oracle(phi, window, budget: int = 10**7) -> FibrationReport:
             if not fd.inner:
                 continue
             roots = tuple(f for f in faces_of(a) if f != fd)
-            x_families = nat_face_union(a, roots, x, budget)
+            x_families = nat_face_union(roots, x, budget)
             x_keys: dict[tuple, list[int]] = {}
             for idx in range(x.size(a)):
                 x_keys.setdefault(restriction_key(x, a, idx, roots), []).append(idx)

@@ -228,7 +228,7 @@ def test_c06_spine_probe():
             if _step_admissible(current, step)[0]
         ]
         for current in frontier:
-            assert any(current.levels[b] != end.levels[b] for b in w.shapes())
+            assert any(current.level(b) != end.level(b) for b in w.shapes())
 
     r = spine_probe(shape(2, 1), "outer", budget=budget)
     assert r.found and r.nodes <= budget

@@ -21,7 +21,7 @@ from thetacat.subshapes import (
     SubOfRepresentable,
     WindowSpec,
     full_sub,
-    image_cells,
+    image,
     in_union_of_faces,
     spine,
     sub_union,
@@ -131,7 +131,7 @@ def test_verify_rejects_noninjective_attachment():
     )
     degenerate.validate()
     assert not is_mono_cell(degenerate)
-    assert degenerate not in spine(b, w).levels[b]
+    assert degenerate not in spine(b, w).level(b)
     for base, c, reason in [
         (a, collapse, "pullback is not the horn at level t[2]"),
         (b, degenerate, "pullback is not the horn at level t[1]"),
@@ -219,10 +219,10 @@ def test_certificate_growth_is_strict():
         assert ok
         new = _apply_step(current, step)
         assert any(
-            len(new.levels[b]) > len(current.levels[b]) for b in cert.window.shapes()
+            len(new.level(b)) > len(current.level(b)) for b in cert.window.shapes()
         )
         # never attach an already-present cell
-        assert step.attach not in current.levels[step.attach.src]
+        assert step.attach not in current.level(step.attach.src)
         current = new
 
 
@@ -302,7 +302,7 @@ def test_probe_tetrahedron_no_three_step_certificate():
                     nxt.append(_apply_step(current, step))
         frontier = nxt
         assert all(
-            any(current.levels[b] != end.levels[b] for b in w.shapes())
+            any(current.level(b) != end.level(b) for b in w.shapes())
             for current in frontier
         ), f"found a {depth + 1}-step certificate"
 
@@ -429,11 +429,8 @@ def random_closed_starts(a: Shape, w: WindowSpec, draws: int):
     out = []
     for _ in range(draws):
         chosen = rng.sample(cells, rng.randint(1, 4))
-        levels = {
-            b: frozenset().union(*(image_cells(mu, b) for mu in chosen))
-            for b in w.shapes()
-        }
-        out.append(SubOfRepresentable(a, w, levels))
+        members = frozenset().union(*(image(mu, w).cells for mu in chosen))
+        out.append(SubOfRepresentable(a, w, members))
     return out
 
 

@@ -214,6 +214,28 @@ def test_h2_cocycle_budget_report(tmp_path):
     assert data == {"command": "h2", "error": "budget exceeded", "nodes": 2**25}
 
 
+def test_budget_below_one_is_a_usage_error(tmp_path):
+    # no search fits in a budget below 1; budget 1 still runs the command
+    commands = (
+        ["check", "--mode", "cat", "--nerve", "B1:Z2", "--max-dim", "1",
+         "--max-entry", "2"],
+        ["probe", "t[2]"],
+        ["h2", "--group", "Z2", "--coeff", "Z2"],
+    )
+    for argv in commands:
+        for budget in ("-1", "0"):
+            proc = subprocess.run(
+                [sys.executable, "-m", "thetacat.cli", *argv, "--budget", budget],
+                capture_output=True,
+                text=True,
+            )
+            assert proc.returncode == 1, (argv, budget, proc.stderr)
+            assert proc.stdout == ""
+            assert proc.stderr == f"thetacat: budget must be at least 1, got {budget}\n"
+        code, data = run_cli(tmp_path, *argv, "--budget", "1")
+        assert code == 3 and data["command"] == argv[0], argv
+
+
 def test_certify_command(tmp_path):
     code, data = run_cli(tmp_path, "certify", "t[2]", "--gamma", "1:0,1:2")
     assert code == 0

@@ -260,7 +260,7 @@ def test_nat_face_union_inner_horn_of_triangle():
     b1 = nerve_b1(cyclic(2))
     a = shape(2)
     roots = tuple(fd for fd in faces_of(a) if not (fd.k == 1 and fd.m == 1))
-    fams = nat_face_union(a, roots, b1)
+    fams = nat_face_union(roots, b1)
     assert len(fams) == 4
     keys = {fam.key() for fam in fams}
     hits = set(zip(*(b1.action(face_class(fd)) for fd in roots)))
@@ -303,17 +303,17 @@ def test_nat_face_union_matches_per_call_tables(name):
     horns = [(a, fd) for a in MEMO_SHAPES for fd in faces_of(a)]
     oracle_x = MEMO_PRESHEAVES[name]()
     expected = {
-        (a, fd): face_union_oracle(a, _horn_roots(a, fd), oracle_x) for a, fd in horns
+        (a, fd): face_union_oracle(_horn_roots(a, fd), oracle_x) for a, fd in horns
     }
     for order in (horns, horns[::-1]):
         x = MEMO_PRESHEAVES[name]()
         for a, fd in order:
-            assert nat_face_union(a, _horn_roots(a, fd), x) == expected[(a, fd)]
+            assert nat_face_union(_horn_roots(a, fd), x) == expected[(a, fd)]
 
 
-def _outcome(route, a, roots, x, budget):
+def _outcome(route, roots, x, budget):
     try:
-        return [f.values for f in route(a, roots, x, budget)], None
+        return [f.values for f in route(roots, x, budget)], None
     except BudgetExceededError as exc:
         return None, exc.count
 
@@ -327,8 +327,8 @@ def test_nat_face_union_budget_trips_like_per_call_tables(a, k, m, nodes):
     x, oracle_x = nerve_b2_strict(cyclic(2)), nerve_b2_strict(cyclic(2))
     roots = _horn_roots(a, face_descriptor(a, k, m))
     for budget in range(1, nodes + 1):
-        want = _outcome(face_union_oracle, a, roots, oracle_x, budget)
-        assert _outcome(nat_face_union, a, roots, x, budget) == want, budget
+        want = _outcome(face_union_oracle, roots, oracle_x, budget)
+        assert _outcome(nat_face_union, roots, x, budget) == want, budget
         assert (want[1] is None) == (budget == nodes)
 
 
@@ -339,7 +339,7 @@ def test_face_union_families_agree_with_cell_search():
         w = window_for(a)
         for fd in faces_of(a):
             roots = tuple(f for f in faces_of(a) if f != fd)
-            via_roots = nat_face_union(a, roots, b1)
+            via_roots = nat_face_union(roots, b1)
             via_cells = nat_cells(horn(a, fd.k, fd.m, w), b1)
             assert len(via_roots) == len(via_cells)
 
@@ -351,7 +351,7 @@ def test_face_union_families_are_natural():
     for fd in faces_of(a):
         roots = tuple(f for f in faces_of(a) if f != fd)
         sub = horn(a, fd.k, fd.m, w)
-        for fam in nat_face_union(a, roots, b1):
+        for fam in nat_face_union(roots, b1):
             assert family_is_natural(sub, b1, fam.value_at)
 
 
@@ -392,7 +392,7 @@ def test_naturality_beyond_window_sampling():
     b1 = nerve_b1(cyclic(2))
     a = shape(2)
     roots = tuple(fd for fd in faces_of(a) if not (fd.k == 1 and fd.m == 1))
-    fams = nat_face_union(a, roots, b1)
+    fams = nat_face_union(roots, b1)
     outside = [shape(1, 1, 1, 1), shape(2, 2, 1), shape(3, 1)]
     horn_sub = horn(a, 1, 1, window_for(a))
     for _ in range(50):

@@ -7,6 +7,10 @@ from conftest import (
     classical_cells,
     classical_horn,
     classical_spine,
+    levelwise_composites,
+    levelwise_image,
+    levelwise_pullback,
+    levelwise_sub,
     shapes_with,
 )
 from thetacat.errors import WindowInsufficientError
@@ -20,10 +24,12 @@ from thetacat.subshapes import (
     face_membership,
     full_sub,
     horn,
-    image_cells,
+    image,
+    in_union_of_faces,
     nondegenerate_cells,
     pullback_along,
     spine,
+    spine_membership,
     sub_algebra,
     sub_intersect,
     sub_union,
@@ -85,7 +91,7 @@ def test_boundary_of_interval():
 def test_boundary_of_point_is_empty():
     w = window_for(POINT)
     bd = boundary(POINT, w)
-    assert all(not cells for cells in bd.levels.values())
+    assert all(not bd.level(b) for b in w.shapes())
 
 
 def test_boundary_t11_level_interval():
@@ -234,7 +240,7 @@ def test_pullback_examples():
     fc = face_class(face_descriptor(a, 1, 1))
     pb = pullback_along(horn(a, 1, 1, w), fc)
     bd = boundary(shape(1), WindowSpec(w.max_dim, w.max_entry))
-    assert pb.levels == bd.levels
+    assert [pb.level(b) for b in w.shapes()] == [bd.level(b) for b in w.shapes()]
     # pullback of anything full along any class is full
     for c in enumerate_hom(shape(1), a):
         assert sub_algebra(
@@ -259,14 +265,14 @@ def test_nondegenerate_cells_match_brute_force():
         w = sub.window
         brute = set()
         for b in w.shapes():
-            for s in sub.levels[b]:
+            for s in sub.level(b):
                 degenerate = False
                 for b2 in w.shapes():
                     for e in epi_classes_between(b, b2):
                         if e.is_identity():
                             continue
                         if any(
-                            compose_classes(s2, e) == s for s2 in sub.levels[b2]
+                            compose_classes(s2, e) == s for s2 in sub.level(b2)
                         ):
                             degenerate = True
                 if not degenerate:
@@ -285,9 +291,100 @@ def test_face_image_is_image_of_face_class():
         for fd in faces_of(a):
             for b in w.shapes():
                 members = {s for s in enumerate_hom(b, a) if face_membership(s, fd)}
-                assert members == image_cells(face_class(fd), b), (a, fd, b)
+                assert members == image(face_class(fd), w).level(b), (a, fd, b)
                 checked += 1
     assert checked == 858
+
+
+# ---------------------------------------------------------------------------
+# the stored mono cells against the levelwise oracle
+
+DIFFERENTIAL_SHAPES = [*WindowSpec(2, 2).shapes(), shape(3), shape(2, 1, 1)]
+
+
+def _face_built(a: Shape, w: WindowSpec):
+    """(subobject, oracle levels) for full_sub, boundary, spine, every
+    face image and horn, and every union of faces of `a`."""
+    fds = faces_of(a)
+    out = [
+        (full_sub(a, w), levelwise_sub(a, w, lambda s: True)),
+        (boundary(a, w), levelwise_sub(a, w, lambda s: in_union_of_faces(s, fds))),
+        (spine(a, w), levelwise_sub(a, w, spine_membership)),
+    ]
+    for fd in fds:
+        others = [f for f in fds if f != fd]
+        out.append(
+            (face_image(fd, w), levelwise_sub(a, w, lambda s: face_membership(s, fd)))
+        )
+        out.append(
+            (
+                horn(a, fd.k, fd.m, w),
+                levelwise_sub(a, w, lambda s: in_union_of_faces(s, others)),
+            )
+        )
+    for r in range(len(fds) + 1):
+        for chosen in itertools.combinations(fds, r):
+            out.append(
+                (
+                    union_of_faces(a, chosen, w),
+                    levelwise_sub(a, w, lambda s: in_union_of_faces(s, chosen)),
+                )
+            )
+    return out
+
+
+def _assert_levels(u: SubOfRepresentable, levels: dict) -> None:
+    """Derived levels and membership against the oracle at every shape."""
+    for b in u.window.shapes():
+        assert u.level(b) == levels[b], (u.base, b)
+        for s in enumerate_hom(b, u.base):
+            assert (s in u) == (s in levels[b]), s
+
+
+def _assert_pairs(built) -> None:
+    """`==`, `hash` and `is_subset` against the levelwise comparison on
+    every pair of `built` (subobjects of one base and window).
+
+    Equality is checked within each class of equal oracle levels and
+    between one representative of each class, so every pair is covered:
+    equal subobjects have equal cells, hence the same subset relations.
+    """
+    shapes = built[0][0].window.shapes()
+    classes: dict[tuple, list] = {}
+    for u, levels in built:
+        classes.setdefault(tuple(levels[b] for b in shapes), []).append(u)
+    reps = []
+    for key, subs in classes.items():
+        assert all(u == subs[0] and hash(u) == hash(subs[0]) for u in subs)
+        reps.append((subs[0], key))
+    for (u, ku), (v, kv) in itertools.product(reps, repeat=2):
+        assert (u == v) == (ku == kv)
+        assert u.is_subset(v) == all(x <= y for x, y in zip(ku, kv))
+
+
+@pytest.mark.parametrize("a", DIFFERENTIAL_SHAPES, ids=str)
+def test_mono_cells_match_levelwise_oracle(a):
+    w = window_for(a)
+    built = _face_built(a, w)
+    # every image, and every pullback of a distinct face-built subobject,
+    # along every class from a window shape
+    distinct = dict(built)
+    images = []
+    pulled: dict = {}  # source shape -> list of (pullback, oracle levels)
+    for c in (c for b in w.shapes() for c in enumerate_hom(b, a)):
+        composites = levelwise_composites(c, w)
+        images.append((image(c, w), levelwise_image(composites)))
+        pulled.setdefault(c.src, []).extend(
+            (pullback_along(u, c), levelwise_pullback(levels, composites))
+            for u, levels in distinct.items()
+        )
+    for u, levels in built + images:
+        _assert_levels(u, levels)
+    _assert_pairs(built + images)
+    for group in pulled.values():
+        _assert_pairs(group)
+        for u, levels in dict(group).items():
+            _assert_levels(u, levels)
 
 
 def test_face_intersections_brute_force():
