@@ -57,6 +57,8 @@ def parse_mode(text: str) -> Mode:
         kind, n = text.split(":", 1)
         if kind not in ("n-strict", "n-cat"):
             raise ValueError(f"unknown mode {text!r}")
+        if int(n) < 0:
+            raise ValueError(f"mode {text!r} needs n >= 0")
         return Mode(kind, int(n))
     if text not in ("cat", "groupoid", "strict-cat", "strict-groupoid"):
         raise ValueError(f"unknown mode {text!r}")

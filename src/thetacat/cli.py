@@ -172,12 +172,9 @@ def cmd_check(args) -> int:
 def cmd_certify(args) -> int:
     a = _parse_shape_arg(args.shape)
     try:
-        gamma = [
-            (int(tok.split(":")[0]), int(tok.split(":")[1]))
-            for tok in args.gamma.split(",")
-            if tok
-        ]
-    except (ValueError, IndexError):
+        pairs = (map(int, tok.split(":")) for tok in args.gamma.split(",") if tok)
+        gamma = [(k, m) for k, m in pairs]  # unpacking needs exactly two fields
+    except ValueError:
         return _usage_error(f"bad gamma list {args.gamma!r}")
     try:
         cert = certify_union_inclusion(a, gamma)

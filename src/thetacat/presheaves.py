@@ -26,7 +26,7 @@ from .errors import BudgetExceededError
 from .subshapes import (
     SubOfRepresentable,
     WindowSpec,
-    face_intersection_cells,
+    common_cells,
     nondegenerate_cells,
 )
 from .theta import (
@@ -441,7 +441,7 @@ def _face_pair_supports(x: Presheaf, fd1: FaceDescriptor, fd2: FaceDescriptor):
     faces over their full levels, or None when the faces share no cell.
     Memoized on x: every horn of a shape reuses its face pairs' tables."""
     if (fd1, fd2) not in x._face_pairs:
-        shared = face_intersection_cells(fd1, fd2)
+        shared = common_cells(face_class(fd1), face_class(fd2))
         supports = None
         if shared:
             keys1, keys2 = _shared_keys(x, fd1, shared), _shared_keys(x, fd2, shared)

@@ -20,7 +20,7 @@ from dataclasses import dataclass
 from functools import lru_cache
 from typing import Iterable, NamedTuple
 
-from .delta import MonotoneMap, coface_map, constant_map, identity_map
+from .delta import MonotoneMap, constant_map
 from .errors import WindowInsufficientError
 from .theta import (
     FaceDescriptor,
@@ -29,7 +29,6 @@ from .theta import (
     compose_classes,
     enumerate_hom,
     epi_mono_factor_class,
-    face_class,
     face_descriptor,
     faces_of,
     mono_cells_into,
@@ -150,17 +149,6 @@ class SubOfRepresentable:
                                 f"not closed: {s} along {f} at level {b1}"
                             )
 
-    def to_json(self) -> dict:
-        return {
-            "base": list(self.base.entries),
-            "window": self.window.to_json(),
-            "levels": [
-                {"shape": list(b.entries), "cells": [s.to_json() for s in cells]}
-                for b in self.window.shapes()
-                if (cells := self.cells_sorted(b))
-            ],
-        }
-
 
 def _cell_key(s: MorphismClass):
     return (s.degree, tuple(f.values for f in s.components), s.src)
@@ -267,84 +255,40 @@ def nondegenerate_cells(u: SubOfRepresentable) -> list[tuple[Shape, MorphismClas
 
 
 # ---------------------------------------------------------------------------
-# maximal common cells of two faces (drives the horn-filling solver)
+# maximal common cells of two mono cells (drives the horn-filling solver)
 
 
-def face_intersection_cells(
-    fd1: FaceDescriptor, fd2: FaceDescriptor
-) -> tuple[MorphismClass, ...]:
-    """Maximal cells generating the intersection of two face images.
+def common_cells(c1: MorphismClass, c2: MorphismClass) -> tuple[MorphismClass, ...]:
+    """The maximal mono cells of image(c1) & image(c2), for mono cells into
+    one shape, ordered by their constant value.
 
-    Every cell lying in both faces factors through one of the returned
-    canonical mono cells, and each returned cell lies in both faces.
+    A mono cell lies in image(c) exactly when its degree is at most c's
+    and each component takes values among those of c's (`factor_through`).
+    So intersect the value sets coordinatewise up to the first set with
+    fewer than two values (a degree component is constant, so there is
+    one), stepping back a coordinate if that set is empty.  Every common
+    cell factors through the cell that includes the sets below the last
+    coordinate and is constant at one of its values there.
     """
-    a = fd1.base
-    if fd2.base != a:
-        raise ValueError("faces of different shapes")
-    if fd1 == fd2:
-        return (face_class(fd1),)
-    d = a.dim
-    k1, m1, k2, m2 = fd1.k, fd1.m, fd2.k, fd2.m
-    if k1 == k2:
-        k, ak = k1, a.entry(k1)
-        if ak >= 2:
-            if ak - 2 >= 1:
-                comps = []
-                for j in range(1, d + 1):
-                    if j == k:
-                        vals = tuple(v for v in range(ak + 1) if v not in (m1, m2))
-                        comps.append(MonotoneMap(ak - 2, ak, vals))
-                    else:
-                        comps.append(identity_map(a.entry(j)))
-                comps.append(constant_map(0, a.entry(d + 1), 0))
-                src = Shape(
-                    a.entries[: k - 1] + (ak - 2,) + a.entries[k:]
-                )
-                return (MorphismClass(src, a, tuple(comps)),)
-            # entry 2, both outer vertices removed: only the middle vertex
-            v = next(x for x in range(3) if x not in (m1, m2))
-            if k == d:
-                comps = [identity_map(a.entry(j)) for j in range(1, d)]
-                comps.append(constant_map(0, ak, v))
-                return (MorphismClass(Shape(a.entries[:-1]), a, tuple(comps)),)
-            comps = [identity_map(a.entry(j)) for j in range(1, k)]
-            comps.append(constant_map(0, ak, v))
-            return (MorphismClass(Shape(a.entries[: k - 1]), a, tuple(comps)),)
-        # twin faces of a dropped coordinate: everything of lower degree
-        if d == 1:
-            return ()
-        src = Shape(a.entries[: d - 2])
-        cells = []
-        for v in range(a.entry(d - 1) + 1):
-            comps = [identity_map(a.entry(j)) for j in range(1, d - 1)]
-            comps.append(constant_map(0, a.entry(d - 1), v))
-            cells.append(MorphismClass(src, a, tuple(comps)))
-        return tuple(cells)
-    if k1 > k2:
-        fd1, fd2 = fd2, fd1
-        k1, m1, k2, m2 = fd1.k, fd1.m, fd2.k, fd2.m
-    if a.entry(k2) >= 2:
-        comps = []
-        entries = list(a.entries)
-        for j in range(1, d + 1):
-            if j == k1:
-                comps.append(coface_map(a.entry(j), m1))
-                entries[j - 1] -= 1
-            elif j == k2:
-                comps.append(coface_map(a.entry(j), m2))
-                entries[j - 1] -= 1
-            else:
-                comps.append(identity_map(a.entry(j)))
-        comps.append(constant_map(0, a.entry(d + 1), 0))
-        return (MorphismClass(Shape(tuple(entries)), a, tuple(comps)),)
-    # k2 = d drops its coordinate, k1 < d decrements
-    comps = []
-    entries = list(a.entries[:-1])
-    for j in range(1, d):
-        if j == k1:
-            comps.append(coface_map(a.entry(j), m1))
-            entries[j - 1] -= 1
-        else:
-            comps.append(identity_map(a.entry(j)))
-    comps.append(constant_map(0, 1, 1 - m2))
-    return (MorphismClass(Shape(tuple(entries)), a, tuple(comps)),)
+    a = c1.dst
+    if c2.dst != a:
+        raise ValueError(f"{c1} and {c2} land in different shapes")
+    sets = []
+    for f1, f2 in zip(c1.components, c2.components):
+        sets.append(tuple(v for v in f1.values if v in f2.values))
+        if len(sets[-1]) < 2:
+            break
+    if not sets[-1]:
+        sets.pop()
+    if not sets:
+        return ()
+    *below, top = sets
+    src = Shape(tuple(len(vals) - 1 for vals in below))
+    comps = tuple(
+        MonotoneMap(len(vals) - 1, a.entry(j), vals)
+        for j, vals in enumerate(below, start=1)
+    )
+    q = len(sets)
+    return tuple(
+        MorphismClass(src, a, comps + (constant_map(0, a.entry(q), v),)) for v in top
+    )

@@ -16,7 +16,7 @@ from thetacat.presheaves import (
     _shared_keys,
     nat_face_union,
 )
-from thetacat.subshapes import SubOfRepresentable, face_intersection_cells, horn
+from thetacat.subshapes import SubOfRepresentable, common_cells, horn
 from thetacat.theta import (
     FaceDescriptor,
     MorphismClass,
@@ -274,7 +274,7 @@ def face_union_oracle(
         arr1 = {}
         for j in range(i + 1, len(roots)):
             fd2 = roots[j]
-            shared = face_intersection_cells(fd1, fd2)
+            shared = common_cells(face_class(fd1), face_class(fd2))
             if not shared:
                 continue
             keys1, keys2 = _shared_keys(x, fd1, shared), _shared_keys(x, fd2, shared)

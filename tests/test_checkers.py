@@ -30,6 +30,8 @@ def test_parse_mode():
     assert parse_mode("n-cat:1") == Mode("n-cat", 1)
     with pytest.raises(ValueError):
         parse_mode("weak-cat")
+    with pytest.raises(ValueError):
+        parse_mode("n-cat:-3")
 
 
 def test_horn_filling_group_nerve_unique():

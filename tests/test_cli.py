@@ -1,4 +1,6 @@
 import copy
+import importlib
+import importlib.util
 import json
 import re
 import subprocess
@@ -175,6 +177,7 @@ def test_tables_not_covering_the_window_exit_1(tmp_path):
 def test_check_usage_errors(tmp_path):
     assert main(["check", "--mode", "cat"]) == 1
     assert main(["check", "--mode", "nonsense", "--nerve", "B1:Z2"]) == 1
+    assert main(["check", "--mode", "n-cat:-3", "--nerve", "B1:Z2"]) == 1
     assert main(["check", "--mode", "cat", "--nerve", "B9:Z2"]) == 1
 
 
@@ -245,6 +248,7 @@ def test_certify_command(tmp_path):
 def test_certify_bad_gamma(tmp_path):
     assert main(["certify", "t[2]", "--gamma", "1:0"]) == 1
     assert main(["certify", "t[2]", "--gamma", "zzz"]) == 1
+    assert main(["certify", "t[2,2]", "--gamma", "1:0:9,1:2,2:0,2:2,2:1:junk"]) == 1
 
 
 def test_probe_full(tmp_path):
@@ -519,3 +523,18 @@ def test_cli_inputs_and_budgets_never_traceback(case):
         argv = ["check", "--mode", "cat", "--max-dim", "1", "--max-entry", "2",
                 "--input", str(path)]
         assert main(argv) in (0, 1, 2, 3)
+
+
+def test_bench_tracer_targets_resolve():
+    # bench/tracer.py rebinds thetacat functions by name; a rename in src/
+    # must fail here rather than in a `--trace 1` benchmark run
+    path = Path(__file__).resolve().parents[1] / "bench" / "tracer.py"
+    spec = importlib.util.spec_from_file_location("bench_tracer", path)
+    tracer = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(tracer)
+    for mod_name, fn_name, _, _ in tracer.FUNCTIONS:
+        module = importlib.import_module(f"thetacat.{mod_name}")
+        assert callable(getattr(module, fn_name, None)), (mod_name, fn_name)
+    theta = importlib.import_module("thetacat.theta")
+    for fn_name in tracer.CACHED:
+        assert hasattr(getattr(theta, fn_name), "cache_info"), fn_name

@@ -19,8 +19,8 @@ from thetacat.subshapes import (
     SubOfRepresentable,
     WindowSpec,
     boundary,
+    common_cells,
     face_image,
-    face_intersection_cells,
     face_membership,
     full_sub,
     horn,
@@ -48,6 +48,7 @@ from thetacat.theta import (
     faces_of,
     identity_class,
     is_mono_cell,
+    mono_cells_into,
     outer_faces,
     shape,
 )
@@ -392,7 +393,7 @@ def test_face_intersections_brute_force():
     for a in cases:
         w = window_for(a)
         for fd1, fd2 in itertools.combinations(faces_of(a), 2):
-            cells = face_intersection_cells(fd1, fd2)
+            cells = common_cells(face_class(fd1), face_class(fd2))
             for b in w.shapes():
                 want = {
                     s
@@ -405,10 +406,18 @@ def test_face_intersections_brute_force():
                         compose_classes(c, t) for t in enumerate_hom(b, c.src)
                     }
                 assert want == got, (a, fd1, fd2, b)
-
-
-def test_sub_json_shape():
-    a = shape(1, 1)
-    data = boundary(a, window_for(a)).to_json()
-    assert data["base"] == [1, 1]
-    assert all("shape" in lv and "cells" in lv for lv in data["levels"])
+    # any two mono cells: the common cells lie in both images, generate
+    # their intersection, and none factors through another
+    cases = list(WindowSpec(2, 2).shapes()) + [
+        shape(3), shape(2, 1, 1), shape(1, 2, 1), shape(2, 2, 1)
+    ]
+    for a in cases:
+        w = window_for(a)
+        images = {c: image(c, w) for c in mono_cells_into(a)}
+        for c1, c2 in itertools.combinations_with_replacement(images, 2):
+            cells = common_cells(c1, c2)
+            assert all(r in images[c1] and r in images[c2] for r in cells), (c1, c2)
+            generated = frozenset().union(*(images[r].cells for r in cells))
+            assert generated == images[c1].cells & images[c2].cells, (c1, c2)
+            for r1, r2 in itertools.permutations(cells, 2):
+                assert r1 not in images[r2], (c1, c2, r1, r2)
