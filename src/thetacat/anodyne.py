@@ -112,8 +112,13 @@ def _apply_step(current: SubOfRepresentable, step: Step) -> SubOfRepresentable:
     return sub_union(current, image(step.attach, current.window))
 
 
-def _step_admissible(current: SubOfRepresentable, step: Step) -> tuple[bool, str]:
-    """Whether attaching `step` is a pushout of its inner horn.
+_NOT_THE_HORN = "pullback is not the horn at level {}"
+
+
+def _step_fault(current: SubOfRepresentable, step: Step) -> tuple | None:
+    """None when attaching `step` is a pushout of its inner horn, else why
+    not, as a format string and its arguments: the search reads only the
+    verdict, and `_step_admissible` formats the reason.
 
     Exact for a `current` closed under precomposition, by L1-L3 of the
     module docstring: c is new, and c . face_class(fd) is present for
@@ -122,23 +127,32 @@ def _step_admissible(current: SubOfRepresentable, step: Step) -> tuple[bool, str
     c = step.attach
     k, m = step.horn
     if c.src != step.cell:
-        return False, "attaching class does not start at the step cell"
+        return ("attaching class does not start at the step cell",)
     try:
         fd = face_descriptor(step.cell, k, m)
     except ValueError as exc:
-        return False, str(exc)
+        return ("{}", exc)
     if not fd.inner:
-        return False, f"horn ({k},{m}) of {step.cell} is not inner"
+        return ("horn ({},{}) of {} is not inner", k, m, step.cell)
     current.window.require_covers(step.cell)
     # implied by the horn face's test below, by closure; checked first
     # because it rejects most candidates of the search without a composite
     if c in current:
-        return False, f"pullback is not the horn at level {step.cell}"
+        return (_NOT_THE_HORN, step.cell)
     for other in faces_of(step.cell):
         present = compose_classes(c, face_class(other)) in current
         if present == (other == fd):
-            return False, f"pullback is not the horn at level {other.target}"
-    return True, ""
+            return (_NOT_THE_HORN, other.target)
+    return None
+
+
+def _step_admissible(current: SubOfRepresentable, step: Step) -> tuple[bool, str]:
+    """Whether attaching `step` is a pushout of its inner horn, and if not,
+    the reason (see `_step_fault`)."""
+    fault = _step_fault(current, step)
+    if fault is None:
+        return True, ""
+    return False, fault[0].format(*fault[1:])
 
 
 def verify_certificate(cert: AnodyneCertificate) -> VerifyReport:
@@ -330,8 +344,7 @@ def spine_probe(
             nodes += 1
             if nodes > budget:
                 raise BudgetExceededError("probe budget exceeded", nodes)
-            ok, _ = _step_admissible(current, step)
-            if not ok:
+            if _step_fault(current, step) is not None:
                 continue
             new = _apply_step(current, step)
             if not new.is_subset(end):

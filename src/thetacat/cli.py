@@ -31,10 +31,16 @@ MAX_ENTRY_CAP = 6
 
 
 def _write_report(report: dict, out_path: str | None) -> None:
+    """Write the report to `out_path` or stdout; a path that cannot be
+    written is a usage error."""
     text = json.dumps(report, indent=2, sort_keys=True) + "\n"
     if out_path:
-        with open(out_path, "w") as fh:
-            fh.write(text)
+        try:
+            with open(out_path, "w") as fh:
+                fh.write(text)
+        except OSError as exc:
+            reason = exc.strerror or type(exc).__name__
+            raise SystemExit(_usage_error(f"cannot write {out_path}: {reason}")) from None
     else:
         sys.stdout.write(text)
 
@@ -309,16 +315,17 @@ def main(argv=None) -> int:
     if getattr(args, "budget", 1) < 1:
         return _usage_error(f"budget must be at least 1, got {args.budget}")
     try:
-        return args.fn(args)
+        try:
+            return args.fn(args)
+        except BudgetExceededError as exc:
+            _write_report(
+                {"command": args.command, "error": "budget exceeded", "nodes": exc.count},
+                args.out,
+            )
+            return 3
     except SystemExit as exc:
         code = exc.code
         return code if isinstance(code, int) else 1
-    except BudgetExceededError as exc:
-        _write_report(
-            {"command": args.command, "error": "budget exceeded", "nodes": exc.count},
-            args.out,
-        )
-        return 3
 
 
 if __name__ == "__main__":

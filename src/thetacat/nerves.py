@@ -249,23 +249,24 @@ class HomotopyReport(NamedTuple):
     h2: H2Data
 
 
-def vertex_inclusion_values(
-    h: PresheafNatFamily, cyl: ProductPresheaf, src: Presheaf, vertex: int
+def vertex_inclusion_values(h: PresheafNatFamily, indices: dict) -> dict:
+    """Restrict a cylinder family along a vertex inclusion of the interval,
+    given `vertex_indices` of that vertex."""
+    return {b: tuple(map(h.components[b].__getitem__, idx)) for b, idx in indices.items()}
+
+
+def vertex_indices(
+    cyl: ProductPresheaf, src: Presheaf, window: WindowSpec, vertex: int
 ) -> dict:
-    """Restrict a cylinder family along a vertex inclusion of the interval."""
-    window = h.window
+    """Per window shape, the cylinder index of (x, vertex) for each x of src."""
     if not isinstance(cyl.right, Representable):
         raise TypeError("cylinder must be a product with a representable interval")
     interval = cyl.right.base
-    comps = {}
+    out = {}
     for b in window.shapes():
-        vals = []
         cv = constant_class(b, interval, vertex)
-        for x in src.elements(b):
-            i = cyl.index_of(b, (x, cv))
-            vals.append(h.components[b][i])
-        comps[b] = tuple(vals)
-    return comps
+        out[b] = tuple(cyl.index_of(b, (x, cv)) for x in src.elements(b))
+    return out
 
 
 def homotopy_classes(
@@ -293,12 +294,13 @@ def homotopy_classes(
     key_of = {m.key(): i for i, m in enumerate(maps)}
     cyl = product(src, Representable(shape(1)))
     homotopies = nat_presheaves(cyl, tgt, window, budget)
+    indices = [vertex_indices(cyl, src, window, vertex) for vertex in (0, 1)]
     pairs = set()
     transcripts = []
     for h in homotopies:
         ends = []
         for vertex in (0, 1):
-            comps = vertex_inclusion_values(h, cyl, src, vertex)
+            comps = vertex_inclusion_values(h, indices[vertex])
             fam = PresheafNatFamily(src, tgt, window, comps)
             ends.append(key_of[fam.key()])
         pairs.add((ends[0], ends[1]))

@@ -10,14 +10,18 @@ are enumerated three ways, all exact:
 * out of an arbitrary subpresheaf of a representable, by solving for
   the values on its nondegenerate cells with face incidences (both
   routes give a `CellFamily`);
-* between two presheaves, by solving for all level values with
-  constraints along a generating family of classes (faces and
-  componentwise epis), which every class of the window factors through.
+* between two presheaves, by solving for the values on the
+  nondegenerate source elements, with the constraints along a
+  generating family of classes (faces and componentwise epis, which
+  every class of the window factors through) carried over to them;
+  each degenerate element's value is the action of its epi on its
+  root's value.
 """
 
 from __future__ import annotations
 
 import itertools
+from operator import getitem
 from typing import NamedTuple
 
 from .csp import Network
@@ -444,16 +448,22 @@ def _face_pair_supports(x: Presheaf, fd1: FaceDescriptor, fd2: FaceDescriptor):
         shared = common_cells(face_class(fd1), face_class(fd2))
         supports = None
         if shared:
-            keys1, keys2 = _shared_keys(x, fd1, shared), _shared_keys(x, fd2, shared)
-            masks1: dict[tuple, int] = {}  # key -> mask of the values with it
-            masks2: dict[tuple, int] = {}
-            for masks, keys in ((masks1, keys1), (masks2, keys2)):
-                for v, key in enumerate(keys):
-                    masks[key] = masks.get(key, 0) | 1 << v
-            fwd = [masks2.get(key, 0) for key in keys1]
-            supports = fwd, [masks1.get(key, 0) for key in keys2]
+            supports = _equal_key_supports(
+                _shared_keys(x, fd1, shared), _shared_keys(x, fd2, shared)
+            )
         x._face_pairs[(fd1, fd2)] = supports
     return x._face_pairs[(fd1, fd2)]
+
+
+def _equal_key_supports(keys1, keys2) -> tuple[list[int], list[int]]:
+    """The (fwd, bwd) support masks of the constraint keys1[v] == keys2[w]:
+    fwd[v] masks the w with an equal key, bwd[w] the v."""
+    masks1: dict = {}  # key -> mask of the values with it
+    masks2: dict = {}
+    for masks, keys in ((masks1, keys1), (masks2, keys2)):
+        for v, key in enumerate(keys):
+            masks[key] = masks.get(key, 0) | 1 << v
+    return [masks2.get(key, 0) for key in keys1], [masks1.get(key, 0) for key in keys2]
 
 
 def _shared_keys(x: Presheaf, fd: FaceDescriptor, shared) -> list[tuple]:
@@ -551,17 +561,23 @@ def generator_classes(window: WindowSpec) -> list[MorphismClass]:
     Every class between window shapes is a composite of these staying
     inside the window, so naturality along them implies naturality.
     """
-    gens: list[MorphismClass] = []
+    gens = [face_class(fd) for b in window.shapes() for fd in faces_of(b)]
+    return gens + epi_generators(window)
+
+
+def epi_generators(window: WindowSpec) -> list[MorphismClass]:
+    """The non-identity componentwise epis between window shapes, by source.
+
+    An epi b -> c has c.dim <= b.dim and every entry of c at most b's,
+    so c comes before b in `window.shapes()`."""
     shapes = window.shapes()
-    for b in shapes:
-        for fd in faces_of(b):
-            gens.append(face_class(fd))
-    for b1 in shapes:
-        for b2 in shapes:
-            for e in epi_classes_between(b1, b2):
-                if not e.is_identity():
-                    gens.append(e)
-    return gens
+    return [
+        e
+        for b1 in shapes
+        for b2 in shapes
+        for e in epi_classes_between(b1, b2)
+        if not e.is_identity()
+    ]
 
 
 def nat_presheaves(
@@ -570,24 +586,73 @@ def nat_presheaves(
     window: WindowSpec,
     budget: int = DEFAULT_BUDGET,
 ) -> list[PresheafNatFamily]:
-    """All natural transformations source -> target over the window."""
+    """All natural transformations source -> target over the window.
+
+    Only the nondegenerate source elements get a solver variable.  Walk
+    the shapes in window order; an element x of level b that some
+    non-identity epi e: b -> c reaches, x = e^*y, is degenerate.  The
+    first such (e, y) gives x the root of y and the array
+    g_x = target.action(e) . g_y, so that value(x) = g_x[value(root)]
+    (a root's array is the identity).  Each generator constraint
+    value(x2) = target.action(f)[value(x1)], with x2 = f^*x1, becomes
+    g_x2[value(r2)] = target.action(f)[g_x1[value(r1)]] on the roots, or
+    a filter on the domain of r when r1 = r2 = r.
+
+    Exact on any source and target: the constraints along the chosen
+    epis are the ones that fix value(x) from its root, and every other
+    constraint is kept, so the solutions on the roots expand one to one
+    to the solutions of the network on all elements.
+
+    The same search tree, for presheaves on this category: it is an
+    Eilenberg-Zilber category, so x = E^*r with E epi and r
+    nondegenerate is unique, and r is x's root and E its chain of
+    chosen epis.  A filter then compares target.action(E2) with
+    target.action(E1 . f) for E2 = E1 . f, and keeps every value.
+    target.action(E) is injective, since E has a section, so at the
+    arc-consistency fixpoint of the full network a degenerate domain is
+    g_x of its root's domain, and restricting that fixpoint to the roots
+    gives the fixpoint here and back.  Roots are numbered in the full
+    network's order (shape, then index) and a root comes before its
+    degenerate elements with domains of the same size, so the
+    minimum-remaining-values rule branches on the same variable with
+    the same values: node counts, solution order and the node a budget
+    trips at are the full network's.
+    """
     shapes = window.shapes()
+    epis = epi_generators(window)
+    arrays = {f: (source.action(f), target.action(f)) for f in generator_classes(window)}
     net = Network()
-    var_of: dict[tuple[Shape, int], int] = {}
+    roots: dict[Shape, list[tuple[int, tuple]]] = {}  # b -> (root var, g_x) per x
     for b in shapes:
-        nvals = target.size(b)
-        for i in range(source.size(b)):
-            var_of[(b, i)] = net.add_var(range(nvals))
-    for f in generator_classes(window):
-        src_arr = source.action(f)
-        tgt_arr = target.action(f)
-        for i in range(source.size(f.dst)):
-            net.add_fn(var_of[(f.dst, i)], var_of[(f.src, src_arr[i])], tgt_arr)
+        reached: list = [None] * source.size(b)
+        for e in epis:
+            if e.src != b:
+                continue
+            src_arr, tgt_arr = arrays[e]
+            for i, (r, g) in enumerate(roots[e.dst]):
+                if reached[src_arr[i]] is None:
+                    reached[src_arr[i]] = (r, tuple(tgt_arr[w] for w in g))
+        ident = tuple(range(target.size(b)))
+        roots[b] = [
+            (net.add_var(ident), ident) if entry is None else entry
+            for entry in reached
+        ]
+    constraints = {}  # identical constraints once, in first-seen order
+    for f, (src_arr, tgt_arr) in arrays.items():
+        for i, (r1, g1) in enumerate(roots[f.dst]):
+            r2, g2 = roots[f.src][src_arr[i]]
+            constraints[(r1, tuple(tgt_arr[w] for w in g1), r2, g2)] = None
+    for r1, h1, r2, g2 in constraints:
+        if r1 == r2:
+            net.domains[r1] &= sum(1 << v for v, w in enumerate(h1) if g2[v] == w)
+        else:
+            net.add_arcs(r1, r2, "fn", *_equal_key_supports(h1, g2))
+    columns = [(b, [r for r, _ in roots[b]], [g for _, g in roots[b]]) for b in shapes]
     out = []
     for sol in net.solve_all(budget):
-        comps = {}
-        for b in shapes:
-            comps[b] = tuple(sol[var_of[(b, i)]] for i in range(source.size(b)))
+        comps = {
+            b: tuple(map(getitem, gs, map(sol.__getitem__, rs))) for b, rs, gs in columns
+        }
         out.append(PresheafNatFamily(source, target, window, comps))
     out.sort(key=lambda fam: fam.key())
     return out

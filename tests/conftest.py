@@ -12,11 +12,13 @@ from thetacat.presheaves import (
     DEFAULT_BUDGET,
     CellFamily,
     Presheaf,
+    PresheafNatFamily,
     TablePresheaf,
     _shared_keys,
+    generator_classes,
     nat_face_union,
 )
-from thetacat.subshapes import SubOfRepresentable, common_cells, horn
+from thetacat.subshapes import SubOfRepresentable, WindowSpec, common_cells, horn
 from thetacat.theta import (
     FaceDescriptor,
     MorphismClass,
@@ -248,6 +250,45 @@ def full_level_step_check(current: SubOfRepresentable, step) -> tuple[bool, str]
         if pullback != inner_horn.level(b):
             return False, f"pullback is not the horn at level {b}"
     return True, ""
+
+
+# ---------------------------------------------------------------------------
+# oracle: natural families between presheaves with a variable per element
+#
+# The body of `presheaves.nat_presheaves` before it solved on the
+# nondegenerate source elements only, kept verbatim apart from its name:
+# every element of every level gets its own variable, and every
+# generator gives one functional constraint per element of its target
+# level.
+
+
+def nat_presheaves_oracle(
+    source: Presheaf,
+    target: Presheaf,
+    window: WindowSpec,
+    budget: int = DEFAULT_BUDGET,
+) -> list[PresheafNatFamily]:
+    """All natural transformations source -> target over the window."""
+    shapes = window.shapes()
+    net = Network()
+    var_of: dict[tuple[Shape, int], int] = {}
+    for b in shapes:
+        nvals = target.size(b)
+        for i in range(source.size(b)):
+            var_of[(b, i)] = net.add_var(range(nvals))
+    for f in generator_classes(window):
+        src_arr = source.action(f)
+        tgt_arr = target.action(f)
+        for i in range(source.size(f.dst)):
+            net.add_fn(var_of[(f.dst, i)], var_of[(f.src, src_arr[i])], tgt_arr)
+    out = []
+    for sol in net.solve_all(budget):
+        comps = {}
+        for b in shapes:
+            comps[b] = tuple(sol[var_of[(b, i)]] for i in range(source.size(b)))
+        out.append(PresheafNatFamily(source, target, window, comps))
+    out.sort(key=lambda fam: fam.key())
+    return out
 
 
 # ---------------------------------------------------------------------------

@@ -14,6 +14,7 @@ from thetacat.anodyne import (
     verify_certificate,
     _apply_step,
     _step_admissible,
+    _step_fault,
 )
 from thetacat.delta import MonotoneMap
 from thetacat.errors import WindowInsufficientError
@@ -359,8 +360,13 @@ PREFILTER_PROBES = [
 
 def unfiltered_probe(monkeypatch, a, target, budget=10**6):
     """`spine_probe` with every candidate decided by the full-level oracle."""
+
+    def oracle_fault(current, step):
+        ok, reason = full_level_step_check(current, step)
+        return None if ok else (reason,)
+
     with monkeypatch.context() as m:
-        m.setattr(anodyne, "_step_admissible", full_level_step_check)
+        m.setattr(anodyne, "_step_fault", oracle_fault)
         return spine_probe(a, target, budget=budget)
 
 
@@ -370,12 +376,12 @@ def test_probe_prefilter_matches_unfiltered_search(monkeypatch, text, target):
     tried = []
 
     def logged(current, step):
-        ok, reason = _step_admissible(current, step)
-        tried.append((current, step, ok))
-        return ok, reason
+        fault = _step_fault(current, step)
+        tried.append((current, step, fault is None))
+        return fault
 
     with monkeypatch.context() as m:
-        m.setattr(anodyne, "_step_admissible", logged)
+        m.setattr(anodyne, "_step_fault", logged)
         result = spine_probe(a, target)
     assert result.found
     assert len(tried) == result.nodes

@@ -239,6 +239,28 @@ def test_budget_below_one_is_a_usage_error(tmp_path):
         assert code == 3 and data["command"] == argv[0], argv
 
 
+def test_out_path_that_cannot_be_written_exit_1(tmp_path):
+    # a missing directory or a directory as --out: exit 1 with a message,
+    # after a finished run and after a budget report alike
+    missing = tmp_path / "missing" / "x.json"
+    proc = subprocess.run(
+        [sys.executable, "-m", "thetacat.cli", "h2", "--group", "Z2", "--coeff",
+         "Z2", "--out", str(missing)],
+        capture_output=True,
+        text=True,
+    )
+    assert proc.returncode == 1
+    assert proc.stdout == ""
+    assert proc.stderr == (
+        f"thetacat: cannot write {missing}: No such file or directory\n"
+    )
+    budget = ["h2", "--group", "Z3", "--coeff", "Z2", "--budget", "90"]
+    for out in (missing, tmp_path):
+        assert main(["faces", "t[2]", "--out", str(out)]) == 1
+        assert main([*budget, "--out", str(out)]) == 1
+    assert not missing.parent.exists()
+
+
 def test_certify_command(tmp_path):
     code, data = run_cli(tmp_path, "certify", "t[2]", "--gamma", "1:0,1:2")
     assert code == 0
@@ -506,16 +528,25 @@ _budget_argvs = st.builds(
     ]),
     st.sampled_from([-1, 0, 1, 10**9]),
 )
+# (argv, where --out points): a file in a missing directory, or a directory
+_out_cases = st.tuples(_budget_argvs, st.sampled_from(["missing/report.json", "."]))
 
 
 @settings(max_examples=200, derandomize=True, deadline=None)
-@given(st.one_of(_table_texts, _budget_argvs))
+@given(st.one_of(_table_texts, _budget_argvs, _out_cases))
 def test_cli_inputs_and_budgets_never_traceback(case):
     # malformed --input tables (junk levels and actions, wrong types, bad
-    # class JSON, cut-short files) and edge budgets end in an exit code;
-    # any other exception escaping main fails the test
+    # class JSON, cut-short files), edge budgets and --out paths that
+    # cannot be written end in an exit code; any other exception escaping
+    # main fails the test
     if isinstance(case, list):
         assert main(case) in (0, 1, 2, 3)
+        return
+    if isinstance(case, tuple):
+        argv, out = case
+        with tempfile.TemporaryDirectory() as tmp:
+            # a usage error, or a report that cannot be written: exit 1
+            assert main([*argv, "--out", str(Path(tmp) / out)]) == 1
         return
     with tempfile.TemporaryDirectory() as tmp:
         path = Path(tmp) / "table.json"

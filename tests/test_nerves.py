@@ -1,3 +1,4 @@
+import math
 import random
 
 import pytest
@@ -329,6 +330,28 @@ def test_homotopy_classes(gname, aname, nmaps, nclasses):
     assert rep.relation_was_reflexive
     assert rep.relation_was_symmetric
     assert rep.relation_was_transitive
+
+
+# Integral homology of the group as orders of cyclic summands:
+# H_1 is the abelianization, H_2 the Schur multiplier.
+GROUP_HOMOLOGY = {
+    "Z4": {"H1": (4,), "H2": ()},
+    "V4": {"H1": (2, 2), "H2": (2,)},
+}
+
+
+@pytest.mark.parametrize("gname", sorted(GROUP_HOMOLOGY))
+def test_homotopy_classes_by_universal_coefficients(gname):
+    # H^2(G; A) = Hom(H_2 G, A) + Ext(H_1 G, A), and for A = Z_n both
+    # Hom(Z_m, A) and Ext(Z_m, A) have gcd(m, n) elements: 2 classes on
+    # Z4/Z2 and 8 on V4/Z2
+    n = 2
+    homology = GROUP_HOMOLOGY[gname]
+    expected = math.prod(math.gcd(m, n) for m in homology["H2"] + homology["H1"])
+    rep = homotopy_classes(builtin_group(gname), cyclic(n))
+    assert rep.num_classes == rep.h2.classes == expected
+    assert rep.agree and rep.counterexample is None
+    assert rep.relation_was_reflexive and rep.relation_was_symmetric
 
 
 def test_homotopy_window_precondition():

@@ -8,12 +8,21 @@ from conftest import (
     constants_to_all_ones,
     face_union_oracle,
     family_is_natural,
+    nat_presheaves_oracle,
     shapes_with,
     swap_in_first_row,
 )
+from thetacat.csp import Network
 from thetacat.errors import BudgetExceededError
-from thetacat.groups import cyclic, klein_four, symmetric_3
-from thetacat.nerves import NerveB2EM, nerve_b1, nerve_b2_em, nerve_b2_strict
+from thetacat.groups import builtin_group, cyclic, klein_four, symmetric_3
+from thetacat.nerves import (
+    H2_WINDOW,
+    NerveB1,
+    NerveB2EM,
+    nerve_b1,
+    nerve_b2_em,
+    nerve_b2_strict,
+)
 from thetacat.presheaves import (
     Presheaf,
     ProductPresheaf,
@@ -21,6 +30,7 @@ from thetacat.presheaves import (
     SubAsPresheaf,
     TablePresheaf,
     TerminalPresheaf,
+    DEFAULT_BUDGET,
     check_functoriality,
     enumerate_nat,
     extend,
@@ -375,6 +385,106 @@ def test_nat_presheaves_vs_subaspresheaf():
     as_presheaf = SubAsPresheaf(sub)
     fams = nat_presheaves(as_presheaf, b1, w)
     assert len(fams) == len(nat_cells(sub, b1)) == 4
+
+
+# ---------------------------------------------------------------------------
+# nat_presheaves on nondegenerate elements against the per-element oracle
+
+
+def _nat_outcome(monkeypatch, builder, source, target, window, budget=DEFAULT_BUDGET):
+    """(family keys, solver nodes), or (None, the node the budget trips at)."""
+    nets = []
+    solve_all = Network.solve_all
+
+    def spy(net, budget):
+        nets.append(net)
+        return solve_all(net, budget)
+
+    with monkeypatch.context() as m:
+        m.setattr(Network, "solve_all", spy)
+        try:
+            fams = builder(source, target, window, budget)
+        except BudgetExceededError as exc:
+            return None, exc.count
+    return [fam.key() for fam in fams], nets[0]._nodes
+
+
+def _h2_networks(gname, aname):
+    """The maps and the cylinder network of `homotopy_classes` on (G, A)."""
+    src, tgt = NerveB1(builtin_group(gname)), NerveB2EM(builtin_group(aname))
+    return {"maps": (src, tgt), "cylinder": (product(src, Representable(shape(1))), tgt)}
+
+
+@pytest.mark.parametrize(
+    "gname, aname",
+    [(g, a) for g in ("Z2", "Z3") for a in ("Z2", "Z3", "Z4")]
+    + [("Z4", "Z2"), ("V4", "Z2")],
+)
+def test_nat_presheaves_matches_per_element_oracle_on_h2(monkeypatch, gname, aname):
+    # the same families in the same order, and the same search tree
+    for kind, (source, target) in _h2_networks(gname, aname).items():
+        want = _nat_outcome(monkeypatch, nat_presheaves_oracle, source, target, H2_WINDOW)
+        got = _nat_outcome(monkeypatch, nat_presheaves, source, target, H2_WINDOW)
+        assert got == want, kind
+        assert want[0], kind
+
+
+def _presheaf_pairs():
+    """The source, target and window of the other nat_presheaves calls of
+    this module, and a representable source."""
+    x1, y1 = truncate(nerve_b1(cyclic(2)), 1), truncate(nerve_b1(cyclic(3)), 1)
+    a = shape(2)
+    w = window_for(a)
+    return [
+        (x1, y1, WindowSpec(1, 2)),
+        (extend(x1, 1), extend(y1, 1), WindowSpec(2, 2)),
+        (SubAsPresheaf(horn(a, 1, 1, w)), nerve_b1(cyclic(2)), w),
+        (Representable(shape(2, 1)), nerve_b1(cyclic(3)), window_for(shape(2, 1))),
+    ]
+
+
+@pytest.mark.parametrize("case", range(4))
+def test_nat_presheaves_matches_per_element_oracle_on_small_pairs(monkeypatch, case):
+    source, target, window = _presheaf_pairs()[case]
+    want = _nat_outcome(monkeypatch, nat_presheaves_oracle, source, target, window)
+    assert _nat_outcome(monkeypatch, nat_presheaves, source, target, window) == want
+    assert want[0]
+
+
+def test_nat_presheaves_exact_between_tables_that_are_not_presheaves():
+    # substituting through the degenerate elements keeps every constraint,
+    # so the families agree even where the search trees need not
+    w = WindowSpec(2, 2)
+    table = TablePresheaf.from_presheaf(nerve_b1(cyclic(3)), w)
+    for bad in (swap_in_first_row(table), constants_to_all_ones(table)):
+        assert not check_functoriality(bad, w).ok
+        for source, target in ((bad, table), (table, bad), (bad, bad)):
+            want = [fam.key() for fam in nat_presheaves_oracle(source, target, w)]
+            assert [fam.key() for fam in nat_presheaves(source, target, w)] == want
+
+
+@pytest.mark.parametrize("gname, aname", [("Z2", "Z2"), ("Z3", "Z2")])
+def test_nat_presheaves_budget_trips_like_per_element_oracle(monkeypatch, gname, aname):
+    # every budget from 1 up to the cylinder's node count.  The solver
+    # counts nodes one by one, so a search of `nodes` nodes trips at
+    # budget + 1 below `nodes` and finishes from there on; the oracle is
+    # run at a few budgets to confirm that, and the expectation it gives
+    # stands in for the oracle at the others, whose every run costs ~0.2 s
+    source, target = _h2_networks(gname, aname)["cylinder"]
+    keys, nodes = _nat_outcome(
+        monkeypatch, nat_presheaves_oracle, source, target, H2_WINDOW
+    )
+
+    def want(budget):
+        return (keys, nodes) if budget >= nodes else (None, budget + 1)
+
+    for budget in sorted({1, nodes // 2, nodes - 1, nodes}):
+        assert _nat_outcome(
+            monkeypatch, nat_presheaves_oracle, source, target, H2_WINDOW, budget
+        ) == want(budget), budget
+    for budget in range(1, nodes + 1):
+        got = _nat_outcome(monkeypatch, nat_presheaves, source, target, H2_WINDOW, budget)
+        assert got == want(budget), budget
 
 
 def test_budget_exceeded():
