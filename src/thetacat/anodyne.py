@@ -117,13 +117,10 @@ _NOT_THE_HORN = "pullback is not the horn at level {}"
 
 def _step_fault(current: SubOfRepresentable, step: Step) -> tuple | None:
     """None when attaching `step` is a pushout of its inner horn, else why
-    not, as a format string and its arguments: the search reads only the
-    verdict, and `_step_admissible` formats the reason.
-
-    Exact for a `current` closed under precomposition, by L1-L3 of the
-    module docstring: c is new, and c . face_class(fd) is present for
-    exactly the faces fd of the step cell other than the horn face.
-    """
+    not, as a format string and its arguments: `_step_admissible` formats
+    the reason.  The guards come first: the class starts at the step
+    cell, (k, m) is an inner face of it, and the window covers it; then
+    `_pushout_fault` decides the pushout."""
     c = step.attach
     k, m = step.horn
     if c.src != step.cell:
@@ -135,11 +132,25 @@ def _step_fault(current: SubOfRepresentable, step: Step) -> tuple | None:
     if not fd.inner:
         return ("horn ({},{}) of {} is not inner", k, m, step.cell)
     current.window.require_covers(step.cell)
+    return _pushout_fault(current, c, fd)
+
+
+def _pushout_fault(
+    current: SubOfRepresentable, c: MorphismClass, fd: FaceDescriptor
+) -> tuple | None:
+    """The pushout part of `_step_fault`, for a class c out of fd.base that
+    passed its guards: the search builds only such candidates and reads
+    only the verdict.
+
+    Exact for a `current` closed under precomposition, by L1-L3 of the
+    module docstring: c is new, and c . face_class(other) is present for
+    exactly the faces other of the step cell other than the horn face fd.
+    """
     # implied by the horn face's test below, by closure; checked first
     # because it rejects most candidates of the search without a composite
     if c in current:
-        return (_NOT_THE_HORN, step.cell)
-    for other in faces_of(step.cell):
+        return (_NOT_THE_HORN, fd.base)
+    for other in faces_of(fd.base):
         present = compose_classes(c, face_class(other)) in current
         if present == (other == fd):
             return (_NOT_THE_HORN, other.target)
@@ -317,14 +328,16 @@ def spine_probe(
     shapes_order = sorted(
         window.shapes(), key=lambda c: (c.dim + sum(c.entries), c.dim, c.entries)
     )
+    # (attaching class, horn face): window shapes and their inner faces
+    # pass the guards of `_step_fault`, so the search checks only the
+    # pushout
     candidates = []
     for c_shape in shapes_order:
-        horns = [(fd.k, fd.m) for fd in inner_faces(c_shape)]
+        horns = inner_faces(c_shape)
         if not horns:
             continue
         for c in enumerate_hom(c_shape, a):
-            for h in horns:
-                candidates.append(Step(c_shape, c, h))
+            candidates.extend((c, fd) for fd in horns)
 
     nodes = 0
     seen: set[SubOfRepresentable] = set()
@@ -340,12 +353,13 @@ def spine_probe(
         if current in seen:
             return False
         seen.add(current)
-        for step in candidates:
+        for c, fd in candidates:
             nodes += 1
             if nodes > budget:
                 raise BudgetExceededError("probe budget exceeded", nodes)
-            if _step_fault(current, step) is not None:
+            if _pushout_fault(current, c, fd) is not None:
                 continue
+            step = Step(fd.base, c, (fd.k, fd.m))
             new = _apply_step(current, step)
             if not new.is_subset(end):
                 continue

@@ -27,6 +27,13 @@ with index tie break, ascending value order, full arc propagation after
 every assignment.  Propagation runs to the arc-consistency fixpoint,
 which is unique, so node counts, solution order and the node at which
 the budget trips do not depend on the order arcs are revised in.
+
+Revising from a variable with several values ORs the supports of those
+values; within one solve the union for a given (support array, domain
+mask) is kept in a dict per support array, so a mask seen again costs
+one lookup.  The union is a function of the array and the mask, so the
+revised domains, and with them the fixpoint, are exactly those of
+recomputing it.  A single value is a plain index into its array.
 """
 
 from __future__ import annotations
@@ -106,6 +113,11 @@ class Network:
 
     # -- solving ------------------------------------------------------------
 
+    @property
+    def nodes(self) -> int:
+        """The search nodes the last `solve_all` visited."""
+        return self._nodes
+
     def solve_all(self, budget: int = 10**7):
         """Yield every solution as a tuple of values, in canonical order."""
         self._nodes = 0
@@ -113,10 +125,18 @@ class Network:
         doms = list(self.domains)
         if not all(doms):
             return
-        # the (other, supports) columns of adj: zipping two lists is cheaper
-        # than unpacking the 4-tuples in the propagation loop
+        # the (other, supports, unions) columns of adj: zipping lists is
+        # cheaper than unpacking the 4-tuples in the propagation loop.
+        # unions[mask] is OR(supports[v] for v in mask), one dict per
+        # support array for this solve
+        unions: dict[int, dict] = {}
         self._out = [
-            ([arc[0] for arc in arcs], [arc[2] for arc in arcs]) for arcs in self.adj
+            (
+                [arc[0] for arc in arcs],
+                [arc[2] for arc in arcs],
+                [unions.setdefault(id(arc[2]), {}) for arc in arcs],
+            )
+            for arcs in self.adj
         ]
         if self._propagate(doms, list(range(len(doms)))):
             yield from self._search(doms)
@@ -148,12 +168,16 @@ class Network:
         while queue:
             a = queue.pop()
             da = doms[a]
-            others, supports = out[a]
+            others, supports, unions = out[a]
             if da & (da - 1):
-                pick = itemgetter(*_values(da))
-                for b, sup in zip(others, supports):
+                pick = None
+                for b, sup, union in zip(others, supports, unions):
+                    mask = union.get(da)
+                    if mask is None:
+                        pick = pick or itemgetter(*_values(da))
+                        mask = union[da] = reduce(or_, pick(sup))
                     db = doms[b]
-                    new = db & reduce(or_, pick(sup))
+                    new = db & mask
                     if new != db:
                         if not new:
                             return False

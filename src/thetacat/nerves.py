@@ -13,6 +13,15 @@ Three formula-backed presheaves:
 
 All three factor through projection to the leading coordinates, which
 is what makes their actions independent of the class representative.
+
+The same truncation makes their action arrays cheap to share (it is the
+one behind Berger's cellular nerve, Adv. Math. 169, 2002).  A nerve's
+level at b is a function of b's first `core_dim` entries, and `apply`
+of a class f reads only f's first `core_dim` components, which carry
+those entries of f.src and f.dst as their sizes.  So two classes with
+the same core, the tuple of those components, have the same source
+level, target level and action, hence equal arrays: `action` builds one
+array per core, and classes with equal cores share the array object.
 """
 
 from __future__ import annotations
@@ -30,7 +39,25 @@ from .theta import MorphismClass, Shape, constant_class, shape
 H2_WINDOW = WindowSpec(2, 3)
 
 
-class NerveB1(Presheaf):
+class CoreNerve(Presheaf):
+    """A presheaf whose levels and action read only the first `core_dim`
+    coordinates: action arrays are memoized by the class's core."""
+
+    core_dim: int
+
+    def __init__(self):
+        super().__init__()
+        self._core_actions: dict[tuple, tuple[int, ...]] = {}
+
+    def _build_action(self, f: MorphismClass) -> tuple[int, ...]:
+        core = tuple(f.component(k) for k in range(1, self.core_dim + 1))
+        arr = self._core_actions.get(core)
+        if arr is None:
+            arr = self._core_actions[core] = super()._build_action(f)
+        return arr
+
+
+class NerveB1(CoreNerve):
     """Level G^{b1}; a class acts through its first component."""
 
     core_dim = 1
@@ -51,7 +78,7 @@ class NerveB1(Presheaf):
         )
 
 
-class NerveB2Strict(Presheaf):
+class NerveB2Strict(CoreNerve):
     """Level A^{b1*b2} grids; a class acts through two components."""
 
     core_dim = 2
@@ -89,7 +116,7 @@ def _triples(n: int) -> tuple[tuple[int, int, int], ...]:
     return tuple(itertools.combinations(range(n + 1), 3))
 
 
-class NerveB2EM(Presheaf):
+class NerveB2EM(CoreNerve):
     """Level = normalized 2-cocycles on the first-coordinate simplex."""
 
     core_dim = 1

@@ -2,7 +2,11 @@
 
 A presheaf knows its level set at every shape and a contravariant
 action of morphism classes.  Levels and action arrays are memoized by
-index, so downstream enumeration works on plain ints.  Natural families
+index, so downstream enumeration works on plain ints.  An array is built
+element by element through `apply` unless the presheaf knows an exact
+shortcut: a product pairs its factors' arrays, since its level lists
+the pairs in factor order, and the nerves build one array per core
+(see `nerves`).  Natural families
 are enumerated three ways, all exact:
 
 * out of a union of face images, by solving for the values on the face
@@ -16,6 +20,17 @@ are enumerated three ways, all exact:
   every class of the window factors through) carried over to them;
   each degenerate element's value is the action of its epi on its
   root's value.
+
+Horn checks repeat networks, and each distinct one is solved once per
+presheaf.  A face-union network is its roots' level sizes and one
+table per face pair that shares cells, and a table reads only the two
+faces' restriction arrays to the shared cells.  `_face_pair_supports`
+keys each table by those arrays' identities, so pairs whose arrays are
+the same objects (as the nerves' core-keyed arrays often are) share one
+table object, and `nat_face_union` keys its solutions and node count by
+the sizes and the tables' identities.  The solver is deterministic, so
+the same network gives the same solutions, order and node count, and a
+budget trips on it exactly when that count exceeds the budget.
 """
 
 from __future__ import annotations
@@ -59,7 +74,10 @@ class Presheaf:
         self._elems: dict[Shape, tuple] = {}
         self._index: dict[Shape, dict] = {}
         self._actions: dict[MorphismClass, tuple[int, ...]] = {}
-        self._face_pairs: dict[tuple, tuple | None] = {}  # see _face_pair_supports
+        # see _face_pair_supports and nat_face_union
+        self._face_pairs: dict[tuple, tuple | None] = {}
+        self._tables: dict[tuple, tuple] = {}
+        self._solves: dict[tuple, tuple] = {}
 
     # subclasses implement these two
     def _elements(self, b: Shape) -> tuple:
@@ -87,11 +105,16 @@ class Presheaf:
         f.src level of the image of the i-th element of the f.dst level."""
         arr = self._actions.get(f)
         if arr is None:
-            arr = tuple(
-                self.index_of(f.src, self.apply(f, x)) for x in self.elements(f.dst)
-            )
-            self._actions[f] = arr
+            arr = self._actions[f] = self._build_action(f)
         return arr
+
+    def _build_action(self, f: MorphismClass) -> tuple[int, ...]:
+        """The array of `action(f)`, element by element through `apply`.
+        Subclasses that know a cheaper exact construction override this,
+        never `action`, which stays the one memoized entry point."""
+        return tuple(
+            self.index_of(f.src, self.apply(f, x)) for x in self.elements(f.dst)
+        )
 
     def label(self, x):
         """JSON-friendly rendering of an element."""
@@ -139,6 +162,12 @@ class ProductPresheaf(Presheaf):
 
     def apply(self, f: MorphismClass, x):
         return (self.left.apply(f, x[0]), self.right.apply(f, x[1]))
+
+    def _build_action(self, f: MorphismClass) -> tuple[int, ...]:
+        # the level at b lists (x_i, y_j) at index i * |right(b)| + j
+        width = self.right.size(f.src)
+        right = self.right.action(f)
+        return tuple(i * width + j for i in self.left.action(f) for j in right)
 
     def label(self, x):
         return [self.left.label(x[0]), self.right.label(x[1])]
@@ -424,33 +453,62 @@ def nat_face_union(
     budget: int = DEFAULT_BUDGET,
 ) -> list[CellFamily]:
     """All natural families on the union of the given face images, stored
-    by their values on the roots' face classes."""
+    by their values on the roots' face classes.
+
+    Each distinct network is solved once per x: the solutions and the
+    node count are memoized by the roots' level sizes and the identity
+    of each face pair's table (see `_face_pair_supports`), which are the
+    whole network.  A hit whose solve took more nodes than `budget`
+    raises what the solver raises at node budget + 1; a solve that ran
+    out of budget is not stored.
+    """
     roots = tuple(roots)
-    net = Network()
-    for fd in roots:
-        net.add_var(range(x.size(fd.target)))
+    sizes = tuple(x.size(fd.target) for fd in roots)
+    arcs = []
     for i, fd1 in enumerate(roots):
         for j in range(i + 1, len(roots)):
             supports = _face_pair_supports(x, fd1, roots[j])
             if supports is not None:
-                net.add_arcs(i, j, "tab", *supports)
+                arcs.append((i, j, supports))
+    key = (sizes, tuple((i, j, id(supports)) for i, j, supports in arcs))
+    solved = x._solves.get(key)
+    if solved is None:
+        net = Network()
+        for size in sizes:
+            net.add_var(range(size))
+        for i, j, supports in arcs:
+            net.add_arcs(i, j, "tab", *supports)
+        solutions = sorted(net.solve_all(budget))
+        solved = x._solves[key] = (solutions, net.nodes)
+    solutions, nodes = solved
+    if nodes > budget:
+        raise BudgetExceededError("enumeration budget exceeded", budget + 1)
     cells = tuple(face_class(fd) for fd in roots)
-    out = [CellFamily(x, cells, sol) for sol in net.solve_all(budget)]
-    out.sort(key=lambda fam: fam.values)
-    return out
+    return [CellFamily(x, cells, sol) for sol in solutions]
 
 
 def _face_pair_supports(x: Presheaf, fd1: FaceDescriptor, fd2: FaceDescriptor):
     """The (fwd, bwd) support masks of the compatibility table of two root
     faces over their full levels, or None when the faces share no cell.
-    Memoized on x: every horn of a shape reuses its face pairs' tables."""
+
+    Memoized on x by the face pair, since every horn of a shape reuses
+    its face pairs, and under that by the identities of the two faces'
+    restriction arrays to the shared cells, which are all the table
+    reads: face pairs whose arrays are the same objects share one table
+    object.  The arrays stay alive in x's action memo, so their ids are
+    not reused."""
     if (fd1, fd2) not in x._face_pairs:
         shared = common_cells(face_class(fd1), face_class(fd2))
         supports = None
         if shared:
-            supports = _equal_key_supports(
-                _shared_keys(x, fd1, shared), _shared_keys(x, fd2, shared)
-            )
+            arrays1 = _restriction_arrays(x, fd1, shared)
+            arrays2 = _restriction_arrays(x, fd2, shared)
+            key = (tuple(map(id, arrays1)), tuple(map(id, arrays2)))
+            supports = x._tables.get(key)
+            if supports is None:
+                supports = x._tables[key] = _equal_key_supports(
+                    list(zip(*arrays1)), list(zip(*arrays2))
+                )
         x._face_pairs[(fd1, fd2)] = supports
     return x._face_pairs[(fd1, fd2)]
 
@@ -466,15 +524,16 @@ def _equal_key_supports(keys1, keys2) -> tuple[list[int], list[int]]:
     return [masks2.get(key, 0) for key in keys1], [masks1.get(key, 0) for key in keys2]
 
 
-def _shared_keys(x: Presheaf, fd: FaceDescriptor, shared) -> list[tuple]:
-    """For each value at the root face, its restriction to the shared cells."""
+def _restriction_arrays(x: Presheaf, fd: FaceDescriptor, shared) -> list[tuple]:
+    """The action arrays restricting the root face's level to each shared
+    cell; zipped, they give each value's restriction to the shared cells."""
     arrays = []
     for cell in shared:
         u = factor_through(cell, face_class(fd))
         if u is None:
             raise AssertionError(f"shared cell {cell} does not divide {fd}")
         arrays.append(x.action(u))
-    return [tuple(arr[v] for arr in arrays) for v in range(x.size(fd.target))]
+    return arrays
 
 
 def nat_cells(

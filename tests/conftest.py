@@ -14,7 +14,6 @@ from thetacat.presheaves import (
     Presheaf,
     PresheafNatFamily,
     TablePresheaf,
-    _shared_keys,
     generator_classes,
     nat_face_union,
 )
@@ -298,7 +297,20 @@ def nat_presheaves_oracle(
 # masks were memoized on the presheaf, kept verbatim apart from its name
 # (its parameters follow `nat_face_union`):
 # each call rebuilds the compatibility table of every pair of roots and
-# hands it to `Network.add_table`.
+# hands it to `Network.add_table`.  `_shared_keys` is the helper it
+# called then, moved here when the face-pair tables were keyed by their
+# restriction arrays.
+
+
+def _shared_keys(x: Presheaf, fd: FaceDescriptor, shared) -> list[tuple]:
+    """For each value at the root face, its restriction to the shared cells."""
+    arrays = []
+    for cell in shared:
+        u = factor_through(cell, face_class(fd))
+        if u is None:
+            raise AssertionError(f"shared cell {cell} does not divide {fd}")
+        arrays.append(x.action(u))
+    return [tuple(arr[v] for arr in arrays) for v in range(x.size(fd.target))]
 
 
 def face_union_oracle(

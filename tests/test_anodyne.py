@@ -14,6 +14,7 @@ from thetacat.anodyne import (
     verify_certificate,
     _apply_step,
     _step_admissible,
+    _pushout_fault,
     _step_fault,
 )
 from thetacat.delta import MonotoneMap
@@ -361,12 +362,12 @@ PREFILTER_PROBES = [
 def unfiltered_probe(monkeypatch, a, target, budget=10**6):
     """`spine_probe` with every candidate decided by the full-level oracle."""
 
-    def oracle_fault(current, step):
-        ok, reason = full_level_step_check(current, step)
+    def oracle_fault(current, c, fd):
+        ok, reason = full_level_step_check(current, Step(fd.base, c, (fd.k, fd.m)))
         return None if ok else (reason,)
 
     with monkeypatch.context() as m:
-        m.setattr(anodyne, "_step_fault", oracle_fault)
+        m.setattr(anodyne, "_pushout_fault", oracle_fault)
         return spine_probe(a, target, budget=budget)
 
 
@@ -375,20 +376,23 @@ def test_probe_prefilter_matches_unfiltered_search(monkeypatch, text, target):
     a = parse_shape(text)
     tried = []
 
-    def logged(current, step):
-        fault = _step_fault(current, step)
-        tried.append((current, step, fault is None))
+    def logged(current, c, fd):
+        fault = _pushout_fault(current, c, fd)
+        tried.append((current, Step(fd.base, c, (fd.k, fd.m)), fault))
         return fault
 
     with monkeypatch.context() as m:
-        m.setattr(anodyne, "_step_fault", logged)
+        m.setattr(anodyne, "_pushout_fault", logged)
         result = spine_probe(a, target)
     assert result.found
     assert len(tried) == result.nodes
-    # the same verdict as the oracle on every candidate the search tries
-    for current, step, ok in tried:
-        assert full_level_step_check(current, step)[0] == ok, step
-    assert any(ok for _, _, ok in tried) and not all(ok for _, _, ok in tried)
+    # the same verdict as the oracle on every candidate the search tries,
+    # and the search skips only guards that every candidate passes
+    for current, step, fault in tried:
+        assert _step_fault(current, step) == fault, step
+        assert full_level_step_check(current, step)[0] == (fault is None), step
+    oks = [fault is None for _, _, fault in tried]
+    assert any(oks) and not all(oks)
     assert unfiltered_probe(monkeypatch, a, target) == result
 
 

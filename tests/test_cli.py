@@ -569,3 +569,20 @@ def test_bench_tracer_targets_resolve():
     theta = importlib.import_module("thetacat.theta")
     for fn_name in tracer.CACHED:
         assert hasattr(getattr(theta, fn_name), "cache_info"), fn_name
+
+
+def test_bench_tracer_runs_a_check(tmp_path):
+    # a traced benchmark job end to end: the wrapped action memo and the
+    # wrapped solver must both be reached, and the exit code passed on
+    root = Path(__file__).resolve().parents[1]
+    trace = tmp_path / "trace.json"
+    argv = ["check", "--mode", "strict-cat", "--nerve", "B1:Z2", "--max-dim", "2"]
+    proc = subprocess.run(
+        [sys.executable, str(root / "bench" / "tracer.py"), str(trace), *argv],
+        capture_output=True,
+        env={"PYTHONPATH": str(root / "src")},
+        timeout=120,
+    )
+    assert proc.returncode == 0, proc.stderr.decode()
+    totals = json.loads(trace.read_text())["totals"]
+    assert "presheaves.action" in totals and "csp.solve_all" in totals

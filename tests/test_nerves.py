@@ -29,9 +29,16 @@ from thetacat.nerves import (
     nerve_b2_strict,
     nerve_from_spec,
 )
-from thetacat.presheaves import check_functoriality, nat_presheaves
+from thetacat.presheaves import Presheaf, check_functoriality, nat_presheaves
 from thetacat.subshapes import WindowSpec
-from thetacat.theta import POINT, constant_class, enumerate_hom, shape
+from thetacat.theta import (
+    POINT,
+    constant_class,
+    enumerate_hom,
+    face_class,
+    faces_of,
+    shape,
+)
 
 
 # ---------------------------------------------------------------------------
@@ -188,6 +195,45 @@ def test_em_levels_are_cocycles():
 def test_em_functoriality():
     assert check_functoriality(nerve_b2_em(cyclic(2)), WindowSpec(2, 2)).ok
     assert check_functoriality(nerve_b2_em(cyclic(3)), WindowSpec(1, 3)).ok
+
+
+CORE_SHAPES = WindowSpec(2, 3).shapes()
+CORE_CLASSES = [
+    f for b1 in CORE_SHAPES for b2 in CORE_SHAPES for f in enumerate_hom(b1, b2)
+] + [face_class(fd) for fd in faces_of(shape(3, 3, 1))]
+
+
+@pytest.mark.parametrize(
+    "make",
+    [
+        lambda: nerve_b1(cyclic(3)),
+        lambda: nerve_b1(klein_four()),
+        lambda: nerve_b2_strict(cyclic(2)),
+        lambda: nerve_b2_em(cyclic(2)),
+    ],
+    ids=["B1(Z3)", "B1(V4)", "B2strict(Z2)", "B2em(Z2)"],
+)
+def test_core_keyed_arrays_match_element_by_element(monkeypatch, make):
+    # each class's array is either built element by element for that class
+    # (recorded), or shared from a class with the same core and compared
+    # with the element-by-element build here
+    element_by_element = Presheaf._build_action
+    built = {}
+
+    def recorded(x, f):
+        built[f] = element_by_element(x, f)
+        return built[f]
+
+    monkeypatch.setattr(Presheaf, "_build_action", recorded)
+    x = make()
+    by_core = {}
+    for f in CORE_CLASSES:
+        arr = x.action(f)
+        want = built[f] if f in built else element_by_element(x, f)
+        assert arr == want, f
+        core = tuple(f.component(k) for k in range(1, x.core_dim + 1))
+        assert by_core.setdefault(core, arr) is arr, f
+    assert len(built) == len(by_core) < len(CORE_CLASSES)
 
 
 def test_nerve_from_spec():

@@ -205,6 +205,14 @@ def test_product_sizes():
     assert check_functoriality(x, WindowSpec(1, 2)).ok
 
 
+def test_product_arrays_pair_the_factor_arrays():
+    # the h2 cylinder B1(Z3) x y(t[1]) against the element-by-element build
+    cyl = product(nerve_b1(cyclic(3)), Representable(shape(1)))
+    shapes = H2_WINDOW.shapes()
+    for f in (f for b1 in shapes for b2 in shapes for f in enumerate_hom(b1, b2)):
+        assert cyl.action(f) == Presheaf._build_action(cyl, f), f
+
+
 def test_truncate_extend_roundtrip():
     b1 = nerve_b1(cyclic(2))
     x1 = truncate(b1, 1)
@@ -331,15 +339,28 @@ def _outcome(route, roots, x, budget):
 @pytest.mark.parametrize(
     "a, k, m, nodes", [(shape(2, 2), 2, 1, 28), (shape(2, 3), 2, 1, 104)]
 )
-def test_nat_face_union_budget_trips_like_per_call_tables(a, k, m, nodes):
+def test_nat_face_union_budget_trips_like_per_call_tables(monkeypatch, a, k, m, nodes):
     # every budget from 1 up to the horn's node count on B2strict(Z2); from
-    # the second budget on, the memoized route reuses its tables
+    # the second budget on, the memoized route reuses its tables, and only
+    # the last solve, which does not trip, is stored
     x, oracle_x = nerve_b2_strict(cyclic(2)), nerve_b2_strict(cyclic(2))
     roots = _horn_roots(a, face_descriptor(a, k, m))
+    outcomes = []
     for budget in range(1, nodes + 1):
         want = _outcome(face_union_oracle, roots, oracle_x, budget)
         assert _outcome(nat_face_union, roots, x, budget) == want, budget
         assert (want[1] is None) == (budget == nodes)
+        outcomes.append(want)
+    # with the full solve stored, every budget is answered from the memo
+    # without solving, with the same families or the same trip count
+    nat_face_union(roots, x)
+
+    def unreachable(net, budget):
+        raise AssertionError("a stored network was solved again")
+
+    monkeypatch.setattr(Network, "solve_all", unreachable)
+    for budget in range(1, nodes + 1):
+        assert _outcome(nat_face_union, roots, x, budget) == outcomes[budget - 1], budget
 
 
 def test_face_union_families_agree_with_cell_search():
