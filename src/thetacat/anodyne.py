@@ -30,7 +30,6 @@ L3. Composing with a mono cell is injective, so c identifies no two
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import NamedTuple
 
 from .errors import BudgetExceededError, ProofShapeViolation
@@ -73,8 +72,7 @@ class Step(NamedTuple):
         }
 
 
-@dataclass(frozen=True)
-class AnodyneCertificate:
+class AnodyneCertificate(NamedTuple):
     base: Shape
     window: WindowSpec
     start: SubOfRepresentable

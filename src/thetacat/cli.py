@@ -22,7 +22,6 @@ from .nerves import (
     nerve_from_spec,
 )
 from .presheaves import check_functoriality, table_from_json
-from .selftest import run_selftest
 from .subshapes import DEFAULT_WINDOW, WindowSpec
 from .theta import enumerate_hom, faces_of, parse_shape
 
@@ -253,6 +252,8 @@ def cmd_h2(args) -> int:
 
 
 def cmd_selftest(args) -> int:
+    from .selftest import run_selftest
+
     report = dict(run_selftest(args.seed), command="selftest")
     _write_report(report, args.out)
     return 0 if report["verdict"] == "pass" else 2

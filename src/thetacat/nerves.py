@@ -53,8 +53,13 @@ class CoreNerve(Presheaf):
         core = tuple(f.component(k) for k in range(1, self.core_dim + 1))
         arr = self._core_actions.get(core)
         if arr is None:
-            arr = self._core_actions[core] = super()._build_action(f)
+            arr = self._core_actions[core] = self._build_core_action(f)
         return arr
+
+    def _build_core_action(self, f: MorphismClass) -> tuple[int, ...]:
+        """The array shared by f's core: element by element, unless the
+        nerve knows an exact shortcut."""
+        return super()._build_action(f)
 
 
 class NerveB1(CoreNerve):
@@ -109,6 +114,40 @@ class NerveB2Strict(CoreNerve):
                         acc = a_.mul(acc, x[(u - 1) * q2 + (v - 1)])
                 out.append(acc)
         return tuple(out)
+
+    def _build_core_action(self, f: MorphismClass) -> tuple[int, ...]:
+        """The array of `apply`, digit by digit.
+
+        A level lists its grids in base-|A| order, cell (i, j) of a p x q
+        grid, counted from 0, being digit i * q + j from the most
+        significant.
+        Each cell of the f.dst grid feeds at most one cell of the f.src
+        grid, so appending the next f.dst digit d multiplies that one
+        output digit by d, and a cell that feeds nothing repeats each
+        output n times.  The digits are appended in the order `apply`
+        multiplies them in.
+        """
+        n, table = self.group.order, self.group.table
+        p, q = f.src.entry(1), f.src.entry(2)
+        q2 = f.dst.entry(2)
+        f1, f2 = f.component(1), f.component(2)
+        feeds = [None] * (f.dst.entry(1) * q2)  # f.dst cell -> f.src digit weight
+        for i in range(p):
+            for j in range(q):
+                weight = n ** (p * q - 1 - (i * q + j))
+                for u in range(f1(i), f1(i + 1)):
+                    for v in range(f2(j), f2(j + 1)):
+                        feeds[u * q2 + v] = weight
+        ident = self.group.identity
+        arr = [sum(ident * n**k for k in range(p * q))]  # the all-identity grid
+        for weight in feeds:
+            if weight is None:
+                arr = [o for o in arr for _ in range(n)]
+                continue
+            # steps[c][d]: the index change when digit c becomes c * d
+            steps = [[(table[c][d] - c) * weight for d in range(n)] for c in range(n)]
+            arr = [o + step for o in arr for step in steps[o // weight % n]]
+        return tuple(arr)
 
 
 @lru_cache(maxsize=None)

@@ -27,16 +27,38 @@ table per face pair that shares cells, and a table reads only the two
 faces' restriction arrays to the shared cells.  `_face_pair_supports`
 keys each table by those arrays' identities, so pairs whose arrays are
 the same objects (as the nerves' core-keyed arrays often are) share one
-table object, and `nat_face_union` keys its solutions and node count by
-the sizes and the tables' identities.  The solver is deterministic, so
-the same network gives the same solutions, order and node count, and a
-budget trips on it exactly when that count exceeds the budget.
+table object.  The solver is deterministic, so the same network gives
+the same solutions, order and node count, and a budget trips on it
+exactly when that count exceeds the budget.
+
+Roots whose table is the identity (equal level sizes, each value
+compatible with itself only) are one variable.  On the nerves these
+are faces in coordinates past `core_dim`.  `solve_tables` merges
+such roots into classes, each represented by its lowest root, moves
+every other table onto the representatives (a table inside a class
+becomes a self-arc), and keys its solutions and node count by the
+merged network.  This changes no search:
+
+* An identity arc makes its two domains equal at every arc-consistency
+  fixpoint, and the other arcs then ask the same of a class's one
+  domain in the merged network as of each member in the full one, so
+  the fixpoints correspond (a self-arc revises a domain against
+  itself, as the table between two equal domains does).
+* Minimum remaining values takes the smallest domain with the lowest
+  index; a class's members have equal domains and its representative
+  is its lowest root, so the full network branches on the
+  representative, with the same values, and its partners become
+  singletons in the same propagation.  Node counts and the node a
+  budget trips at are the full network's.
+* Each full solution repeats its representative's value at every
+  member, and a representative precedes its members, so expanding
+  keeps lexicographic order: the merged solutions are sorted once.
 """
 
 from __future__ import annotations
 
 import itertools
-from operator import getitem
+from operator import getitem, itemgetter
 from typing import NamedTuple
 
 from .csp import Network
@@ -45,7 +67,7 @@ from .errors import BudgetExceededError
 from .subshapes import (
     SubOfRepresentable,
     WindowSpec,
-    common_cells,
+    common_restrictions,
     nondegenerate_cells,
 )
 from .theta import (
@@ -453,43 +475,83 @@ def nat_face_union(
     budget: int = DEFAULT_BUDGET,
 ) -> list[CellFamily]:
     """All natural families on the union of the given face images, stored
-    by their values on the roots' face classes.
-
-    Each distinct network is solved once per x: the solutions and the
-    node count are memoized by the roots' level sizes and the identity
-    of each face pair's table (see `_face_pair_supports`), which are the
-    whole network.  A hit whose solve took more nodes than `budget`
-    raises what the solver raises at node budget + 1; a solve that ran
-    out of budget is not stored.
-    """
+    by their values on the roots' face classes: the solutions of the
+    roots' face-pair tables (`_face_pair_supports`), solved once per
+    distinct network on x by `solve_tables`."""
     roots = tuple(roots)
-    sizes = tuple(x.size(fd.target) for fd in roots)
     arcs = []
     for i, fd1 in enumerate(roots):
         for j in range(i + 1, len(roots)):
-            supports = _face_pair_supports(x, fd1, roots[j])
-            if supports is not None:
-                arcs.append((i, j, supports))
-    key = (sizes, tuple((i, j, id(supports)) for i, j, supports in arcs))
-    solved = x._solves.get(key)
+            table = _face_pair_supports(x, fd1, roots[j])
+            if table is not None:
+                arcs.append((i, j, table))
+    sizes = [x.size(fd.target) for fd in roots]
+    cells = tuple(face_class(fd) for fd in roots)
+    return [
+        CellFamily(x, cells, values)
+        for values in solve_tables(sizes, arcs, budget, x._solves)
+    ]
+
+
+def solve_tables(sizes, arcs, budget: int, memo: dict) -> list[tuple]:
+    """All solutions, in ascending order, of the table network on
+    variables range(size) with the arcs (i, j, (fwd, bwd, identity)),
+    i < j, as `_face_pair_supports` builds them.
+
+    Variables tied by identity tables are one variable, represented by
+    the class's lowest index; the other tables move onto the
+    representatives, once per table object and pair.  The merged
+    network's sorted solutions and node count are memoized in `memo` by
+    its sizes and the identities of its tables, which must stay alive
+    as long as `memo` does.  A hit whose solve took more nodes than
+    `budget` raises what the solver raises at node budget + 1; a solve
+    that ran out of budget is not stored.  See the module docstring for
+    why the merged network searches like the full one.
+    """
+    parent = list(range(len(sizes)))  # union-find; a class's lowest index heads it
+
+    def find(i):
+        while parent[i] != i:
+            parent[i] = i = parent[parent[i]]
+        return i
+
+    for i, j, table in arcs:
+        if table[2]:
+            a, b = find(i), find(j)
+            parent[max(a, b)] = min(a, b)
+    heads = [find(i) for i in range(len(sizes))]
+    var = {}  # representative -> merged variable, in index order
+    for i, head in enumerate(heads):
+        if head == i:
+            var[i] = len(var)
+    classes = [var[head] for head in heads]
+    merged = {}  # (var, var, id(table)) -> table
+    for i, j, table in arcs:
+        if not table[2]:
+            merged.setdefault((classes[i], classes[j], id(table)), table)
+    key = (tuple(sizes[i] for i in var), tuple(merged))
+    solved = memo.get(key)
     if solved is None:
         net = Network()
-        for size in sizes:
+        for size in key[0]:
             net.add_var(range(size))
-        for i, j, supports in arcs:
-            net.add_arcs(i, j, "tab", *supports)
+        for (a, b, _), (fwd, bwd, _) in merged.items():
+            net.add_arcs(a, b, "tab", fwd, bwd)
         solutions = sorted(net.solve_all(budget))
-        solved = x._solves[key] = (solutions, net.nodes)
+        solved = memo[key] = (solutions, net.nodes)
     solutions, nodes = solved
     if nodes > budget:
         raise BudgetExceededError("enumeration budget exceeded", budget + 1)
-    cells = tuple(face_class(fd) for fd in roots)
-    return [CellFamily(x, cells, sol) for sol in solutions]
+    if len(classes) <= 1:  # itemgetter of one index returns no tuple
+        return list(solutions)
+    return list(map(itemgetter(*classes), solutions))
 
 
 def _face_pair_supports(x: Presheaf, fd1: FaceDescriptor, fd2: FaceDescriptor):
-    """The (fwd, bwd) support masks of the compatibility table of two root
-    faces over their full levels, or None when the faces share no cell.
+    """The compatibility table of two root faces over their full levels,
+    as (fwd, bwd, identity), or None when the faces share no cell: fwd
+    and bwd are its support masks, and identity says that each value
+    is compatible with the equal value only, over equal level sizes.
 
     Memoized on x by the face pair, since every horn of a shape reuses
     its face pairs, and under that by the identities of the two faces'
@@ -497,20 +559,23 @@ def _face_pair_supports(x: Presheaf, fd1: FaceDescriptor, fd2: FaceDescriptor):
     reads: face pairs whose arrays are the same objects share one table
     object.  The arrays stay alive in x's action memo, so their ids are
     not reused."""
-    if (fd1, fd2) not in x._face_pairs:
-        shared = common_cells(face_class(fd1), face_class(fd2))
-        supports = None
-        if shared:
-            arrays1 = _restriction_arrays(x, fd1, shared)
-            arrays2 = _restriction_arrays(x, fd2, shared)
+    pair = (fd1, fd2)
+    if pair not in x._face_pairs:
+        through1, through2 = common_restrictions(face_class(fd1), face_class(fd2))
+        table = None
+        if through1:
+            arrays1 = tuple(map(x.action, through1))
+            arrays2 = tuple(map(x.action, through2))
             key = (tuple(map(id, arrays1)), tuple(map(id, arrays2)))
-            supports = x._tables.get(key)
-            if supports is None:
-                supports = x._tables[key] = _equal_key_supports(
-                    list(zip(*arrays1)), list(zip(*arrays2))
+            table = x._tables.get(key)
+            if table is None:
+                fwd, bwd = _equal_key_supports(list(zip(*arrays1)), list(zip(*arrays2)))
+                identity = len(fwd) == len(bwd) and all(
+                    m == 1 << v for v, m in enumerate(fwd)
                 )
-        x._face_pairs[(fd1, fd2)] = supports
-    return x._face_pairs[(fd1, fd2)]
+                table = x._tables[key] = (fwd, bwd, identity)
+        x._face_pairs[pair] = table
+    return x._face_pairs[pair]
 
 
 def _equal_key_supports(keys1, keys2) -> tuple[list[int], list[int]]:
@@ -522,18 +587,6 @@ def _equal_key_supports(keys1, keys2) -> tuple[list[int], list[int]]:
         for v, key in enumerate(keys):
             masks[key] = masks.get(key, 0) | 1 << v
     return [masks2.get(key, 0) for key in keys1], [masks1.get(key, 0) for key in keys2]
-
-
-def _restriction_arrays(x: Presheaf, fd: FaceDescriptor, shared) -> list[tuple]:
-    """The action arrays restricting the root face's level to each shared
-    cell; zipped, they give each value's restriction to the shared cells."""
-    arrays = []
-    for cell in shared:
-        u = factor_through(cell, face_class(fd))
-        if u is None:
-            raise AssertionError(f"shared cell {cell} does not divide {fd}")
-        arrays.append(x.action(u))
-    return arrays
 
 
 def nat_cells(

@@ -16,7 +16,6 @@ at shapes far beyond the base.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
 from functools import lru_cache
 from typing import Iterable, NamedTuple
 
@@ -115,8 +114,7 @@ def spine_membership(s: MorphismClass) -> bool:
 # the container
 
 
-@dataclass(frozen=True)
-class SubOfRepresentable:
+class SubOfRepresentable(NamedTuple):
     """A subpresheaf of Hom(-, base) over a window, stored by its mono
     cells: `cells` holds the mono cells into `base` that it contains and
     whose source lies in the window."""
@@ -270,18 +268,10 @@ def common_cells(c1: MorphismClass, c2: MorphismClass) -> tuple[MorphismClass, .
     cell factors through the cell that includes the sets below the last
     coordinate and is constant at one of its values there.
     """
-    a = c1.dst
-    if c2.dst != a:
-        raise ValueError(f"{c1} and {c2} land in different shapes")
-    sets = []
-    for f1, f2 in zip(c1.components, c2.components):
-        sets.append(tuple(v for v in f1.values if v in f2.values))
-        if len(sets[-1]) < 2:
-            break
-    if not sets[-1]:
-        sets.pop()
+    sets = _common_value_sets(c1, c2)
     if not sets:
         return ()
+    a = c1.dst
     *below, top = sets
     src = Shape(tuple(len(vals) - 1 for vals in below))
     comps = tuple(
@@ -292,3 +282,48 @@ def common_cells(c1: MorphismClass, c2: MorphismClass) -> tuple[MorphismClass, .
     return tuple(
         MorphismClass(src, a, comps + (constant_map(0, a.entry(q), v),)) for v in top
     )
+
+
+def common_restrictions(c1: MorphismClass, c2: MorphismClass) -> tuple[tuple, tuple]:
+    """For each cell r of `common_cells(c1, c2)`, in order, the classes u1
+    and u2 with r = c1 . u1 = c2 . u2, as two tuples.
+
+    r's components are the value sets of `common_cells`, so u's k-th
+    component lists the positions of those values in c's k-th
+    component, as `factor_through(r, c)` finds them one cell at a time.
+    """
+    sets = _common_value_sets(c1, c2)
+    if not sets:
+        return (), ()
+    *below, top = sets
+    src = Shape(tuple(len(vals) - 1 for vals in below))
+    q = len(sets)
+    out = []
+    for c in (c1, c2):
+        comps = tuple(
+            MonotoneMap(len(vals) - 1, ck.dom, tuple(map(ck.values.index, vals)))
+            for vals, ck in zip(below, c.components)
+        )
+        values = c.components[q - 1].values
+        out.append(tuple(
+            MorphismClass(
+                src, c.src, comps + (constant_map(0, c.src.entry(q), values.index(v)),)
+            )
+            for v in top
+        ))
+    return out[0], out[1]
+
+
+def _common_value_sets(c1: MorphismClass, c2: MorphismClass) -> list[tuple]:
+    """The coordinatewise value sets of `common_cells`, empty when the
+    images share no cell."""
+    if c2.dst != c1.dst:
+        raise ValueError(f"{c1} and {c2} land in different shapes")
+    sets = []
+    for f1, f2 in zip(c1.components, c2.components):
+        sets.append(tuple(v for v in f1.values if v in f2.values))
+        if len(sets[-1]) < 2:
+            break
+    if not sets[-1]:
+        sets.pop()
+    return sets

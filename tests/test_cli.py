@@ -337,6 +337,29 @@ def test_console_script_entrypoint():
     assert json.loads(proc.stdout)["count"] == 3
 
 
+def test_cli_import_leaves_out_dataclasses_and_selftest():
+    # every job pays the CLI's imports: not `dataclasses` (with the
+    # `inspect` it pulls in) and not the selftest suite, which only
+    # `selftest` runs; every layer module stays eager.  -S keeps site
+    # hooks from importing anything first
+    src = Path(importlib.util.find_spec("thetacat").origin).parent.parent
+    script = (
+        "import sys; before = set(sys.modules); import thetacat.cli; "
+        "print(*sorted(set(sys.modules) - before))"
+    )
+    proc = subprocess.run(
+        [sys.executable, "-S", "-c", script],
+        capture_output=True,
+        text=True,
+        env={"PYTHONPATH": str(src)},
+    )
+    assert proc.returncode == 0, proc.stderr
+    added = set(proc.stdout.split())
+    assert not added & {"dataclasses", "inspect", "thetacat.selftest"}, added
+    layers = {"checkers", "presheaves", "nerves", "groups", "anodyne", "theta", "subshapes", "csp"}
+    assert {f"thetacat.{name}" for name in layers} <= added
+
+
 def test_unreadable_input_files_exit_1(tmp_path):
     bad = tmp_path / "bad.json"
     bad.write_text("{not json")

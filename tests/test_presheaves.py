@@ -40,6 +40,7 @@ from thetacat.presheaves import (
     nat_presheaves,
     product,
     project_class,
+    solve_tables,
     table_from_json,
     table_to_json,
     truncate,
@@ -337,18 +338,41 @@ def _outcome(route, roots, x, budget):
 
 
 @pytest.mark.parametrize(
-    "a, k, m, nodes", [(shape(2, 2), 2, 1, 28), (shape(2, 3), 2, 1, 104)]
+    "name, a, k, m, variables, nodes",
+    [
+        # no tied roots
+        pytest.param("B2strict(Z2)", shape(2, 2), 2, 1, (5, 5), 28, id="a0-2-1-28"),
+        pytest.param("B2strict(Z2)", shape(2, 3), 2, 1, (6, 6), 104, id="a1-2-1-104"),
+        # roots tied by identity tables: (roots, merged variables)
+        pytest.param("B2strict(Z2)", shape(2, 2, 2), 3, 1, (8, 7), 28, id="B2strict-t222-3-1"),
+        pytest.param("B1(V4)", shape(3, 2), 1, 1, (6, 4), 80, id="B1V4-t32-1-1"),
+        pytest.param("B1(V4)", shape(2, 2, 2), 3, 1, (8, 4), 20, id="B1V4-t222-3-1"),
+    ],
 )
-def test_nat_face_union_budget_trips_like_per_call_tables(monkeypatch, a, k, m, nodes):
-    # every budget from 1 up to the horn's node count on B2strict(Z2); from
-    # the second budget on, the memoized route reuses its tables, and only
-    # the last solve, which does not trip, is stored
-    x, oracle_x = nerve_b2_strict(cyclic(2)), nerve_b2_strict(cyclic(2))
+def test_nat_face_union_budget_trips_like_per_call_tables(
+    monkeypatch, name, a, k, m, variables, nodes
+):
+    # every budget from 1 up to the horn's node count; from the second
+    # budget on, the memoized route reuses its tables, and only the last
+    # solve, which does not trip, is stored.  The memoized route solves
+    # one variable per class of tied roots, the oracle one per root
+    x, oracle_x = MEMO_PRESHEAVES[name](), MEMO_PRESHEAVES[name]()
     roots = _horn_roots(a, face_descriptor(a, k, m))
+    assert len(roots) == variables[0]
+    solve_all = Network.solve_all
+    solved = []
+
+    def counted(net, budget):
+        solved.append(len(net.domains))
+        return solve_all(net, budget)
+
+    monkeypatch.setattr(Network, "solve_all", counted)
     outcomes = []
     for budget in range(1, nodes + 1):
         want = _outcome(face_union_oracle, roots, oracle_x, budget)
+        solved.clear()
         assert _outcome(nat_face_union, roots, x, budget) == want, budget
+        assert solved == [variables[1]], budget
         assert (want[1] is None) == (budget == nodes)
         outcomes.append(want)
     # with the full solve stored, every budget is answered from the memo
@@ -361,6 +385,71 @@ def test_nat_face_union_budget_trips_like_per_call_tables(monkeypatch, a, k, m, 
     monkeypatch.setattr(Network, "solve_all", unreachable)
     for budget in range(1, nodes + 1):
         assert _outcome(nat_face_union, roots, x, budget) == outcomes[budget - 1], budget
+
+
+def _random_table(rng, size1, size2, density):
+    fwd = [0] * size1
+    bwd = [0] * size2
+    for v in range(size1):
+        for w in range(size2):
+            if rng.random() < density:
+                fwd[v] |= 1 << w
+                bwd[w] |= 1 << v
+    return fwd, bwd
+
+
+@pytest.mark.parametrize("seed", range(100))
+def test_solve_tables_merges_ties_like_the_full_network(seed):
+    # random table networks with planted identity ties: the chain 0 ~ 1 ~ 2
+    # with a non-identity table between 0 and 2 (a self-arc once merged),
+    # the tie 3 ~ n-1 around the variables between them, further random
+    # ties, and one table object on several pairs.  The merged solve must
+    # give the full network's solutions, order, node count and budget trips
+    rng = random.Random(seed)
+    n = rng.randint(5, 8)
+    sizes = [rng.randint(2, 4)] * 3 + [rng.randint(1, 4) for _ in range(n - 3)]
+    sizes[-1] = sizes[3]
+    tie = lambda size: ([1 << v for v in range(size)], [1 << v for v in range(size)], True)
+    tables = {(0, 1): tie(sizes[0]), (1, 2): tie(sizes[0]), (3, n - 1): tie(sizes[3])}
+    tables[(0, 2)] = (*_random_table(rng, sizes[0], sizes[0], 0.7), False)
+    shared = {}  # target size -> one table object from the tied class
+    for i in range(n):
+        for j in range(max(i + 1, 3), n):
+            if (i, j) in tables:
+                continue
+            if sizes[i] == sizes[j] and rng.random() < 0.3:
+                tables[(i, j)] = tie(sizes[i])
+            elif i < 3 and rng.random() < 0.5:
+                if sizes[j] not in shared:
+                    shared[sizes[j]] = (*_random_table(rng, sizes[0], sizes[j], 0.6), False)
+                tables[(i, j)] = shared[sizes[j]]
+            elif rng.random() < 0.4:
+                tables[(i, j)] = (*_random_table(rng, sizes[i], sizes[j], 0.6), False)
+    arcs = [(i, j, tables[(i, j)]) for i, j in sorted(tables)]
+    full = Network()
+    for size in sizes:
+        full.add_var(range(size))
+    for i, j, (fwd, bwd, _) in arcs:
+        full.add_arcs(i, j, "tab", fwd, bwd)
+    want = sorted(full.solve_all())
+    nodes = full.nodes
+    memo = {}
+    assert solve_tables(sizes, arcs, DEFAULT_BUDGET, memo) == want
+    ((merged_sizes, _), (_, merged_nodes)), = memo.items()
+    assert merged_nodes == nodes
+    assert len(merged_sizes) <= n - 3
+    for budget in range(1, nodes + 1):
+        try:
+            full_outcome = list(full.solve_all(budget)), None
+        except BudgetExceededError as exc:
+            full_outcome = None, exc.count
+        try:
+            outcome = solve_tables(sizes, arcs, budget, {}), None
+        except BudgetExceededError as exc:
+            outcome = None, exc.count
+        if full_outcome[0] is not None:
+            full_outcome = sorted(full_outcome[0]), None
+        assert outcome == full_outcome, budget
 
 
 def test_face_union_families_agree_with_cell_search():

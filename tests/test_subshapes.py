@@ -20,6 +20,7 @@ from thetacat.subshapes import (
     WindowSpec,
     boundary,
     common_cells,
+    common_restrictions,
     face_image,
     face_membership,
     full_sub,
@@ -46,6 +47,7 @@ from thetacat.theta import (
     face_class,
     face_descriptor,
     faces_of,
+    factor_through,
     identity_class,
     is_mono_cell,
     mono_cells_into,
@@ -421,3 +423,16 @@ def test_face_intersections_brute_force():
             assert generated == images[c1].cells & images[c2].cells, (c1, c2)
             for r1, r2 in itertools.permutations(cells, 2):
                 assert r1 not in images[r2], (c1, c2, r1, r2)
+
+
+def test_common_restrictions_match_factor_through():
+    # the restriction classes read off the common value sets are the
+    # factorizations of each common cell through either face
+    for a in WindowSpec(3, 3).shapes():
+        for fd1, fd2 in itertools.product(faces_of(a), repeat=2):
+            c1, c2 = face_class(fd1), face_class(fd2)
+            cells = common_cells(c1, c2)
+            want = tuple(
+                tuple(factor_through(r, c) for r in cells) for c in (c1, c2)
+            )
+            assert common_restrictions(c1, c2) == want, (a, fd1, fd2)
