@@ -2,7 +2,7 @@
 
 __version__ = "0.1.0"
 
-from .delta import MonotoneMap, compose_mono, enumerate_monos, epi_mono_factor, map_predicates
+from .delta import MonotoneMap, compose_mono, enumerate_monos, epi_mono_factor
 from .theta import (
     MorphismClass,
     Shape,
@@ -30,7 +30,6 @@ from .presheaves import (
     Presheaf,
     Representable,
     check_functoriality,
-    enumerate_nat,
     extend,
     product,
     truncate,

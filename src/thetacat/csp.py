@@ -9,14 +9,12 @@ A domain is an int bitmask: value v is in it when bit v is set, so
 values are non-negative ints.  Each constraint gives two directed arcs,
 and every arc carries a support mask per value of its source variable:
 the values of the other variable that the source value is compatible
-with.  The forward arc of a functional constraint b = arr[a] maps v to
-1 << arr[v], its backward arc maps w to the mask of the preimage of w,
-and a table arc maps a value to the mask of its allowed partners.  One
-revise rule serves every arc: the other variable keeps
-db & OR(support[v] for v in da).  The support arrays of a functional
-constraint are built once per action array and shared by every arc
-that passes the same array; `add_arcs` takes support arrays a caller
-built once and shares between networks, which only read them.
+with.  Callers build these masks (for a functional constraint
+b = arr[a], v maps to 1 << arr[v] and w to the mask of its preimage)
+and pass them to `add_arcs`, the one way to add a constraint; a
+network only reads them, so callers may share them between arcs and
+networks.  One revise rule serves every arc: the other variable keeps
+db & OR(support[v] for v in da).
 
 The search state is the list of domain masks.  Each branch works on a
 copy of its parent's list, so backtracking restores the parent's
@@ -66,48 +64,17 @@ class Network:
         # bench/tracer.py reads these (other, kind, data, forward) tuples,
         # `domains` and `_nodes`.
         self.adj: list[list[tuple]] = []
-        self._fn_supports: dict[int, tuple] = {}  # id(arr) -> (arr, fwd, bwd)
 
     def add_var(self, domain) -> int:
         self.domains.append(_mask(domain))
         self.adj.append([])
         return len(self.domains) - 1
 
-    def add_fn(self, a: int, b: int, arr) -> None:
-        """Constrain value(b) == arr[value(a)]."""
-        entry = self._fn_supports.get(id(arr))
-        if entry is None:
-            fwd = [1 << w for w in arr]
-            bwd = [0] * (max(arr, default=-1) + 1)
-            for v, w in enumerate(arr):
-                bwd[w] |= 1 << v
-            # keeping arr alive keeps its id from being reused
-            entry = self._fn_supports[id(arr)] = (arr, fwd, bwd)
-        _, fwd, bwd = entry
-        width = self.domains[b].bit_length()
-        if len(bwd) < width:  # values of b outside arr's image: no support
-            bwd.extend([0] * (width - len(bwd)))
-        self.add_arcs(a, b, "fn", fwd, bwd)
-
-    def add_table(self, a: int, b: int, allowed: dict) -> None:
-        """Constrain (value(a), value(b)) to pairs of `allowed`."""
-        da, db = self.domains[a], self.domains[b]
-        fwd = [0] * da.bit_length()
-        bwd = [0] * db.bit_length()
-        for va, vbs in allowed.items():
-            if da >> va & 1:
-                bit = 1 << va
-                m = 0
-                for vb in vbs:
-                    m |= 1 << vb
-                    if vb < len(bwd):
-                        bwd[vb] |= bit
-                fwd[va] = m & db
-        self.add_arcs(a, b, "tab", fwd, bwd)
-
     def add_arcs(self, a: int, b: int, kind: str, fwd, bwd) -> None:
         """Add a constraint's two arcs: fwd[v] masks b's values that
-        support a = v, bwd[w] masks a's values that support b = w."""
+        support a = v, bwd[w] masks a's values that support b = w.  Each
+        needs an entry for every value in its source's domain; `kind`,
+        "fn" or "tab", only labels the arcs."""
         self.adj[a].append((b, kind, fwd, True))
         self.adj[b].append((a, kind, bwd, False))
 

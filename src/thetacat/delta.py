@@ -56,18 +56,6 @@ class MonotoneMap(NamedTuple):
             raise ValueError(f"values out of range in {self}")
 
 
-class MapPredicates(NamedTuple):
-    constant: bool
-    injective: bool
-    surjective: bool
-    in_spine: bool
-
-
-def map_predicates(f: MonotoneMap) -> MapPredicates:
-    """Constant / injective / surjective / spine-containment flags of f."""
-    return MapPredicates(f.is_constant(), f.is_injective(), f.is_surjective(), f.in_spine())
-
-
 def identity_map(n: int) -> MonotoneMap:
     return MonotoneMap(n, n, tuple(range(n + 1)))
 

@@ -148,13 +148,9 @@ class Cocycle2(NamedTuple):
         for g in range(n):
             if self.value(e, g) != zero or self.value(g, e) != zero:
                 raise ValueError("cocycle is not normalized")
-        for g in range(n):
-            for h in range(n):
-                for k in range(n):
-                    lhs = a_.mul(self.value(g, h), self.value(g_.mul(g, h), k))
-                    rhs = a_.mul(self.value(h, k), self.value(g, g_.mul(h, k)))
-                    if lhs != rhs:
-                        raise ValueError(f"cocycle identity fails at {(g, h, k)}")
+        failure = _cocycle_failure(g_, a_, self.table)
+        if failure is not None:
+            raise ValueError(f"cocycle identity fails at {failure}")
 
     def to_json(self) -> dict:
         return {
@@ -167,7 +163,11 @@ class Cocycle2(NamedTuple):
         }
 
 
-def _is_cocycle_table(g_: FiniteGroup, a_: FiniteGroup, table) -> bool:
+def _cocycle_failure(g_: FiniteGroup, a_: FiniteGroup, table) -> tuple | None:
+    """The first (g, h, k) at which a normalized table breaks the cocycle
+    identity, or None.  Only triples without the identity are tested: a
+    normalized table satisfies the identity at every other triple, so the
+    first failure is also the first over all triples."""
     n = g_.order
     others = [g for g in range(n) if g != g_.identity]
     for g in others:
@@ -176,8 +176,8 @@ def _is_cocycle_table(g_: FiniteGroup, a_: FiniteGroup, table) -> bool:
                 lhs = a_.mul(table[g * n + h], table[g_.mul(g, h) * n + k])
                 rhs = a_.mul(table[h * n + k], table[g * n + g_.mul(h, k)])
                 if lhs != rhs:
-                    return False
-    return True
+                    return (g, h, k)
+    return None
 
 
 def normalized_2cocycles(
@@ -200,7 +200,7 @@ def normalized_2cocycles(
         table = [zero] * (n * n)
         for (g, h), v in zip(free, assignment):
             table[g * n + h] = v
-        if _is_cocycle_table(g_, a_, table):
+        if _cocycle_failure(g_, a_, table) is None:
             out.append(Cocycle2(g_, a_, tuple(table)))
     return tuple(out)
 
@@ -242,13 +242,3 @@ def cocycle_tools(g_: FiniteGroup, a_: FiniteGroup, budget: int = 10**7) -> H2Da
     if len(z2) % len(b2) != 0:
         raise AssertionError("|B^2| does not divide |Z^2|")
     return H2Data(z2, b2, len(z2) // len(b2))
-
-
-def cohomologous(c1: Cocycle2, c2: Cocycle2, b2: tuple[tuple[int, ...], ...]) -> bool:
-    """Whether two cocycles differ by a coboundary."""
-    g_, a_ = c1.group, c1.coeffs
-    n = g_.order
-    diff = tuple(
-        a_.mul(c1.table[i], a_.inverse[c2.table[i]]) for i in range(n * n)
-    )
-    return diff in set(b2)

@@ -32,7 +32,15 @@ from typing import NamedTuple
 
 from .errors import BudgetExceededError
 from .groups import Cocycle2, FiniteGroup, H2Data
-from .presheaves import Presheaf, PresheafNatFamily, nat_presheaves, product, Representable, ProductPresheaf
+from .presheaves import (
+    Presheaf,
+    PresheafNatFamily,
+    ProductPresheaf,
+    Representable,
+    nat_presheaves,
+    product,
+    union_heads,
+)
 from .subshapes import WindowSpec
 from .theta import MorphismClass, Shape, constant_class, shape
 
@@ -376,20 +384,8 @@ def homotopy_classes(
     transitive = all(
         (a, d) in pairs for (a, b) in pairs for (c, d) in pairs if b == c
     )
-    # transitive-symmetric closure via union-find
-    parent = list(range(len(maps)))
-
-    def find(i):
-        while parent[i] != i:
-            parent[i] = parent[parent[i]]
-            i = parent[i]
-        return i
-
-    for a, b in pairs:
-        ra, rb = find(a), find(b)
-        if ra != rb:
-            parent[max(ra, rb)] = min(ra, rb)
-    classes = len({find(i) for i in range(len(maps))})
+    # classes of the transitive-symmetric closure
+    classes = len(set(union_heads(len(maps), pairs)))
     agree = classes == h2.classes
     counterexample = None
     if not agree:

@@ -508,18 +508,7 @@ def solve_tables(sizes, arcs, budget: int, memo: dict) -> list[tuple]:
     that ran out of budget is not stored.  See the module docstring for
     why the merged network searches like the full one.
     """
-    parent = list(range(len(sizes)))  # union-find; a class's lowest index heads it
-
-    def find(i):
-        while parent[i] != i:
-            parent[i] = i = parent[parent[i]]
-        return i
-
-    for i, j, table in arcs:
-        if table[2]:
-            a, b = find(i), find(j)
-            parent[max(a, b)] = min(a, b)
-    heads = [find(i) for i in range(len(sizes))]
+    heads = union_heads(len(sizes), [(i, j) for i, j, table in arcs if table[2]])
     var = {}  # representative -> merged variable, in index order
     for i, head in enumerate(heads):
         if head == i:
@@ -545,6 +534,23 @@ def solve_tables(sizes, arcs, budget: int, memo: dict) -> list[tuple]:
     if len(classes) <= 1:  # itemgetter of one index returns no tuple
         return list(solutions)
     return list(map(itemgetter(*classes), solutions))
+
+
+def union_heads(n: int, pairs) -> list[int]:
+    """The head of each index in range(n) in the classes that the pairs
+    of indices generate: the lowest index of its class, since each union
+    puts the lower root on top."""
+    parent = list(range(n))
+
+    def find(i):
+        while parent[i] != i:
+            parent[i] = i = parent[parent[i]]
+        return i
+
+    for i, j in pairs:
+        a, b = find(i), find(j)
+        parent[max(a, b)] = min(a, b)
+    return [find(i) for i in range(n)]
 
 
 def _face_pair_supports(x: Presheaf, fd1: FaceDescriptor, fd2: FaceDescriptor):
@@ -599,11 +605,15 @@ def nat_cells(
     net = Network()
     for s in cells:
         net.add_var(range(x.size(s.src)))
+    supports = {}  # (array, source level size) -> masks, shared by its arcs
     for s in cells:
         for fd in faces_of(s.src):
             fc = face_class(fd)
-            lower = compose_classes(s, fc)
-            net.add_fn(pos[s], pos[lower], x.action(fc))
+            key = (x.action(fc), x.size(fc.src))
+            if key not in supports:
+                # value(lower) == arr[value(s)]
+                supports[key] = _equal_key_supports(key[0], range(key[1]))
+            net.add_arcs(pos[s], pos[compose_classes(s, fc)], "fn", *supports[key])
     out = [CellFamily(x, tuple(cells), sol) for sol in net.solve_all(budget)]
     out.sort(key=lambda fam: fam.values)
     return out
@@ -642,19 +652,6 @@ class PresheafNatFamily:
 
     def __hash__(self):
         return hash(self.key())
-
-    def is_natural(self) -> bool:
-        """Check every naturality square along the window's generators."""
-        for f in generator_classes(self.window):
-            src_arr = self.source.action(f)
-            tgt_arr = self.target.action(f)
-            phi_src, phi_dst = self.components[f.src], self.components[f.dst]
-            if any(
-                phi_src[src_arr[i]] != tgt_arr[phi_dst[i]]
-                for i in range(self.source.size(f.dst))
-            ):
-                return False
-        return True
 
     def to_json(self):
         return {
@@ -768,15 +765,3 @@ def nat_presheaves(
         out.append(PresheafNatFamily(source, target, window, comps))
     out.sort(key=lambda fam: fam.key())
     return out
-
-
-def enumerate_nat(source, target: Presheaf, window: WindowSpec, budget: int = DEFAULT_BUDGET):
-    """Natural families from a subpresheaf or presheaf into a presheaf."""
-    if isinstance(source, SubOfRepresentable):
-        return nat_cells(source, target, budget)
-    return nat_presheaves(source, target, window, budget)
-
-
-def yoneda_family(x: Presheaf, a: Shape, idx: int, cells) -> tuple[int, ...]:
-    """Values on the given cells of the family classified by an element of x(a)."""
-    return tuple(x.action(m)[idx] for m in cells)

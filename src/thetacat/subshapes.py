@@ -136,16 +136,6 @@ class SubOfRepresentable(NamedTuple):
         _check_compatible(self, other)
         return self.cells <= other.cells
 
-    def check_closure(self) -> None:
-        """Verify closure under precomposition, exhaustively on the window."""
-        for b2 in self.window.shapes():
-            for s in self.level(b2):
-                for b1 in self.window.shapes():
-                    for f in enumerate_hom(b1, b2):
-                        if compose_classes(s, f) not in self:
-                            raise AssertionError(
-                                f"not closed: {s} along {f} at level {b1}"
-                            )
 
 
 def _cell_key(s: MorphismClass):

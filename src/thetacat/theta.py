@@ -150,19 +150,6 @@ def identity_class(a: Shape) -> MorphismClass:
     return MorphismClass(a, a, tuple(comps))
 
 
-def normalize_components(src: Shape, dst: Shape, comps) -> MorphismClass:
-    """Truncate a full representative at its first constant component."""
-    kept = []
-    for f in comps:
-        kept.append(f)
-        if f.is_constant():
-            return MorphismClass(src, dst, tuple(kept))
-    # A representative always goes constant by index min(dim)+1.
-    k = len(kept) + 1
-    kept.append(constant_map(src.entry(k), dst.entry(k), 0))
-    return MorphismClass(src, dst, tuple(kept))
-
-
 def compose_classes(g: MorphismClass, f: MorphismClass) -> MorphismClass:
     """g after f, renormalized to the composite's own degree."""
     if f.dst != g.src:
@@ -297,13 +284,6 @@ def mono_cells_into(a: Shape) -> tuple[MorphismClass, ...]:
             for c in consts:
                 out.append(MorphismClass(src, a, choice + (c,)))
     return tuple(out)
-
-
-def is_mono_cell(s: MorphismClass) -> bool:
-    """True for classes in canonical nondegenerate form."""
-    if s.degree != s.src.dim + 1:
-        return False
-    return all(f.is_injective() for f in s.components[:-1])
 
 
 def factor_through(s: MorphismClass, m: MorphismClass) -> MorphismClass | None:

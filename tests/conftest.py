@@ -6,8 +6,9 @@ import itertools
 
 from thetacat.checkers import FibrationReport, HornRecord, LiftingSquare
 from thetacat.csp import Network
-from thetacat.delta import enumerate_monos
+from thetacat.delta import constant_map, enumerate_monos
 from thetacat.errors import BudgetExceededError
+from thetacat.groups import Cocycle2
 from thetacat.presheaves import (
     DEFAULT_BUDGET,
     CellFamily,
@@ -40,6 +41,109 @@ def shapes_with(max_dim: int, max_entry: int, min_dim: int = 0) -> list[Shape]:
             Shape(e) for e in itertools.product(range(1, max_entry + 1), repeat=d)
         )
     return out
+
+
+# ---------------------------------------------------------------------------
+# oracles that were package definitions with no caller in the package,
+# kept verbatim apart from taking their object as the first argument
+
+
+def normalize_components(src: Shape, dst: Shape, comps) -> MorphismClass:
+    """Truncate a full representative at its first constant component."""
+    kept = []
+    for f in comps:
+        kept.append(f)
+        if f.is_constant():
+            return MorphismClass(src, dst, tuple(kept))
+    # A representative always goes constant by index min(dim)+1.
+    k = len(kept) + 1
+    kept.append(constant_map(src.entry(k), dst.entry(k), 0))
+    return MorphismClass(src, dst, tuple(kept))
+
+
+def is_mono_cell(s: MorphismClass) -> bool:
+    """True for classes in canonical nondegenerate form."""
+    if s.degree != s.src.dim + 1:
+        return False
+    return all(f.is_injective() for f in s.components[:-1])
+
+
+def check_closure(sub: SubOfRepresentable) -> None:
+    """Verify closure under precomposition, exhaustively on the window."""
+    for b2 in sub.window.shapes():
+        for s in sub.level(b2):
+            for b1 in sub.window.shapes():
+                for f in enumerate_hom(b1, b2):
+                    if compose_classes(s, f) not in sub:
+                        raise AssertionError(
+                            f"not closed: {s} along {f} at level {b1}"
+                        )
+
+
+def is_natural(fam: PresheafNatFamily) -> bool:
+    """Check every naturality square along the window's generators."""
+    for f in generator_classes(fam.window):
+        src_arr = fam.source.action(f)
+        tgt_arr = fam.target.action(f)
+        phi_src, phi_dst = fam.components[f.src], fam.components[f.dst]
+        if any(
+            phi_src[src_arr[i]] != tgt_arr[phi_dst[i]]
+            for i in range(fam.source.size(f.dst))
+        ):
+            return False
+    return True
+
+
+def yoneda_family(x: Presheaf, a: Shape, idx: int, cells) -> tuple[int, ...]:
+    """Values on the given cells of the family classified by an element of x(a)."""
+    return tuple(x.action(m)[idx] for m in cells)
+
+
+def cohomologous(c1: Cocycle2, c2: Cocycle2, b2: tuple[tuple[int, ...], ...]) -> bool:
+    """Whether two cocycles differ by a coboundary."""
+    g_, a_ = c1.group, c1.coeffs
+    n = g_.order
+    diff = tuple(
+        a_.mul(c1.table[i], a_.inverse[c2.table[i]]) for i in range(n * n)
+    )
+    return diff in set(b2)
+
+
+# ---------------------------------------------------------------------------
+# oracle: support masks of the two constraint kinds
+#
+# The bodies of `csp.Network.add_fn` and `add_table`, the builders that
+# `add_arcs` replaced, returning the (fwd, bwd) masks that their callers
+# now pass to `add_arcs`; `fn_supports` takes the width of b's domain
+# in place of the network.
+
+
+def fn_supports(arr, width: int) -> tuple[list[int], list[int]]:
+    """The masks of value(b) == arr[value(a)], b's values below width."""
+    fwd = [1 << w for w in arr]
+    bwd = [0] * (max(arr, default=-1) + 1)
+    for v, w in enumerate(arr):
+        bwd[w] |= 1 << v
+    if len(bwd) < width:  # values of b outside arr's image: no support
+        bwd.extend([0] * (width - len(bwd)))
+    return fwd, bwd
+
+
+def table_supports(allowed: dict, da: int, db: int) -> tuple[list[int], list[int]]:
+    """The masks of (value(a), value(b)) in the pairs of `allowed`, for
+    the domain masks da of a and db of b."""
+    fwd = [0] * da.bit_length()
+    bwd = [0] * db.bit_length()
+    for va, vbs in allowed.items():
+        if da >> va & 1:
+            bit = 1 << va
+            m = 0
+            for vb in vbs:
+                m |= 1 << vb
+                if vb < len(bwd):
+                    bwd[vb] |= bit
+            fwd[va] = m & db
+    return fwd, bwd
 
 
 # ---------------------------------------------------------------------------
@@ -255,10 +359,10 @@ def full_level_step_check(current: SubOfRepresentable, step) -> tuple[bool, str]
 # oracle: natural families between presheaves with a variable per element
 #
 # The body of `presheaves.nat_presheaves` before it solved on the
-# nondegenerate source elements only, kept verbatim apart from its name:
-# every element of every level gets its own variable, and every
-# generator gives one functional constraint per element of its target
-# level.
+# nondegenerate source elements only, kept verbatim apart from its name
+# and its constraints' masks, built by `fn_supports`: every element of
+# every level gets its own variable, and every generator gives one
+# functional constraint per element of its target level.
 
 
 def nat_presheaves_oracle(
@@ -278,8 +382,11 @@ def nat_presheaves_oracle(
     for f in generator_classes(window):
         src_arr = source.action(f)
         tgt_arr = target.action(f)
+        supports = fn_supports(tgt_arr, target.size(f.src))
         for i in range(source.size(f.dst)):
-            net.add_fn(var_of[(f.dst, i)], var_of[(f.src, src_arr[i])], tgt_arr)
+            net.add_arcs(
+                var_of[(f.dst, i)], var_of[(f.src, src_arr[i])], "fn", *supports
+            )
     out = []
     for sol in net.solve_all(budget):
         comps = {}
@@ -295,9 +402,9 @@ def nat_presheaves_oracle(
 #
 # The body of `presheaves.nat_face_union` before its face-pair support
 # masks were memoized on the presheaf, kept verbatim apart from its name
-# (its parameters follow `nat_face_union`):
-# each call rebuilds the compatibility table of every pair of roots and
-# hands it to `Network.add_table`.  `_shared_keys` is the helper it
+# (its parameters follow `nat_face_union`) and its tables' masks, built
+# by `table_supports`: each call rebuilds the compatibility table of
+# every pair of roots.  `_shared_keys` is the helper it
 # called then, moved here when the face-pair tables were keyed by their
 # restriction arrays.
 
@@ -337,7 +444,8 @@ def face_union_oracle(
                 buckets.setdefault(key, []).append(v2)
             for v1, key in enumerate(keys1):
                 allowed[v1] = set(buckets.get(key, ()))
-            net.add_table(i, j, allowed)
+            supports = table_supports(allowed, net.domains[i], net.domains[j])
+            net.add_arcs(i, j, "tab", *supports)
     out = []
     for sol in net.solve_all(budget):
         out.append(CellFamily(x, tuple(face_class(fd) for fd in roots), sol))

@@ -12,7 +12,7 @@ import time
 
 import pytest
 
-from conftest import brute_maximal_subobjects, shapes_with
+from conftest import brute_maximal_subobjects, shapes_with, yoneda_family
 from thetacat.anodyne import (
     Step,
     _apply_step,
@@ -40,7 +40,6 @@ from thetacat.presheaves import (
     Representable,
     nat_cells,
     nat_presheaves,
-    yoneda_family,
 )
 from thetacat.subshapes import (
     WindowSpec,

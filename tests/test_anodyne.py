@@ -3,7 +3,7 @@ import random
 
 import pytest
 
-from conftest import full_level_step_check
+from conftest import full_level_step_check, is_mono_cell
 from thetacat import anodyne
 from thetacat.anodyne import (
     AnodyneCertificate,
@@ -40,7 +40,6 @@ from thetacat.theta import (
     face_class,
     identity_class,
     inner_faces,
-    is_mono_cell,
     mono_cells_into,
     outer_faces,
     faces_of,

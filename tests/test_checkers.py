@@ -1,5 +1,10 @@
 import pytest
-from conftest import face_union_oracle, horn_filling_oracle, inner_fibration_oracle
+from conftest import (
+    face_union_oracle,
+    horn_filling_oracle,
+    inner_fibration_oracle,
+    is_natural,
+)
 from test_presheaves import MEMO_PRESHEAVES, MEMO_SHAPES
 
 from thetacat import checkers
@@ -134,7 +139,7 @@ def test_inner_fibration_to_terminal_for_cat():
     phi = PresheafNatFamily(
         b1, TerminalPresheaf(), w, {b: (0,) * b1.size(b) for b in w.shapes()}
     )
-    assert phi.is_natural()
+    assert is_natural(phi)
     rep = inner_fibration_check(phi, w)
     assert rep.ok and rep.squares_checked > 0
 

@@ -7,7 +7,7 @@ same nodes, and trip a budget at the same node with the same count.
 import random
 
 import pytest
-from conftest import SetNetwork
+from conftest import SetNetwork, fn_supports, table_supports
 
 from thetacat.csp import Network
 from thetacat.errors import BudgetExceededError
@@ -19,10 +19,12 @@ def build(cls, spec):
     for dom in domains:
         net.add_var(dom)
     for kind, a, b, data in arcs:
-        if kind == "fn":
-            net.add_fn(a, b, data)
+        if cls is SetNetwork:
+            (net.add_fn if kind == "fn" else net.add_table)(a, b, data)
+        elif kind == "fn":
+            net.add_arcs(a, b, kind, *fn_supports(data, net.domains[b].bit_length()))
         else:
-            net.add_table(a, b, data)
+            net.add_arcs(a, b, kind, *table_supports(data, net.domains[a], net.domains[b]))
     return net
 
 

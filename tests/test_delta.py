@@ -11,7 +11,6 @@ from thetacat.delta import (
     enumerate_monos,
     epi_mono_factor,
     identity_map,
-    map_predicates,
 )
 from thetacat.errors import IncomposableError
 
@@ -64,11 +63,11 @@ def test_enumerate_monos_lex_sorted():
 
 
 def test_map_predicates_examples():
-    p = map_predicates(MonotoneMap(1, 2, (0, 2)))
-    assert (p.constant, p.injective, p.in_spine) == (False, True, False)
-    p = map_predicates(constant_map(2, 2, 1))
-    assert p.constant and p.in_spine
-    assert map_predicates(MonotoneMap(1, 2, (1, 2))).in_spine
+    f = MonotoneMap(1, 2, (0, 2))
+    assert (f.is_constant(), f.is_injective(), f.in_spine()) == (False, True, False)
+    f = constant_map(2, 2, 1)
+    assert f.is_constant() and f.in_spine()
+    assert MonotoneMap(1, 2, (1, 2)).in_spine()
 
 
 def test_spine_membership_for_constants_and_points():

@@ -1,0 +1,68 @@
+"""Layout lint: every definition in the package is used by the package.
+
+A module-level function or class, or a method other than a dunder, counts
+as used when its name appears in `src/` outside its own body: as a name,
+an attribute or an import alias (so an export in `__init__` counts).
+Helpers that only tests call belong in `tests/conftest.py`.
+"""
+
+import ast
+from pathlib import Path
+
+SRC = Path(__file__).resolve().parents[1] / "src" / "thetacat"
+
+# definitions kept without a reference in src/, each with its reason
+ALLOWED = {
+    "presheaves.table_to_json": "documented API: writes the table JSON that `check --input` reads",
+    "presheaves.TablePresheaf.from_presheaf": "documented API: a presheaf's tables over a window",
+    "presheaves.TerminalPresheaf": "the terminal presheaf, target of maps to test as fibrations",
+    "presheaves.SubAsPresheaf": "a subobject as a presheaf, a source for nat_presheaves",
+    "presheaves.CellFamily.value_at": "a family's value at any cell of its subpresheaf",
+    "subshapes.common_cells": "common_restrictions' exactness argument is stated against it",
+    "delta.MonotoneMap.is_injective": "one of MonotoneMap's four predicates",
+}
+
+
+def _definitions(module: str, tree: ast.Module):
+    for node in tree.body:
+        if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+            yield f"{module}.{node.name}", node
+        if isinstance(node, ast.ClassDef):
+            for sub in node.body:
+                if isinstance(sub, ast.FunctionDef) and not (
+                    sub.name.startswith("__") and sub.name.endswith("__")
+                ):
+                    yield f"{module}.{node.name}.{sub.name}", sub
+
+
+def _references(tree: ast.Module):
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Name):
+            yield node.id, node
+        elif isinstance(node, ast.Attribute):
+            yield node.attr, node
+        elif isinstance(node, ast.alias):
+            yield node.name, node
+            if node.asname:
+                yield node.asname, node
+
+
+def unreferenced() -> set[str]:
+    trees = {path.stem: ast.parse(path.read_text()) for path in SRC.glob("*.py")}
+    refs: dict[str, list] = {}
+    for tree in trees.values():
+        for name, node in _references(tree):
+            refs.setdefault(name, []).append(node)
+    out = set()
+    for module, tree in trees.items():
+        for qualname, node in _definitions(module, tree):
+            own = {id(n) for n in ast.walk(node)}
+            if all(id(n) in own for n in refs.get(node.name, ())):
+                out.add(qualname)
+    return out
+
+
+def test_every_src_definition_has_a_src_reference():
+    flagged = unreferenced()
+    assert flagged - ALLOWED.keys() == set(), "no caller in src/: move to the tests"
+    assert ALLOWED.keys() - flagged == set(), "referenced in src/: drop from ALLOWED"

@@ -1,15 +1,16 @@
+import itertools
 import math
 import random
 
 import pytest
 
+from conftest import cohomologous
 from thetacat.errors import BudgetExceededError
 from thetacat.groups import (
     Cocycle2,
     FiniteGroup,
     builtin_group,
     cocycle_tools,
-    cohomologous,
     cyclic,
     klein_four,
     normalized_2coboundaries,
@@ -279,6 +280,35 @@ def test_cocycle_validate():
     bad = Cocycle2(z2, z2, (0, 1, 0, 0))
     with pytest.raises(ValueError):
         bad.validate()
+
+
+@pytest.mark.parametrize("pair", [("Z3", "Z2"), ("V4", "Z2")])
+def test_cocycle_validate_names_the_first_failing_triple(pair):
+    """validate tests the non-identity triples only; on every normalized
+    table it names the first failure over all triples."""
+    g_, a_ = builtin_group(pair[0]), builtin_group(pair[1])
+    n, e = g_.order, g_.identity
+    free = [(g, h) for g in range(n) for h in range(n) if e not in (g, h)]
+    for values in itertools.product(range(a_.order), repeat=len(free)):
+        table = [a_.identity] * (n * n)
+        for (g, h), v in zip(free, values):
+            table[g * n + h] = v
+        c = Cocycle2(g_, a_, tuple(table))
+        first = next(
+            (
+                (g, h, k)
+                for g, h, k in itertools.product(range(n), repeat=3)
+                if a_.mul(c.value(g, h), c.value(g_.mul(g, h), k))
+                != a_.mul(c.value(h, k), c.value(g, g_.mul(h, k)))
+            ),
+            None,
+        )
+        if first is None:
+            c.validate()
+        else:
+            with pytest.raises(ValueError) as exc:
+                c.validate()
+            assert str(exc.value) == f"cocycle identity fails at {first}"
 
 
 def test_coboundaries_are_cocycles():

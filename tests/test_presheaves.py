@@ -32,7 +32,6 @@ from thetacat.presheaves import (
     TerminalPresheaf,
     DEFAULT_BUDGET,
     check_functoriality,
-    enumerate_nat,
     extend,
     generator_classes,
     nat_cells,
@@ -166,7 +165,7 @@ def test_functoriality_budget_counts_pairs():
     ids=lambda w: f"{w.max_dim}-{w.max_entry}",
 )
 def test_generators_reach_every_class(window):
-    # the premise of check_functoriality, nat_presheaves and is_natural
+    # the premise of check_functoriality, nat_presheaves and conftest.is_natural
     shapes = window.shapes()
     out_of = {b: [] for b in shapes}
     for g in generator_classes(window):
@@ -260,8 +259,8 @@ def test_yoneda_small_window_all_methods():
             sub = full_sub(a, window_for(a))
             fams = nat_cells(sub, x)
             assert len(fams) == x.size(a)
-            # enumerate_nat dispatches on the source kind
-            assert len(enumerate_nat(sub, x, sub.window)) == x.size(a)
+            # the same count through the route between presheaves
+            assert len(nat_presheaves(SubAsPresheaf(sub), x, sub.window)) == x.size(a)
 
 
 def test_nat_on_boundary_of_interval():

@@ -6,6 +6,7 @@ from conftest import (
     classical_boundary,
     classical_cells,
     classical_horn,
+    check_closure,
     classical_spine,
     levelwise_composites,
     levelwise_image,
@@ -49,7 +50,6 @@ from thetacat.theta import (
     faces_of,
     factor_through,
     identity_class,
-    is_mono_cell,
     mono_cells_into,
     outer_faces,
     shape,
@@ -199,10 +199,10 @@ def test_sub_algebra_base_mismatch():
 def test_precomposition_closure():
     for a in [shape(2), shape(2, 1), shape(1, 1)]:
         w = window_for(a)
-        boundary(a, w).check_closure()
-        spine(a, w).check_closure()
+        check_closure(boundary(a, w))
+        check_closure(spine(a, w))
         for fd in faces_of(a):
-            horn(a, fd.k, fd.m, w).check_closure()
+            check_closure(horn(a, fd.k, fd.m, w))
 
 
 def test_classical_agreement_dim_one():

@@ -3,7 +3,12 @@ from math import comb
 
 import pytest
 
-from conftest import brute_maximal_subobjects, shapes_with
+from conftest import (
+    brute_maximal_subobjects,
+    is_mono_cell,
+    normalize_components,
+    shapes_with,
+)
 from thetacat.delta import MonotoneMap, constant_map, enumerate_monos, identity_map
 from thetacat.errors import BudgetExceededError, IncomposableError
 from thetacat.theta import (
@@ -23,9 +28,7 @@ from thetacat.theta import (
     factor_through,
     identity_class,
     inner_faces,
-    is_mono_cell,
     mono_cells_into,
-    normalize_components,
     outer_faces,
     parse_shape,
     shape,
