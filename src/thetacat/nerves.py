@@ -22,12 +22,20 @@ those entries of f.src and f.dst as their sizes.  So two classes with
 the same core, the tuple of those components, have the same source
 level, target level and action, hence equal arrays: `action` builds one
 array per core, and classes with equal cores share the array object.
+
+`homotopy_classes` compares the maps B1(G) -> B2em(A) up to cylinder
+homotopy with the H^2 count.  A homotopy is a solution of the cylinder
+network of `nat_network`, and the relation needs only its two ends: each
+is read at the roots of the elements (x, vertex), added as a pair of map
+indices, and the solution is dropped.  No cylinder family is built; the
+counterexample bundle, kept for a disagreement, solves the network again.
 """
 
 from __future__ import annotations
 
 import itertools
 from functools import lru_cache
+from operator import getitem
 from typing import NamedTuple
 
 from .errors import BudgetExceededError
@@ -37,6 +45,7 @@ from .presheaves import (
     PresheafNatFamily,
     ProductPresheaf,
     Representable,
+    nat_network,
     nat_presheaves,
     product,
     union_heads,
@@ -323,10 +332,29 @@ class HomotopyReport(NamedTuple):
     h2: H2Data
 
 
-def vertex_inclusion_values(h: PresheafNatFamily, indices: dict) -> dict:
-    """Restrict a cylinder family along a vertex inclusion of the interval,
-    given `vertex_indices` of that vertex."""
-    return {b: tuple(map(h.components[b].__getitem__, idx)) for b, idx in indices.items()}
+def vertex_inclusion_values(roots: dict, indices: dict) -> list:
+    """A reader for the restriction along a vertex inclusion of the
+    interval, given the cylinder network's `roots` and `vertex_indices`
+    of that vertex: per shape, the root variables and the arrays of the
+    elements (x, vertex)."""
+    return [
+        ([roots[b][i][0] for i in idx], [roots[b][i][1] for i in idx])
+        for b, idx in indices.items()
+    ]
+
+
+def _restrict(reader: list, sol: tuple) -> tuple:
+    """The key of the family a cylinder solution restricts to."""
+    return tuple(tuple(map(getitem, gs, map(sol.__getitem__, rs))) for rs, gs in reader)
+
+
+def is_transitive(pairs) -> bool:
+    """Whether a relation is transitive: succ(b) lies within succ(a) for
+    every pair (a, b)."""
+    succ: dict = {}
+    for a, b in pairs:
+        succ.setdefault(a, set()).add(b)
+    return all(succ[b] <= succ[a] for a, b in pairs if b in succ)
 
 
 def vertex_indices(
@@ -357,6 +385,18 @@ def homotopy_classes(
     was already an equivalence is recorded.  On disagreement with the
     cocycle-class count a counterexample bundle is attached instead of
     a bare failure.
+
+    The cylinder network is solved once, lazily: each solution is read
+    at the roots of its two ends, whose keys give the pair of map
+    indices, and is then dropped.  Only the bundle lists the homotopies,
+    in the order of the cylinder families' keys, and it gets them by
+    solving the same network again, so a budget the first solve passed
+    cannot trip.  Sorting the solutions gives that order: roots are
+    numbered in (shape, index) order and each degenerate element's root
+    comes before it, so the first element where two families differ is
+    a root (a degenerate one's root would differ before it), whose value
+    is the solution's value there, and the families' keys compare as
+    their root tuples do.
     """
     from .groups import cocycle_tools
 
@@ -367,23 +407,19 @@ def homotopy_classes(
     maps = nat_presheaves(src, tgt, window, budget)
     key_of = {m.key(): i for i, m in enumerate(maps)}
     cyl = product(src, Representable(shape(1)))
-    homotopies = nat_presheaves(cyl, tgt, window, budget)
-    indices = [vertex_indices(cyl, src, window, vertex) for vertex in (0, 1)]
-    pairs = set()
-    transcripts = []
-    for h in homotopies:
-        ends = []
-        for vertex in (0, 1):
-            comps = vertex_inclusion_values(h, indices[vertex])
-            fam = PresheafNatFamily(src, tgt, window, comps)
-            ends.append(key_of[fam.key()])
-        pairs.add((ends[0], ends[1]))
-        transcripts.append(ends)
+    net, roots = nat_network(cyl, tgt, window)
+    readers = [
+        vertex_inclusion_values(roots, vertex_indices(cyl, src, window, vertex))
+        for vertex in (0, 1)
+    ]
+
+    def ends(sol: tuple) -> list[int]:
+        return [key_of[_restrict(reader, sol)] for reader in readers]
+
+    pairs = {tuple(ends(sol)) for sol in net.solve_all(budget)}
     reflexive = all((i, i) in pairs for i in range(len(maps)))
     symmetric = all((b, a) in pairs for (a, b) in pairs)
-    transitive = all(
-        (a, d) in pairs for (a, b) in pairs for (c, d) in pairs if b == c
-    )
+    transitive = is_transitive(pairs)
     # classes of the transitive-symmetric closure
     classes = len(set(union_heads(len(maps), pairs)))
     agree = classes == h2.classes
@@ -392,7 +428,7 @@ def homotopy_classes(
         counterexample = {
             "maps": [m.to_json() for m in maps],
             "homotopy_pairs": sorted(pairs),
-            "homotopy_transcript": transcripts,
+            "homotopy_transcript": [ends(sol) for sol in sorted(net.solve_all(budget))],
             "num_classes": classes,
             "h2_classes": h2.classes,
             "cocycles": [c.to_json() for c in h2.z2],

@@ -689,13 +689,12 @@ def epi_generators(window: WindowSpec) -> list[MorphismClass]:
     ]
 
 
-def nat_presheaves(
-    source: Presheaf,
-    target: Presheaf,
-    window: WindowSpec,
-    budget: int = DEFAULT_BUDGET,
-) -> list[PresheafNatFamily]:
-    """All natural transformations source -> target over the window.
+def nat_network(
+    source: Presheaf, target: Presheaf, window: WindowSpec
+) -> tuple[Network, dict]:
+    """The network of the natural transformations source -> target over
+    the window, and `roots[b][i]`, the (root variable, array g) pair of
+    source element i at shape b: value(i) = g[value(root)].
 
     Only the nondegenerate source elements get a solver variable.  Walk
     the shapes in window order; an element x of level b that some
@@ -756,7 +755,22 @@ def nat_presheaves(
             net.domains[r1] &= sum(1 << v for v, w in enumerate(h1) if g2[v] == w)
         else:
             net.add_arcs(r1, r2, "fn", *_equal_key_supports(h1, g2))
-    columns = [(b, [r for r, _ in roots[b]], [g for _, g in roots[b]]) for b in shapes]
+    return net, roots
+
+
+def nat_presheaves(
+    source: Presheaf,
+    target: Presheaf,
+    window: WindowSpec,
+    budget: int = DEFAULT_BUDGET,
+) -> list[PresheafNatFamily]:
+    """All natural transformations source -> target over the window, in
+    key order: the solutions of `nat_network`, each expanded to every
+    element."""
+    net, roots = nat_network(source, target, window)
+    columns = [
+        (b, [r for r, _ in roots[b]], [g for _, g in roots[b]]) for b in window.shapes()
+    ]
     out = []
     for sol in net.solve_all(budget):
         comps = {

@@ -8,15 +8,19 @@ from thetacat.checkers import FibrationReport, HornRecord, LiftingSquare
 from thetacat.csp import Network
 from thetacat.delta import constant_map, enumerate_monos
 from thetacat.errors import BudgetExceededError
-from thetacat.groups import Cocycle2
+from thetacat.groups import Cocycle2, FiniteGroup
+from thetacat.nerves import H2_WINDOW, NerveB1, NerveB2EM, vertex_indices
 from thetacat.presheaves import (
     DEFAULT_BUDGET,
     CellFamily,
     Presheaf,
     PresheafNatFamily,
+    Representable,
     TablePresheaf,
     generator_classes,
     nat_face_union,
+    nat_presheaves,
+    product,
 )
 from thetacat.subshapes import SubOfRepresentable, WindowSpec, common_cells, horn
 from thetacat.theta import (
@@ -31,6 +35,7 @@ from thetacat.theta import (
     faces_of,
     identity_class,
     mono_cells_into,
+    shape,
 )
 
 
@@ -395,6 +400,51 @@ def nat_presheaves_oracle(
         out.append(PresheafNatFamily(source, target, window, comps))
     out.sort(key=lambda fam: fam.key())
     return out
+
+
+# ---------------------------------------------------------------------------
+# oracle: homotopy pairs from the expanded cylinder families
+#
+# The pair loop of `nerves.homotopy_classes` before it read each cylinder
+# solution at its endpoint roots, kept verbatim apart from returning the
+# pairs and the transcript: every cylinder family is built by
+# `nat_presheaves`, restricted along each vertex inclusion to a family,
+# and looked up among the maps by that family's key.
+
+
+def homotopy_pairs_oracle(
+    g_: FiniteGroup,
+    a_: FiniteGroup,
+    window: WindowSpec = H2_WINDOW,
+    budget: int = DEFAULT_BUDGET,
+) -> tuple[set, list]:
+    """The homotopy pairs of the maps B1(G) -> B2em(A), and the
+    transcript: [end 0, end 1] of each cylinder family, in key order."""
+    src, tgt = NerveB1(g_), NerveB2EM(a_)
+    maps = nat_presheaves(src, tgt, window, budget)
+    key_of = {m.key(): i for i, m in enumerate(maps)}
+    cyl = product(src, Representable(shape(1)))
+    homotopies = nat_presheaves(cyl, tgt, window, budget)
+    indices = [vertex_indices(cyl, src, window, vertex) for vertex in (0, 1)]
+    pairs = set()
+    transcripts = []
+    for h in homotopies:
+        ends = []
+        for vertex in (0, 1):
+            comps = {
+                b: tuple(map(h.components[b].__getitem__, idx))
+                for b, idx in indices[vertex].items()
+            }
+            fam = PresheafNatFamily(src, tgt, window, comps)
+            ends.append(key_of[fam.key()])
+        pairs.add((ends[0], ends[1]))
+        transcripts.append(ends)
+    return pairs, transcripts
+
+
+def transitive_oracle(pairs) -> bool:
+    """The pair-of-pairs transitivity check `homotopy_classes` used."""
+    return all((a, d) in pairs for (a, b) in pairs for (c, d) in pairs if b == c)
 
 
 # ---------------------------------------------------------------------------

@@ -10,8 +10,6 @@ import json
 import random
 import time
 
-import pytest
-
 from conftest import brute_maximal_subobjects, shapes_with, yoneda_family
 from thetacat.anodyne import (
     Step,

@@ -7,7 +7,6 @@ from conftest import full_level_step_check, is_mono_cell
 from thetacat import anodyne
 from thetacat.anodyne import (
     AnodyneCertificate,
-    ProbeResult,
     Step,
     certify_union_inclusion,
     spine_probe,

@@ -1,4 +1,5 @@
-"""Layout lint: every definition in the package is used by the package.
+"""Layout lint: every definition in the package is used by the package,
+and every module of the package and the tests reads what it imports.
 
 A module-level function or class, or a method other than a dunder, counts
 as used when its name appears in `src/` outside its own body: as a name,
@@ -66,3 +67,25 @@ def test_every_src_definition_has_a_src_reference():
     flagged = unreferenced()
     assert flagged - ALLOWED.keys() == set(), "no caller in src/: move to the tests"
     assert ALLOWED.keys() - flagged == set(), "referenced in src/: drop from ALLOWED"
+
+
+def unused_imports(path: Path) -> list[str]:
+    """The names a module imports and never reads (`from __future__`
+    imports are directives, not names)."""
+    tree = ast.parse(path.read_text())
+    imported = []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            imported += [a.asname or a.name.split(".")[0] for a in node.names]
+        elif isinstance(node, ast.ImportFrom) and node.module != "__future__":
+            imported += [a.asname or a.name for a in node.names]
+    used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+    return [name for name in imported if name not in used]
+
+
+def test_no_unused_imports():
+    # an `__init__` imports names to export them
+    paths = [p for p in SRC.glob("*.py") if p.name != "__init__.py"]
+    paths += Path(__file__).parent.glob("*.py")
+    found = {p.name: names for p in sorted(paths) if (names := unused_imports(p))}
+    assert found == {}

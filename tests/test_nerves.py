@@ -1,10 +1,13 @@
 import itertools
+import json
 import math
 import random
+import unittest.mock as mock
 
 import pytest
 
-from conftest import cohomologous
+from conftest import cohomologous, homotopy_pairs_oracle, transitive_oracle
+from thetacat import groups as groups_mod
 from thetacat.errors import BudgetExceededError
 from thetacat.groups import (
     Cocycle2,
@@ -21,16 +24,22 @@ from thetacat.nerves import (
     H2_WINDOW,
     NerveB1,
     NerveB2EM,
-    NerveB2Strict,
     cocycle_to_map,
     homotopy_classes,
+    is_transitive,
     map_to_cocycle,
     nerve_b1,
     nerve_b2_em,
     nerve_b2_strict,
     nerve_from_spec,
 )
-from thetacat.presheaves import Presheaf, check_functoriality, nat_presheaves
+from thetacat.presheaves import (
+    Presheaf,
+    PresheafNatFamily,
+    check_functoriality,
+    nat_presheaves,
+    union_heads,
+)
 from thetacat.subshapes import WindowSpec
 from thetacat.theta import (
     POINT,
@@ -436,27 +445,26 @@ def test_homotopy_window_precondition():
         homotopy_classes(cyclic(2), cyclic(2), window=WindowSpec(1, 2))
 
 
-def test_counterexample_artifact_structure():
-    # force a disagreement by lying about the cocycle class count
-    import thetacat.nerves as nerves_mod
-
-    z2 = cyclic(2)
-    real = nerves_mod.homotopy_classes(z2, z2)
-    assert real.counterexample is None
-
-    from thetacat import groups as groups_mod
-
+def _forced_disagreement(g_: FiniteGroup, a_: FiniteGroup):
+    """`homotopy_classes` told one cocycle class too many, which makes it
+    attach the counterexample bundle."""
     original = groups_mod.cocycle_tools
 
     def fake_tools(g_, a_, budget=10**7):
         data = original(g_, a_, budget)
         return data._replace(classes=data.classes + 1)
 
-    import unittest.mock as mock
-
     # homotopy_classes resolves cocycle_tools from the groups module
     with mock.patch.object(groups_mod, "cocycle_tools", fake_tools):
-        rep = nerves_mod.homotopy_classes(z2, z2)
+        return homotopy_classes(g_, a_)
+
+
+def test_counterexample_artifact_structure():
+    # force a disagreement by lying about the cocycle class count
+    z2 = cyclic(2)
+    real = homotopy_classes(z2, z2)
+    assert real.counterexample is None
+    rep = _forced_disagreement(z2, z2)
     assert not rep.agree
     art = rep.counterexample
     assert art is not None
@@ -470,3 +478,84 @@ def test_counterexample_artifact_structure():
         "coboundaries",
     }
     assert art["num_classes"] == 2 and art["h2_classes"] == 3
+
+
+H2_PAIRS = [
+    ("Z2", "Z2"),
+    ("Z2", "Z3"),
+    ("Z2", "Z4"),
+    ("Z3", "Z2"),
+    ("Z3", "Z3"),
+    ("Z4", "Z2"),
+    ("V4", "Z2"),
+]
+
+
+@pytest.mark.parametrize("gname,aname", H2_PAIRS)
+def test_homotopy_pairs_match_expansion_oracle(gname, aname):
+    # reading each cylinder solution at its endpoint roots gives the pairs
+    # of the expanded families, and the bundle lists them in the same order
+    g_, a_ = builtin_group(gname), builtin_group(aname)
+    pairs, transcript = homotopy_pairs_oracle(g_, a_)
+    rep = homotopy_classes(g_, a_)
+    n = len(rep.maps)
+    assert rep.pairs == tuple(sorted(pairs))
+    assert rep.relation_was_reflexive == all((i, i) in pairs for i in range(n))
+    assert rep.relation_was_symmetric == all((b, a) in pairs for a, b in pairs)
+    assert rep.relation_was_transitive == transitive_oracle(pairs)
+    assert rep.num_classes == len(set(union_heads(n, pairs)))
+    art = _forced_disagreement(g_, a_).counterexample
+    assert art["homotopy_pairs"] == sorted(pairs)
+    assert art["homotopy_transcript"] == transcript
+
+
+@pytest.mark.parametrize("gname,aname", [("Z2", "Z2"), ("Z3", "Z2")])
+def test_counterexample_bundle_matches_expansion_oracle(gname, aname):
+    g_, a_ = builtin_group(gname), builtin_group(aname)
+    pairs, transcript = homotopy_pairs_oracle(g_, a_)
+    maps = nat_presheaves(NerveB1(g_), NerveB2EM(a_), H2_WINDOW)
+    h2 = cocycle_tools(g_, a_)
+    want = {
+        "maps": [m.to_json() for m in maps],
+        "homotopy_pairs": sorted(pairs),
+        "homotopy_transcript": transcript,
+        "num_classes": len(set(union_heads(len(maps), pairs))),
+        "h2_classes": h2.classes + 1,
+        "cocycles": [c.to_json() for c in h2.z2],
+        "coboundaries": [list(t) for t in h2.b2],
+    }
+    got = _forced_disagreement(g_, a_).counterexample
+    assert json.dumps(got, sort_keys=True) == json.dumps(want, sort_keys=True)
+
+
+def test_homotopy_classes_builds_no_cylinder_family(monkeypatch):
+    # only the maps are families; the cylinder solutions are read at roots
+    built = []
+    init = PresheafNatFamily.__init__
+
+    def counting_init(fam, source, *args):
+        built.append(source.name)
+        init(fam, source, *args)
+
+    monkeypatch.setattr(PresheafNatFamily, "__init__", counting_init)
+    rep = homotopy_classes(cyclic(3), cyclic(3))
+    assert rep.agree and len(rep.maps) == 9
+    assert built == ["B1(Z3)"] * 9
+
+
+def test_is_transitive_matches_pair_of_pairs_loop():
+    rng = random.Random(7)
+    verdicts = []
+    for trial in range(200):
+        n = rng.randint(1, 7)
+        pairs = {(a, b) for a in range(n) for b in range(n) if rng.random() < 0.3}
+        if trial % 2:
+            # its transitive closure, by Warshall's loop
+            for k in range(n):
+                for a in range(n):
+                    for b in range(n):
+                        if (a, k) in pairs and (k, b) in pairs:
+                            pairs.add((a, b))
+        verdicts.append(transitive_oracle(pairs))
+        assert is_transitive(pairs) == verdicts[-1], pairs
+    assert 50 < sum(verdicts) < 175

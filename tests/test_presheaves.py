@@ -25,7 +25,6 @@ from thetacat.nerves import (
 )
 from thetacat.presheaves import (
     Presheaf,
-    ProductPresheaf,
     Representable,
     SubAsPresheaf,
     TablePresheaf,

@@ -16,7 +16,6 @@ from conftest import (
 )
 from thetacat.errors import WindowInsufficientError
 from thetacat.subshapes import (
-    DEFAULT_WINDOW,
     SubOfRepresentable,
     WindowSpec,
     boundary,

@@ -14,7 +14,6 @@ from thetacat.errors import BudgetExceededError, IncomposableError
 from thetacat.theta import (
     POINT,
     MorphismClass,
-    Shape,
     automorphism_report,
     class_from_json,
     compose_classes,
@@ -27,9 +26,7 @@ from thetacat.theta import (
     faces_of,
     factor_through,
     identity_class,
-    inner_faces,
     mono_cells_into,
-    outer_faces,
     parse_shape,
     shape,
 )
