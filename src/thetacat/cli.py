@@ -8,7 +8,9 @@ from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
+from itertools import islice
 
 from . import __version__
 from .anodyne import certify_union_inclusion, spine_probe, verify_certificate
@@ -27,21 +29,50 @@ from .theta import enumerate_hom, faces_of, parse_shape
 
 MAX_DIM_CAP = 6
 MAX_ENTRY_CAP = 6
+REPORT_BATCH = 512  # encoder chunks per write of a report
 
 
 def _write_report(report: dict, out_path: str | None) -> None:
-    """Write the report to `out_path` or stdout; a path that cannot be
-    written is a usage error."""
-    text = json.dumps(report, indent=2, sort_keys=True) + "\n"
-    if out_path:
-        try:
+    """Write the report to `out_path` or stdout as it is encoded.
+
+    The chunks of the encoder behind `json.dumps(report, indent=2,
+    sort_keys=True)` are joined and written `REPORT_BATCH` at a time, so
+    the bytes are those of `json.dumps` plus a newline while memory stays
+    bounded.  A destination that cannot be written is a usage error and
+    may be left holding part of the report.
+    """
+    chunks = json.JSONEncoder(indent=2, sort_keys=True).iterencode(report)
+    try:
+        if out_path:
             with open(out_path, "w") as fh:
-                fh.write(text)
-        except OSError as exc:
-            reason = exc.strerror or type(exc).__name__
-            raise SystemExit(_usage_error(f"cannot write {out_path}: {reason}")) from None
-    else:
-        sys.stdout.write(text)
+                _write_batches(fh, chunks)
+        else:
+            _write_batches(sys.stdout, chunks)
+            sys.stdout.flush()
+    except OSError as exc:
+        reason = exc.strerror or type(exc).__name__
+        if not out_path:
+            _discard_stdout()
+        where = out_path or "stdout"
+        raise SystemExit(_usage_error(f"cannot write {where}: {reason}")) from None
+
+
+def _write_batches(fh, chunks) -> None:
+    while batch := list(islice(chunks, REPORT_BATCH)):
+        fh.write("".join(batch))
+    fh.write("\n")
+
+
+def _discard_stdout() -> None:
+    """Point stdout's descriptor at the null device, so the flush at
+    interpreter exit neither fails again nor prints "Exception ignored"."""
+    try:
+        fd = sys.stdout.fileno()
+    except (OSError, ValueError):  # not backed by a descriptor
+        return
+    null = os.open(os.devnull, os.O_WRONLY)
+    os.dup2(null, fd)
+    os.close(null)
 
 
 def _window_from_args(args) -> WindowSpec:

@@ -117,6 +117,11 @@ class NerveB2Strict(CoreNerve):
             itertools.product(range(self.group.order), repeat=b.entry(1) * b.entry(2))
         )
 
+    def size(self, b: Shape) -> int:
+        """|A|^(b1*b2), without building the level: the horn checks read
+        only sizes and action arrays."""
+        return self.group.order ** (b.entry(1) * b.entry(2))
+
     def apply(self, f: MorphismClass, x):
         a_ = self.group
         p, q = f.src.entry(1), f.src.entry(2)

@@ -3,7 +3,10 @@
 from __future__ import annotations
 
 import itertools
+import unittest.mock as mock
+from contextlib import contextmanager
 
+from thetacat import groups as groups_mod
 from thetacat.checkers import FibrationReport, HornRecord, LiftingSquare
 from thetacat.csp import Network
 from thetacat.delta import constant_map, enumerate_monos
@@ -440,6 +443,21 @@ def homotopy_pairs_oracle(
         pairs.add((ends[0], ends[1]))
         transcripts.append(ends)
     return pairs, transcripts
+
+
+@contextmanager
+def one_class_too_many():
+    """`cocycle_tools` tells one cocycle class too many, which makes
+    `homotopy_classes` disagree and attach the counterexample bundle."""
+    original = groups_mod.cocycle_tools
+
+    def fake_tools(g_, a_, budget=10**7):
+        data = original(g_, a_, budget)
+        return data._replace(classes=data.classes + 1)
+
+    # homotopy_classes resolves cocycle_tools from the groups module
+    with mock.patch.object(groups_mod, "cocycle_tools", fake_tools):
+        yield
 
 
 def transitive_oracle(pairs) -> bool:

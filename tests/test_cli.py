@@ -1,16 +1,21 @@
+import contextlib
 import copy
 import importlib
 import importlib.util
 import json
+import os
 import re
 import subprocess
 import sys
 import tempfile
+import tracemalloc
 from pathlib import Path
 
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from thetacat import cli
 from thetacat.cli import main
 
 
@@ -259,6 +264,128 @@ def test_out_path_that_cannot_be_written_exit_1(tmp_path):
         assert main(["faces", "t[2]", "--out", str(out)]) == 1
         assert main([*budget, "--out", str(out)]) == 1
     assert not missing.parent.exists()
+
+
+# Every report kind, with the exit code that shows the case is reached.
+# {table} is an --input table that is not a presheaf.
+STREAM_CASES = {
+    "faces": (["faces", "t[3,2]"], 0),
+    "hom": (["hom", "t[3,3]", "t[3,3]"], 0),
+    "check-pass": (["check", "--mode", "strict-groupoid", "--nerve", "B1:Z2",
+                    "--max-dim", "2", "--max-entry", "2"], 0),
+    "check-fail": (["check", "--mode", "groupoid", "--nerve", "B2strict:Z2",
+                    "--max-dim", "2", "--max-entry", "2"], 2),
+    "check-functoriality": (["check", "--mode", "cat", "--max-dim", "1",
+                             "--max-entry", "2", "--input", "{table}"], 2),
+    "certify": (["certify", "t[3]", "--gamma", "1:0,1:3"], 0),
+    "certify-violation": (["certify", "t[3]", "--gamma", "1:0,1:3"], 2),
+    "probe-found": (["probe", "t[3]"], 0),
+    "probe-budget": (["probe", "t[3]", "--budget", "3"], 3),
+    "h2": (["h2", "--group", "Z2", "--coeff", "Z3"], 0),
+    "h2-counterexample": (["h2", "--group", "Z2", "--coeff", "Z2"], 2),
+    "selftest": (["selftest", "--seed", "0"], 0),
+    "budget": (["check", "--mode", "strict-cat", "--nerve", "B2strict:Z2",
+                "--budget", "3"], 3),
+}
+
+
+@pytest.mark.parametrize("case", sorted(STREAM_CASES))
+def test_streamed_report_is_the_json_dumps_bytes(case, tmp_path, monkeypatch, capsysbinary):
+    from conftest import one_class_too_many, swap_in_first_row
+    from thetacat.errors import ProofShapeViolation
+    from thetacat.groups import cyclic
+    from thetacat.nerves import nerve_b1
+    from thetacat.presheaves import TablePresheaf, table_to_json
+    from thetacat.subshapes import WindowSpec
+
+    argv, expected_code = STREAM_CASES[case]
+    if case == "check-functoriality":
+        good = TablePresheaf.from_presheaf(nerve_b1(cyclic(2)), WindowSpec(1, 2))
+        table = tmp_path / "table.json"
+        table.write_text(json.dumps(table_to_json(swap_in_first_row(good))))
+        argv = [str(table) if tok == "{table}" else tok for tok in argv]
+    if case == "certify-violation":
+        def violation(a, gamma):
+            raise ProofShapeViolation("forced", data={"base": str(a), "face": (1, 1)})
+
+        monkeypatch.setattr(cli, "certify_union_inclusion", violation)
+    expected = []
+    write = cli._write_report
+
+    def spy(report, out_path):
+        expected.append((json.dumps(report, indent=2, sort_keys=True) + "\n").encode())
+        write(report, out_path)
+
+    monkeypatch.setattr(cli, "_write_report", spy)
+    out = tmp_path / "report.json"
+    with contextlib.ExitStack() as stack:
+        if case == "h2-counterexample":
+            stack.enter_context(one_class_too_many())
+        assert main(argv) == expected_code
+        stdout = capsysbinary.readouterr().out
+        assert main([*argv, "--out", str(out)]) == expected_code
+    assert len(expected) == 2 and expected[0] == expected[1]
+    assert stdout == expected[0]
+    assert out.read_bytes() == expected[0]
+    if case == "h2-counterexample":
+        assert json.loads(stdout)["counterexample"] is not None
+
+
+def test_report_writer_memory_is_bounded(monkeypatch):
+    # the 600 895-byte report of `hom t[3,3] t[3,3]`, written to a sink
+    # that drops it: the writer holds a batch, never the whole text
+    reports = []
+    monkeypatch.setattr(cli, "_write_report", lambda report, out: reports.append(report))
+    assert main(["hom", "t[3,3]", "t[3,3]"]) == 0
+    monkeypatch.undo()
+
+    class Discard:
+        written = 0
+
+        def write(self, text):
+            self.written += len(text)
+
+        def flush(self):
+            pass
+
+    sink = Discard()
+    monkeypatch.setattr(sys, "stdout", sink)
+    tracemalloc.start()
+    try:
+        cli._write_report(reports[0], None)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert sink.written == 600_895
+    assert peak < 512 * 1024, peak
+
+
+@pytest.mark.parametrize("unbuffered", ["", "1"])
+def test_stdout_that_cannot_take_the_report_exit_1(unbuffered):
+    # a full device and a pipe nobody reads: exit 1 with the reason, and
+    # no "Exception ignored" from the flush at interpreter exit
+    env = dict(os.environ, PYTHONUNBUFFERED=unbuffered)
+    cases = []
+    if os.path.exists("/dev/full"):
+        with open("/dev/full", "wb") as full:
+            proc = subprocess.run(
+                [sys.executable, "-m", "thetacat.cli", "selftest", "--seed", "0"],
+                stdout=full, stderr=subprocess.PIPE, text=True, env=env,
+            )
+        cases.append((proc, "No space left on device"))
+    read_end, write_end = os.pipe()
+    os.close(read_end)
+    try:
+        proc = subprocess.run(
+            [sys.executable, "-m", "thetacat.cli", "hom", "t[3,3]", "t[3,3]"],
+            stdout=write_end, stderr=subprocess.PIPE, text=True, env=env,
+        )
+    finally:
+        os.close(write_end)
+    cases.append((proc, "Broken pipe"))
+    for proc, reason in cases:
+        assert proc.returncode == 1, proc.stderr
+        assert proc.stderr == f"thetacat: cannot write stdout: {reason}\n"
 
 
 def test_certify_command(tmp_path):

@@ -2,12 +2,16 @@ import itertools
 import json
 import math
 import random
-import unittest.mock as mock
 
 import pytest
 
-from conftest import cohomologous, homotopy_pairs_oracle, transitive_oracle
-from thetacat import groups as groups_mod
+from conftest import (
+    cohomologous,
+    homotopy_pairs_oracle,
+    one_class_too_many,
+    transitive_oracle,
+)
+from thetacat.cli import main
 from thetacat.errors import BudgetExceededError
 from thetacat.groups import (
     Cocycle2,
@@ -24,6 +28,7 @@ from thetacat.nerves import (
     H2_WINDOW,
     NerveB1,
     NerveB2EM,
+    NerveB2Strict,
     cocycle_to_map,
     homotopy_classes,
     is_transitive,
@@ -164,6 +169,40 @@ def test_b2_level_sizes():
     for n in range(1, 4):
         assert b2.size(shape(n)) == 1
     assert b2.size(shape(2, 2)) == 16
+
+
+@pytest.mark.parametrize(
+    "group, window",
+    [(cyclic(2), WindowSpec(3, 3)), (cyclic(3), WindowSpec(3, 3)),
+     (klein_four(), WindowSpec(2, 2))],
+    ids=["Z2", "Z3", "V4"],
+)
+def test_b2_sizes_count_the_levels(group, window):
+    # the closed form |A|^(b1*b2) on one nerve, the built levels on another
+    counted, built = nerve_b2_strict(group), nerve_b2_strict(group)
+    for b in window.shapes():
+        assert counted.size(b) == len(built.elements(b)), b
+
+
+def test_bench_checks_build_no_b2_level(monkeypatch, tmp_path):
+    # a horn check reads the strict 2-nerve's sizes and arrays, never a level
+    calls = []
+    elements = NerveB2Strict._elements
+
+    def counting(x, b):
+        calls.append(b)
+        return elements(x, b)
+
+    monkeypatch.setattr(NerveB2Strict, "_elements", counting)
+    out = str(tmp_path / "report.json")
+    for mode, window, code in (
+        ("strict-cat", [], 0),
+        ("n-strict:2", [], 0),
+        ("groupoid", ["--max-dim", "2", "--max-entry", "3"], 2),
+    ):
+        argv = ["check", "--mode", mode, "--nerve", "B2strict:Z2", *window]
+        assert main([*argv, "--out", out]) == code, mode
+    assert calls == []
 
 
 def test_b2_functoriality():
@@ -448,14 +487,7 @@ def test_homotopy_window_precondition():
 def _forced_disagreement(g_: FiniteGroup, a_: FiniteGroup):
     """`homotopy_classes` told one cocycle class too many, which makes it
     attach the counterexample bundle."""
-    original = groups_mod.cocycle_tools
-
-    def fake_tools(g_, a_, budget=10**7):
-        data = original(g_, a_, budget)
-        return data._replace(classes=data.classes + 1)
-
-    # homotopy_classes resolves cocycle_tools from the groups module
-    with mock.patch.object(groups_mod, "cocycle_tools", fake_tools):
+    with one_class_too_many():
         return homotopy_classes(g_, a_)
 
 
