@@ -26,6 +26,12 @@ L2. Every non-identity componentwise epi e out of C is (e . f1) . s,
     face, and c = (c . f1) . s would be present.  So c is a mono cell.
 L3. Composing with a mono cell is injective, so c identifies no two
     cells outside H.
+
+The check is exact, not windowed: the states are stored by their mono
+cells, whose sources all lie in `window_for(base)` (`subshapes`), and
+L1-L3 read only mono cells.  A step cell outside that window is the
+source of no mono cell into the base, so by L2 its step is rejected.
+A certificate's report names the base and `window_for(base)`.
 """
 
 from __future__ import annotations
@@ -35,7 +41,6 @@ from typing import NamedTuple
 from .errors import BudgetExceededError, ProofShapeViolation
 from .subshapes import (
     SubOfRepresentable,
-    WindowSpec,
     full_sub,
     image,
     pullback_along,
@@ -73,8 +78,6 @@ class Step(NamedTuple):
 
 
 class AnodyneCertificate(NamedTuple):
-    base: Shape
-    window: WindowSpec
     start: SubOfRepresentable
     end: SubOfRepresentable
     steps: tuple[Step, ...]
@@ -83,8 +86,8 @@ class AnodyneCertificate(NamedTuple):
 
     def to_json(self) -> dict:
         return {
-            "base": list(self.base.entries),
-            "window": self.window.to_json(),
+            "base": list(self.start.base.entries),
+            "window": window_for(self.start.base).to_json(),
             "start": self.start_tag,
             "target": self.end_tag,
             "steps": [s.to_json() for s in self.steps],
@@ -107,7 +110,7 @@ class VerifyReport(NamedTuple):
 
 
 def _apply_step(current: SubOfRepresentable, step: Step) -> SubOfRepresentable:
-    return sub_union(current, image(step.attach, current.window))
+    return sub_union(current, image(step.attach))
 
 
 _NOT_THE_HORN = "pullback is not the horn at level {}"
@@ -117,8 +120,8 @@ def _step_fault(current: SubOfRepresentable, step: Step) -> tuple | None:
     """None when attaching `step` is a pushout of its inner horn, else why
     not, as a format string and its arguments: `_step_admissible` formats
     the reason.  The guards come first: the class starts at the step
-    cell, (k, m) is an inner face of it, and the window covers it; then
-    `_pushout_fault` decides the pushout."""
+    cell, and (k, m) is an inner face of it; then `_pushout_fault`
+    decides the pushout."""
     c = step.attach
     k, m = step.horn
     if c.src != step.cell:
@@ -129,7 +132,6 @@ def _step_fault(current: SubOfRepresentable, step: Step) -> tuple | None:
         return ("{}", exc)
     if not fd.inner:
         return ("horn ({},{}) of {} is not inner", k, m, step.cell)
-    current.window.require_covers(step.cell)
     return _pushout_fault(current, c, fd)
 
 
@@ -165,7 +167,8 @@ def _step_admissible(current: SubOfRepresentable, step: Step) -> tuple[bool, str
 
 
 def verify_certificate(cert: AnodyneCertificate) -> VerifyReport:
-    """Replay the steps, checking the pushout condition at each one."""
+    """Replay the steps, checking the pushout condition at each one, and
+    compare the result with the end by their cells."""
     current = cert.start
     for i, step in enumerate(cert.steps):
         ok, reason = _step_admissible(current, step)
@@ -173,12 +176,16 @@ def verify_certificate(cert: AnodyneCertificate) -> VerifyReport:
             return VerifyReport(False, i, i, reason)
         current = _apply_step(current, step)
     if current.cells != cert.end.cells:
-        # levels are derived only here, to name the first differing shape
-        for b in cert.window.shapes():
-            if current.level(b) != cert.end.level(b):
-                return VerifyReport(
-                    False, len(cert.steps), None, f"result differs from target at {b}"
-                )
+        # a differing mono cell has its source in the window, where the
+        # levels name the first differing shape
+        b = next(
+            b
+            for b in window_for(cert.start.base).shapes()
+            if current.level(b) != cert.end.level(b)
+        )
+        return VerifyReport(
+            False, len(cert.steps), None, f"result differs from target at {b}"
+        )
     return VerifyReport(True, len(cert.steps), None, "")
 
 
@@ -186,11 +193,7 @@ def verify_certificate(cert: AnodyneCertificate) -> VerifyReport:
 # the constructive certifier for unions of faces
 
 
-def certify_union_inclusion(
-    a: Shape,
-    gamma,
-    window: WindowSpec | None = None,
-) -> AnodyneCertificate:
+def certify_union_inclusion(a: Shape, gamma) -> AnodyneCertificate:
     """Certificate that a proper outer-containing union of faces fills in.
 
     Follows the pushout induction: while at least two inner faces are
@@ -199,8 +202,6 @@ def certify_union_inclusion(
     recursively, transport the steps along B's inclusion, and add B to
     the union; a single missing face is exactly an inner horn.
     """
-    window = window or window_for(a)
-    window.require_covers(a)
     gamma = _resolve_gamma(a, gamma)
     all_faces = faces_of(a)
     if not set(outer_faces(a)) <= set(gamma):
@@ -215,16 +216,12 @@ def certify_union_inclusion(
             steps.append(Step(a, identity_class(a), (missing[0].k, missing[0].m)))
             break
         b_face = missing[0]
-        steps.extend(_transported_steps(a, current, b_face, window))
+        steps.extend(_transported_steps(a, current, b_face))
         current.append(b_face)
         current.sort(key=lambda fd: (fd.k, fd.m))
-    start = union_of_faces(a, gamma, window)
-    end = full_sub(a, window)
     return AnodyneCertificate(
-        a,
-        window,
-        start,
-        end,
+        union_of_faces(a, gamma),
+        full_sub(a),
         steps=tuple(steps),
         start_tag="gamma:" + ",".join(f"{fd.k}:{fd.m}" for fd in gamma),
         end_tag="full",
@@ -239,20 +236,18 @@ def _resolve_gamma(a: Shape, gamma) -> tuple[FaceDescriptor, ...]:
     return tuple(sorted(set(out), key=lambda fd: (fd.k, fd.m)))
 
 
-def _transported_steps(
-    a: Shape, current: list, b_face: FaceDescriptor, window: WindowSpec
-) -> list[Step]:
+def _transported_steps(a: Shape, current: list, b_face: FaceDescriptor) -> list[Step]:
     """Steps attaching one missing face, via the recursion on its target."""
     beta = face_class(b_face)
     target = b_face.target
-    restricted = pullback_along(union_of_faces(a, current, window), beta)
+    restricted = pullback_along(union_of_faces(a, current), beta)
     gamma_b = [
         fd
         for fd in faces_of(target)
         if face_class(fd) in restricted.cells
     ]
     # the restriction must be exactly a union of faces of the target
-    if union_of_faces(target, gamma_b, window) != restricted:
+    if union_of_faces(target, gamma_b) != restricted:
         raise ProofShapeViolation(
             f"restriction of the union to face ({b_face.k},{b_face.m}) of {a} "
             "is not a union of faces",
@@ -271,7 +266,7 @@ def _transported_steps(
             "proper or misses an outer face",
             data={"recognized_faces": [(fd.k, fd.m) for fd in gamma_b]},
         )
-    subcert = certify_union_inclusion(target, gamma_b, window)
+    subcert = certify_union_inclusion(target, gamma_b)
     return [
         Step(s.cell, compose_classes(beta, s.attach), s.horn) for s in subcert.steps
     ]
@@ -298,12 +293,7 @@ class ProbeResult(NamedTuple):
         }
 
 
-def spine_probe(
-    a: Shape,
-    target: str,
-    window: WindowSpec | None = None,
-    budget: int = 10**6,
-) -> ProbeResult:
+def spine_probe(a: Shape, target: str, budget: int = 10**6) -> ProbeResult:
     """Search for a certificate from the spine to the chosen target.
 
     target is "full" (the whole representable) or "outer" (the spine
@@ -311,20 +301,21 @@ def spine_probe(
     smaller dimension and entry sum, then lexicographically smaller
     attaching classes, so the returned certificate is canonical.  A
     search that exhausts or runs out of budget is an exhaustion report,
-    never a refutation.
+    never a refutation.  The candidate cells are the shapes of
+    `window_for(a)`, which hold the source of every mono cell into a: by
+    L2 no other cell attaches.
     """
-    window = window or window_for(a)
-    window.require_covers(a)
-    start = spine(a, window)
+    start = spine(a)
     if target == "full":
-        end = full_sub(a, window)
+        end = full_sub(a)
     elif target == "outer":
-        end = sub_union(start, union_of_faces(a, outer_faces(a), window))
+        end = sub_union(start, union_of_faces(a, outer_faces(a)))
     else:
         raise ValueError(f"unknown probe target {target!r}")
 
     shapes_order = sorted(
-        window.shapes(), key=lambda c: (c.dim + sum(c.entries), c.dim, c.entries)
+        window_for(a).shapes(),
+        key=lambda c: (c.dim + sum(c.entries), c.dim, c.entries),
     )
     # (attaching class, horn face): window shapes and their inner faces
     # pass the guards of `_step_fault`, so the search checks only the
@@ -374,8 +365,6 @@ def spine_probe(
     if not found:
         return ProbeResult(False, None, nodes, len(seen), max_depth)
     cert = AnodyneCertificate(
-        a,
-        window,
         start,
         end,
         steps=tuple(best),

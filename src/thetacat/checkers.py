@@ -192,9 +192,10 @@ class FibrationReport(NamedTuple):
 
 
 def inner_fibration_check(
-    phi: PresheafNatFamily, window: WindowSpec, budget: int = 10**7
+    phi: PresheafNatFamily, budget: int = 10**7
 ) -> FibrationReport:
-    """Test the right lifting property against every inner horn in window.
+    """Test the right lifting property against every inner horn of phi's
+    window.
 
     For each inner horn and each commuting square (a family on the horn
     in the source, an element of the target level restricting to its
@@ -203,7 +204,7 @@ def inner_fibration_check(
     x, y = phi.source, phi.target
     checked = 0
     failures = []
-    for a in window.shapes():
+    for a in phi.window.shapes():
         for fd in faces_of(a):
             if not fd.inner:
                 continue

@@ -7,10 +7,6 @@ class IncomposableError(ValueError):
     """Raised when two maps or classes have mismatched (co)domains."""
 
 
-class WindowInsufficientError(ValueError):
-    """Raised when a window is too small for the requested construction."""
-
-
 class BudgetExceededError(RuntimeError):
     """Raised when a search or an enumeration exceeds its budget.
 

@@ -377,12 +377,10 @@ def vertex_indices(
 
 
 def homotopy_classes(
-    g_: FiniteGroup,
-    a_: FiniteGroup,
-    window: WindowSpec = H2_WINDOW,
-    budget: int = 10**7,
+    g_: FiniteGroup, a_: FiniteGroup, budget: int = 10**7
 ) -> HomotopyReport:
-    """Maps of nerves modulo cylinder homotopy, against the H^2 count.
+    """Maps of nerves modulo cylinder homotopy on `H2_WINDOW`, against the
+    H^2 count.
 
     Two maps are related when some family on the product with the
     interval restricts to them along the two vertex inclusions; classes
@@ -405,16 +403,14 @@ def homotopy_classes(
     """
     from .groups import cocycle_tools
 
-    if not (window.contains(shape(3)) and window.contains(shape(2, 1))):
-        raise ValueError("window must contain t[3] and t[2,1]")
     h2 = cocycle_tools(g_, a_, budget)
     src, tgt = NerveB1(g_), NerveB2EM(a_)
-    maps = nat_presheaves(src, tgt, window, budget)
+    maps = nat_presheaves(src, tgt, H2_WINDOW, budget)
     key_of = {m.key(): i for i, m in enumerate(maps)}
     cyl = product(src, Representable(shape(1)))
-    net, roots = nat_network(cyl, tgt, window)
+    net, roots = nat_network(cyl, tgt, H2_WINDOW)
     readers = [
-        vertex_inclusion_values(roots, vertex_indices(cyl, src, window, vertex))
+        vertex_inclusion_values(roots, vertex_indices(cyl, src, H2_WINDOW, vertex))
         for vertex in (0, 1)
     ]
 

@@ -200,7 +200,8 @@ def product(x: Presheaf, y: Presheaf) -> ProductPresheaf:
 
 
 class SubAsPresheaf(Presheaf):
-    """A subpresheaf of a representable, viewed as a presheaf on its window."""
+    """A subpresheaf of a representable, viewed as a presheaf: its level
+    at any shape is derived from its mono cells (`subshapes`)."""
 
     def __init__(self, sub: SubOfRepresentable):
         super().__init__()

@@ -95,11 +95,10 @@ def _subshapes_invariants(rng) -> dict:
     for a in WindowSpec(2, 2).shapes():
         if a.dim == 0:
             continue
-        w = subshapes.window_for(a)
-        bd = subshapes.boundary(a, w)
+        bd = subshapes.boundary(a)
         for fd in theta.faces_of(a):
-            h = subshapes.horn(a, fd.k, fd.m, w)
-            f = subshapes.face_image(fd, w)
+            h = subshapes.horn(a, fd.k, fd.m)
+            f = subshapes.face_image(fd)
             ok_horn_boundary = ok_horn_boundary and subshapes.sub_algebra(
                 "equal", subshapes.sub_union(h, f), bd
             )
@@ -107,16 +106,14 @@ def _subshapes_invariants(rng) -> dict:
     for a in WindowSpec(2, 2).shapes():
         if a.dim == 0 or all(x == 1 for x in a.entries):
             continue
-        w = subshapes.window_for(a)
-        sp = subshapes.spine(a, w)
-        outer = subshapes.union_of_faces(a, theta.outer_faces(a), w)
+        sp = subshapes.spine(a)
+        outer = subshapes.union_of_faces(a, theta.outer_faces(a))
         ok_spine_outer = ok_spine_outer and sp.is_subset(outer)
     ok_allones = True
     for d in range(3):
         a = theta.Shape((1,) * d)
-        w = subshapes.window_for(a)
         ok_allones = ok_allones and subshapes.sub_algebra(
-            "equal", subshapes.spine(a, w), subshapes.full_sub(a, w)
+            "equal", subshapes.spine(a), subshapes.full_sub(a)
         )
     return {
         "horn_plus_face_is_boundary": ok_horn_boundary,
@@ -135,9 +132,7 @@ def _presheaf_invariants(rng) -> dict:
     )
     ok_yoneda = True
     for a in w.shapes():
-        families = presheaves.nat_cells(
-            subshapes.full_sub(a, subshapes.window_for(a)), b1
-        )
+        families = presheaves.nat_cells(subshapes.full_sub(a), b1)
         ok_yoneda = ok_yoneda and len(families) == b1.size(a)
     return {"functoriality": ok_funct, "yoneda": ok_yoneda}
 

@@ -6,11 +6,14 @@ is one.  The category is Eilenberg-Zilber: every cell is, in exactly
 one way, a componentwise epi followed by a mono cell, and the epi has
 a section.  So a subpresheaf of a representable, closed under
 precomposition, is fixed by the mono cells it contains, and a cell lies
-in it exactly when its mono part does.  It is stored by those mono
-cells over a finite window of shapes, and its levels are derived on
+in it exactly when its mono part does (Berger-Moerdijk, "On an
+extension of the notion of Reedy category", Math. Z. 269, 2011).  A
+mono cell b -> a has degree at most a.dim + 1 and its k-th component
+injects [b_k] into [a_k] (`mono_cells_into`), so b lies in
+`window_for(a)`: the mono cells are finitely many, a subobject is
+stored exactly by them, and its levels at any shape are derived on
 demand.  Membership of a single cell in a face, horn or spine is
-decidable directly from the class data, so levels can also be computed
-at shapes far beyond the base.
+decidable directly from the class data.
 """
 
 from __future__ import annotations
@@ -20,7 +23,6 @@ from functools import lru_cache
 from typing import Iterable, NamedTuple
 
 from .delta import MonotoneMap, constant_map
-from .errors import WindowInsufficientError
 from .theta import (
     FaceDescriptor,
     MorphismClass,
@@ -43,18 +45,6 @@ class WindowSpec(NamedTuple):
     def shapes(self) -> tuple[Shape, ...]:
         return _window_shapes(self.max_dim, self.max_entry)
 
-    def contains(self, s: Shape) -> bool:
-        return s.dim <= self.max_dim and all(a <= self.max_entry for a in s.entries)
-
-    def covers_shape(self, a: Shape) -> bool:
-        """Whether every shape below `a` is in the window."""
-        top = max(a.entries) if a.entries else 1
-        return self.max_dim >= a.dim and self.max_entry >= top
-
-    def require_covers(self, a: Shape) -> None:
-        if not self.covers_shape(a):
-            raise WindowInsufficientError(f"window {self} insufficient for {a}")
-
     def to_json(self) -> dict:
         return {"max_dim": self.max_dim, "max_entry": self.max_entry}
 
@@ -71,10 +61,10 @@ def _window_shapes(max_dim: int, max_entry: int) -> tuple[Shape, ...]:
     return tuple(out)
 
 
-def window_for(a: Shape, min_dim: int = 0, min_entry: int = 1) -> WindowSpec:
-    """The smallest window whose levels determine subobjects of y(a)."""
+def window_for(a: Shape) -> WindowSpec:
+    """The smallest window that holds the source of every mono cell into a."""
     top = max(a.entries) if a.entries else 1
-    return WindowSpec(max(a.dim, min_dim), max(top, min_entry))
+    return WindowSpec(a.dim, top)
 
 
 DEFAULT_WINDOW = WindowSpec(3, 3)
@@ -115,12 +105,10 @@ def spine_membership(s: MorphismClass) -> bool:
 
 
 class SubOfRepresentable(NamedTuple):
-    """A subpresheaf of Hom(-, base) over a window, stored by its mono
-    cells: `cells` holds the mono cells into `base` that it contains and
-    whose source lies in the window."""
+    """A subpresheaf of Hom(-, base), stored by its mono cells: `cells`
+    holds the mono cells into `base` that it contains."""
 
     base: Shape
-    window: WindowSpec
     cells: frozenset  # of MorphismClass
 
     def __contains__(self, s: MorphismClass) -> bool:
@@ -137,58 +125,47 @@ class SubOfRepresentable(NamedTuple):
         return self.cells <= other.cells
 
 
-
 def _cell_key(s: MorphismClass):
     return (s.degree, tuple(f.values for f in s.components), s.src)
 
 
 def _check_compatible(u: SubOfRepresentable, v: SubOfRepresentable) -> None:
-    if u.base != v.base or u.window != v.window:
-        raise ValueError("subpresheaves live on different bases or windows")
+    if u.base != v.base:
+        raise ValueError("subpresheaves live on different bases")
 
 
-def _window_mono_cells(a: Shape, window: WindowSpec):
-    return (s for s in mono_cells_into(a) if window.contains(s.src))
+def _build(base: Shape, predicate) -> SubOfRepresentable:
+    cells = frozenset(s for s in mono_cells_into(base) if predicate(s))
+    return SubOfRepresentable(base, cells)
 
 
-def _build(base: Shape, window: WindowSpec, predicate) -> SubOfRepresentable:
-    cells = frozenset(s for s in _window_mono_cells(base, window) if predicate(s))
-    return SubOfRepresentable(base, window, cells)
+def full_sub(a: Shape) -> SubOfRepresentable:
+    return _build(a, lambda s: True)
 
 
-def full_sub(a: Shape, window: WindowSpec) -> SubOfRepresentable:
-    return _build(a, window, lambda s: True)
-
-
-def boundary(a: Shape, window: WindowSpec) -> SubOfRepresentable:
+def boundary(a: Shape) -> SubOfRepresentable:
     """Union of all faces; empty for the point."""
-    window.require_covers(a)
     fds = faces_of(a)
-    return _build(a, window, lambda s: in_union_of_faces(s, fds))
+    return _build(a, lambda s: in_union_of_faces(s, fds))
 
 
-def face_image(fd: FaceDescriptor, window: WindowSpec) -> SubOfRepresentable:
-    window.require_covers(fd.base)
-    return _build(fd.base, window, lambda s: face_membership(s, fd))
+def face_image(fd: FaceDescriptor) -> SubOfRepresentable:
+    return _build(fd.base, lambda s: face_membership(s, fd))
 
 
-def union_of_faces(
-    a: Shape, fds: Iterable[FaceDescriptor], window: WindowSpec
-) -> SubOfRepresentable:
-    window.require_covers(a)
+def union_of_faces(a: Shape, fds: Iterable[FaceDescriptor]) -> SubOfRepresentable:
     fds = tuple(fds)
-    return _build(a, window, lambda s: in_union_of_faces(s, fds))
+    return _build(a, lambda s: in_union_of_faces(s, fds))
 
 
-def horn(a: Shape, k: int, m: int, window: WindowSpec) -> SubOfRepresentable:
+def horn(a: Shape, k: int, m: int) -> SubOfRepresentable:
     """Union of all faces except (k, m)."""
     missing = face_descriptor(a, k, m)
-    return union_of_faces(a, (fd for fd in faces_of(a) if fd != missing), window)
+    return union_of_faces(a, (fd for fd in faces_of(a) if fd != missing))
 
 
-def spine(a: Shape, window: WindowSpec) -> SubOfRepresentable:
-    window.require_covers(a)
-    return _build(a, window, spine_membership)
+def spine(a: Shape) -> SubOfRepresentable:
+    return _build(a, spine_membership)
 
 
 # ---------------------------------------------------------------------------
@@ -197,12 +174,12 @@ def spine(a: Shape, window: WindowSpec) -> SubOfRepresentable:
 
 def sub_union(u: SubOfRepresentable, v: SubOfRepresentable) -> SubOfRepresentable:
     _check_compatible(u, v)
-    return SubOfRepresentable(u.base, u.window, u.cells | v.cells)
+    return SubOfRepresentable(u.base, u.cells | v.cells)
 
 
 def sub_intersect(u: SubOfRepresentable, v: SubOfRepresentable) -> SubOfRepresentable:
     _check_compatible(u, v)
-    return SubOfRepresentable(u.base, u.window, u.cells & v.cells)
+    return SubOfRepresentable(u.base, u.cells & v.cells)
 
 
 def sub_algebra(op: str, u: SubOfRepresentable, v: SubOfRepresentable):
@@ -223,16 +200,15 @@ def pullback_along(u: SubOfRepresentable, c: MorphismClass) -> SubOfRepresentabl
     """Cells t of y(c.src) whose composite with c lies in u."""
     if c.dst != u.base:
         raise ValueError(f"{c} does not land in {u.base}")
-    return _build(c.src, u.window, lambda t: compose_classes(c, t) in u)
+    return _build(c.src, lambda t: compose_classes(c, t) in u)
 
 
-def image(c: MorphismClass, window: WindowSpec) -> SubOfRepresentable:
+def image(c: MorphismClass) -> SubOfRepresentable:
     """The image of y(c): the mono parts of c . t for the mono cells t."""
     cells = frozenset(
-        epi_mono_factor_class(compose_classes(c, t))[1]
-        for t in _window_mono_cells(c.src, window)
+        epi_mono_factor_class(compose_classes(c, t))[1] for t in mono_cells_into(c.src)
     )
-    return SubOfRepresentable(c.dst, window, cells)
+    return SubOfRepresentable(c.dst, cells)
 
 
 def nondegenerate_cells(u: SubOfRepresentable) -> list[tuple[Shape, MorphismClass]]:

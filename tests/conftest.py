@@ -25,7 +25,13 @@ from thetacat.presheaves import (
     nat_presheaves,
     product,
 )
-from thetacat.subshapes import SubOfRepresentable, WindowSpec, common_cells, horn
+from thetacat.subshapes import (
+    SubOfRepresentable,
+    WindowSpec,
+    common_cells,
+    horn,
+    window_for,
+)
 from thetacat.theta import (
     FaceDescriptor,
     MorphismClass,
@@ -77,10 +83,12 @@ def is_mono_cell(s: MorphismClass) -> bool:
 
 
 def check_closure(sub: SubOfRepresentable) -> None:
-    """Verify closure under precomposition, exhaustively on the window."""
-    for b2 in sub.window.shapes():
+    """Verify closure under precomposition, exhaustively on the window of
+    its base."""
+    shapes = window_for(sub.base).shapes()
+    for b2 in shapes:
         for s in sub.level(b2):
-            for b1 in sub.window.shapes():
+            for b1 in shapes:
                 for f in enumerate_hom(b1, b2):
                     if compose_classes(s, f) not in sub:
                         raise AssertionError(
@@ -255,8 +263,9 @@ def levelwise_pullback(levels: dict, composites: dict) -> dict:
 
 
 def family_is_natural(sub: SubOfRepresentable, x, value_at) -> bool:
-    """Check one family on a subpresheaf against every window square."""
-    window = sub.window
+    """Check one family on a subpresheaf against every square of the
+    window of its base."""
+    window = window_for(sub.base)
     values = {}
     for b in window.shapes():
         for s in sub.level(b):
@@ -328,11 +337,14 @@ def constants_to_all_ones(table: TablePresheaf) -> TablePresheaf:
 # oracle: the anodyne step check level by level
 #
 # The step check that `anodyne._step_admissible` replaced, kept verbatim
-# apart from its name: it builds the horn and compares the pullback with
-# it at every window level, composing c with every cell of the step cell.
+# apart from its name and its `window` parameter: it builds the horn and
+# compares the pullback with it at every level of the window, composing c
+# with every cell of the step cell.
 
 
-def full_level_step_check(current: SubOfRepresentable, step) -> tuple[bool, str]:
+def full_level_step_check(
+    current: SubOfRepresentable, step, window: WindowSpec
+) -> tuple[bool, str]:
     c = step.attach
     k, m = step.horn
     if c.src != step.cell:
@@ -343,8 +355,7 @@ def full_level_step_check(current: SubOfRepresentable, step) -> tuple[bool, str]
         return False, str(exc)
     if not fd.inner:
         return False, f"horn ({k},{m}) of {step.cell} is not inner"
-    window = current.window
-    inner_horn = horn(step.cell, k, m, window)
+    inner_horn = horn(step.cell, k, m)
     for b in window.shapes():
         members = current.level(b)
         pullback = set()

@@ -132,7 +132,7 @@ def test_c03_yoneda():
     ]
     for x in subjects:
         for a in WINDOW.shapes():
-            fams = nat_cells(full_sub(a, window_for(a)), x)
+            fams = nat_cells(full_sub(a), x)
             assert len(fams) == x.size(a), (x.name, a)
             if fams:
                 cells = fams[0].cells
@@ -176,14 +176,12 @@ def test_c05_spine_facts():
     t0 = time.time()
     for d in range(4):
         a = Shape((1,) * d)
-        w = window_for(a)
-        assert sub_algebra("equal", spine(a, w), full_sub(a, w))
+        assert sub_algebra("equal", spine(a), full_sub(a))
     for a in WINDOW.shapes():
         if a.dim == 0 or all(x == 1 for x in a.entries):
             continue
-        w = window_for(a)
         assert sub_algebra(
-            "subset", spine(a, w), union_of_faces(a, outer_faces(a), w)
+            "subset", spine(a), union_of_faces(a, outer_faces(a))
         ), a
     report(f"C5 spine facts (all-ones full; others in outer union): PASS {time.time()-t0:.1f}s")
 
@@ -208,8 +206,8 @@ def test_c06_spine_probe():
     assert verify_certificate(r.certificate).ok
     a = shape(3)
     w = window_for(a)
-    start = spine(a, w)
-    end = full_sub(a, w)
+    start = spine(a)
+    end = full_sub(a)
     candidates = [
         Step(c_shape, c, (fd.k, fd.m))
         for c_shape in w.shapes()

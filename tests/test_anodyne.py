@@ -3,7 +3,7 @@ import random
 
 import pytest
 
-from conftest import full_level_step_check, is_mono_cell
+from conftest import full_level_step_check, is_mono_cell, levelwise_sub
 from thetacat import anodyne
 from thetacat.anodyne import (
     AnodyneCertificate,
@@ -17,7 +17,6 @@ from thetacat.anodyne import (
     _step_fault,
 )
 from thetacat.delta import MonotoneMap
-from thetacat.errors import WindowInsufficientError
 from thetacat.subshapes import (
     SubOfRepresentable,
     WindowSpec,
@@ -25,7 +24,7 @@ from thetacat.subshapes import (
     image,
     in_union_of_faces,
     spine,
-    sub_union,
+    spine_membership,
     union_of_faces,
     window_for,
 )
@@ -49,12 +48,9 @@ from thetacat.theta import (
 
 def interval_triangle_cert():
     a = shape(2)
-    w = window_for(a)
     return AnodyneCertificate(
-        a,
-        w,
-        spine(a, w),
-        full_sub(a, w),
+        spine(a),
+        full_sub(a),
         steps=(Step(a, identity_class(a), (1, 1)),),
         start_tag="spine",
         end_tag="full",
@@ -68,11 +64,9 @@ def test_verify_single_step_spine_certificate():
 def test_verify_rejects_outer_horn_step():
     cert = interval_triangle_cert()
     bad = AnodyneCertificate(
-        cert.base,
-        cert.window,
         cert.start,
         cert.end,
-        steps=(Step(cert.base, identity_class(cert.base), (1, 0)),),
+        steps=(Step(shape(2), identity_class(shape(2)), (1, 0)),),
         start_tag="spine",
         end_tag="full",
     )
@@ -82,17 +76,15 @@ def test_verify_rejects_outer_horn_step():
 
 def test_verify_empty_steps_identity_inclusion():
     a = shape(2)
-    w = window_for(a)
-    sp = spine(a, w)
-    cert = AnodyneCertificate(a, w, sp, sp, steps=(), start_tag="spine", end_tag="spine")
+    sp = spine(a)
+    cert = AnodyneCertificate(sp, sp, steps=(), start_tag="spine", end_tag="spine")
     assert verify_certificate(cert).ok
 
 
 def test_verify_rejects_wrong_target():
     a = shape(2)
-    w = window_for(a)
     cert = AnodyneCertificate(
-        a, w, spine(a, w), spine(a, w), steps=(Step(a, identity_class(a), (1, 1)),),
+        spine(a), spine(a), steps=(Step(a, identity_class(a), (1, 1)),),
         start_tag="spine", end_tag="spine",
     )
     rep = verify_certificate(cert)
@@ -102,9 +94,8 @@ def test_verify_rejects_wrong_target():
 def test_verify_rejects_inexact_pullback():
     # attaching the triangle onto the full object: pullback is full
     a = shape(2)
-    w = window_for(a)
     cert = AnodyneCertificate(
-        a, w, full_sub(a, w), full_sub(a, w),
+        full_sub(a), full_sub(a),
         steps=(Step(a, identity_class(a), (1, 1)),),
         start_tag="full", end_tag="full",
     )
@@ -131,17 +122,17 @@ def test_verify_rejects_noninjective_attachment():
     )
     degenerate.validate()
     assert not is_mono_cell(degenerate)
-    assert degenerate not in spine(b, w).level(b)
+    assert degenerate not in spine(b).level(b)
     for base, c, reason in [
         (a, collapse, "pullback is not the horn at level t[2]"),
         (b, degenerate, "pullback is not the horn at level t[1]"),
     ]:
-        start = spine(base, w)
+        start = spine(base)
         step = Step(shape(2), c, (1, 1))
         assert _step_admissible(start, step) == (False, reason)
-        assert not full_level_step_check(start, step)[0]
+        assert not full_level_step_check(start, step, w)[0]
         cert = AnodyneCertificate(
-            base, w, start, full_sub(base, w), steps=(step,),
+            start, full_sub(base), steps=(step,),
             start_tag="spine", end_tag="full",
         )
         assert not verify_certificate(cert).ok
@@ -219,7 +210,8 @@ def test_certificate_growth_is_strict():
         assert ok
         new = _apply_step(current, step)
         assert any(
-            len(new.level(b)) > len(current.level(b)) for b in cert.window.shapes()
+            len(new.level(b)) > len(current.level(b))
+            for b in window_for(shape(3)).shapes()
         )
         # never attach an already-present cell
         assert step.attach not in current.level(step.attach.src)
@@ -281,8 +273,8 @@ def test_probe_tetrahedron_no_three_step_certificate():
     # breadth-first oracle: no certificate of length <= 3 exists
     a = shape(3)
     w = window_for(a)
-    start = spine(a, w)
-    end = full_sub(a, w)
+    start = spine(a)
+    end = full_sub(a)
     shapes_order = sorted(
         w.shapes(), key=lambda c: (c.dim + sum(c.entries), c.dim, c.entries)
     )
@@ -312,19 +304,6 @@ def test_probe_budget_exhaustion_report():
     assert not r.found
     assert r.certificate is None
     assert r.nodes >= 5
-
-
-def test_probe_certificates_verify_on_larger_window():
-    r = spine_probe(shape(2, 1), "outer")
-    big = WindowSpec(2, 3)
-    start = spine(shape(2, 1), big)
-    end = sub_union(
-        start, union_of_faces(shape(2, 1), outer_faces(shape(2, 1)), big)
-    )
-    cert = AnodyneCertificate(
-        shape(2, 1), big, start, end, r.certificate.steps, "spine", "outer"
-    )
-    assert verify_certificate(cert).ok
 
 
 def test_probe_rejects_unknown_target():
@@ -360,8 +339,10 @@ PREFILTER_PROBES = [
 def unfiltered_probe(monkeypatch, a, target, budget=10**6):
     """`spine_probe` with every candidate decided by the full-level oracle."""
 
+    w = window_for(a)
+
     def oracle_fault(current, c, fd):
-        ok, reason = full_level_step_check(current, Step(fd.base, c, (fd.k, fd.m)))
+        ok, reason = full_level_step_check(current, Step(fd.base, c, (fd.k, fd.m)), w)
         return None if ok else (reason,)
 
     with monkeypatch.context() as m:
@@ -386,9 +367,10 @@ def test_probe_prefilter_matches_unfiltered_search(monkeypatch, text, target):
     assert len(tried) == result.nodes
     # the same verdict as the oracle on every candidate the search tries,
     # and the search skips only guards that every candidate passes
+    w = window_for(a)
     for current, step, fault in tried:
         assert _step_fault(current, step) == fault, step
-        assert full_level_step_check(current, step)[0] == (fault is None), step
+        assert full_level_step_check(current, step, w)[0] == (fault is None), step
     oks = [fault is None for _, _, fault in tried]
     assert any(oks) and not all(oks)
     assert unfiltered_probe(monkeypatch, a, target) == result
@@ -406,29 +388,33 @@ def test_probe_prefilter_same_result_at_every_budget(monkeypatch, text, target):
 
 @pytest.mark.parametrize("text,target", PREFILTER_PROBES)
 def test_probe_certificates_verify_on_windows_one_step_larger(text, target):
-    # the windowed verdict does not depend on the window: a certificate
-    # found on window_for(a) verifies again with one more dimension and
-    # with one more entry
+    # a certificate is exact: replayed under the level-by-level step check
+    # with one more dimension and with one more entry than window_for(a),
+    # every step passes and the result has the target's levels there
     a = parse_shape(text)
-    steps = spine_probe(a, target).certificate.steps
+    cert = spine_probe(a, target).certificate
+    if target == "full":
+        in_target = lambda s: True
+    else:
+        outer = outer_faces(a)
+        in_target = lambda s: spine_membership(s) or in_union_of_faces(s, outer)
     w = window_for(a)
     for big in (
         WindowSpec(w.max_dim + 1, w.max_entry),
         WindowSpec(w.max_dim, w.max_entry + 1),
     ):
-        start = spine(a, big)
-        if target == "full":
-            end = full_sub(a, big)
-        else:
-            end = sub_union(start, union_of_faces(a, outer_faces(a), big))
-        cert = AnodyneCertificate(a, big, start, end, steps, "spine", target)
-        assert verify_certificate(cert).ok, big
+        current = cert.start
+        for step in cert.steps:
+            assert full_level_step_check(current, step, big) == (True, ""), (big, step)
+            current = _apply_step(current, step)
+        levels = levelwise_sub(a, big, in_target)
+        assert all(current.level(b) == levels[b] for b in big.shapes()), big
 
 
 RANDOM_START_SHAPES = (shape(3), shape(2, 1), shape(1, 2))
 
 
-def random_closed_starts(a: Shape, w: WindowSpec, draws: int):
+def random_closed_starts(a: Shape, draws: int):
     """Seeded unions of the images of one to four random proper mono
     cells of `a`: closed under precomposition, and often not unions of
     faces."""
@@ -437,8 +423,8 @@ def random_closed_starts(a: Shape, w: WindowSpec, draws: int):
     out = []
     for _ in range(draws):
         chosen = rng.sample(cells, rng.randint(1, 4))
-        members = frozenset().union(*(image(mu, w).cells for mu in chosen))
-        out.append(SubOfRepresentable(a, w, members))
+        members = frozenset().union(*(image(mu).cells for mu in chosen))
+        out.append(SubOfRepresentable(a, members))
     return out
 
 
@@ -452,13 +438,13 @@ def test_step_check_matches_oracle_on_every_start_and_step(a):
     # as the horn, outer ones included
     w = window_for(a)
     fds = faces_of(a)
-    starts = {spine(a, w), full_sub(a, w)} | {
-        union_of_faces(a, chosen, w)
+    starts = {spine(a), full_sub(a)} | {
+        union_of_faces(a, chosen)
         for r in range(len(fds) + 1)
         for chosen in itertools.combinations(fds, r)
     }
     if a in RANDOM_START_SHAPES:
-        starts |= set(random_closed_starts(a, w, 20))
+        starts |= set(random_closed_starts(a, 20))
     steps = [
         Step(c_shape, c, (fd.k, fd.m))
         for c_shape in w.shapes()
@@ -469,20 +455,27 @@ def test_step_check_matches_oracle_on_every_start_and_step(a):
     for current in starts:
         for step in steps:
             ok = _step_admissible(current, step)[0]
-            assert ok == full_level_step_check(current, step)[0], (current, step)
+            assert ok == full_level_step_check(current, step, w)[0], (current, step)
             accepted += ok
     assert (accepted > 0) == any(inner_faces(b) for b in w.shapes())
 
 
-def test_step_cell_outside_the_window_raises():
+def test_step_cell_outside_the_window_is_rejected():
+    # t[3] lies outside window_for(t[2]), so no class t[3] -> t[2] is mono
+    # and by L2 none attaches: the check rejects the step, and it agrees
+    # with the level-by-level check on a window that covers t[3]
     a = shape(2)
-    w = window_for(a)
     cell = shape(3)
     c = next(c for c in enumerate_hom(cell, a) if c.degree == 2)
     step = Step(cell, c, (1, 1))
-    for check in (_step_admissible, full_level_step_check):
-        with pytest.raises(WindowInsufficientError):
-            check(spine(a, w), step)
+    start = spine(a)
+    ok, reason = _step_admissible(start, step)
+    assert not ok and reason.startswith("pullback is not the horn at level ")
+    assert not full_level_step_check(start, step, WindowSpec(1, 3))[0]
+    cert = AnodyneCertificate(start, full_sub(a), (step,), "spine", "full")
+    rep = verify_certificate(cert)
+    assert (rep.ok, rep.failed_step) == (False, 0)
+    assert rep.reason == reason
 
 
 # ---------------------------------------------------------------------------

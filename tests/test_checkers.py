@@ -140,7 +140,7 @@ def test_inner_fibration_to_terminal_for_cat():
         b1, TerminalPresheaf(), w, {b: (0,) * b1.size(b) for b in w.shapes()}
     )
     assert is_natural(phi)
-    rep = inner_fibration_check(phi, w)
+    rep = inner_fibration_check(phi)
     assert rep.ok and rep.squares_checked > 0
 
 
@@ -150,7 +150,7 @@ def test_inner_fibration_identity():
     phi = PresheafNatFamily(
         b2, b2, w, {b: tuple(range(b2.size(b))) for b in w.shapes()}
     )
-    rep = inner_fibration_check(phi, w)
+    rep = inner_fibration_check(phi)
     assert rep.ok
 
 
@@ -158,11 +158,11 @@ def test_inner_fibration_fault_detected():
     # the inclusion of a horn, viewed over its own window, has no
     # filler for the tautological horn family
     w = window_for(shape(2))
-    hp = SubAsPresheaf(horn(shape(2), 1, 1, w))
+    hp = SubAsPresheaf(horn(shape(2), 1, 1))
     phi = PresheafNatFamily(
         hp, TerminalPresheaf(), w, {b: (0,) * hp.size(b) for b in w.shapes()}
     )
-    rep = inner_fibration_check(phi, w)
+    rep = inner_fibration_check(phi)
     assert not rep.ok
     assert rep.failures[0].shape == shape(2)
     assert (rep.failures[0].k, rep.failures[0].m) == (1, 1)
@@ -192,8 +192,8 @@ def test_reports_match_per_call_face_tables(nerve, monkeypatch):
         return (
             check(x, "strict-cat", w).to_json(),
             check(x, "strict-groupoid", w).to_json(),
-            inner_fibration_check(to_terminal, w),
-            inner_fibration_check(identity, w),
+            inner_fibration_check(to_terminal),
+            inner_fibration_check(identity),
         )
 
     memoized = reports()
@@ -238,6 +238,8 @@ def _identity(x, w):
 # the inner_fibration_check cases of this file
 FIBRATIONS = {
     "B1(Z2) -> 1": lambda: _to_terminal(nerve_b1(cyclic(2)), WindowSpec(2, 2)),
+    # the check reads phi's own window, however small
+    "B1(Z2) -> 1 at D=1": lambda: _to_terminal(nerve_b1(cyclic(2)), WindowSpec(1, 2)),
     "B1(Z2) -> B1(Z2)": lambda: _identity(nerve_b1(cyclic(2)), WindowSpec(2, 2)),
     "B2strict(Z2) -> 1": lambda: _to_terminal(
         nerve_b2_strict(cyclic(2)), WindowSpec(2, 2)
@@ -246,7 +248,7 @@ FIBRATIONS = {
         nerve_b2_strict(cyclic(2)), WindowSpec(2, 2)
     ),
     "horn(t[2], 1, 1) -> 1": lambda: _to_terminal(
-        SubAsPresheaf(horn(shape(2), 1, 1, window_for(shape(2)))), window_for(shape(2))
+        SubAsPresheaf(horn(shape(2), 1, 1)), window_for(shape(2))
     ),
 }
 
@@ -255,4 +257,4 @@ FIBRATIONS = {
 def test_fibration_reports_match_per_element_restriction(name):
     phi, oracle_phi = FIBRATIONS[name](), FIBRATIONS[name]()
     want = inner_fibration_oracle(oracle_phi, oracle_phi.window)
-    assert inner_fibration_check(phi, phi.window) == want
+    assert inner_fibration_check(phi) == want

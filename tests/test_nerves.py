@@ -479,11 +479,6 @@ def test_homotopy_classes_by_universal_coefficients(gname):
     assert rep.relation_was_reflexive and rep.relation_was_symmetric
 
 
-def test_homotopy_window_precondition():
-    with pytest.raises(ValueError):
-        homotopy_classes(cyclic(2), cyclic(2), window=WindowSpec(1, 2))
-
-
 def _forced_disagreement(g_: FiniteGroup, a_: FiniteGroup):
     """`homotopy_classes` told one cocycle class too many, which makes it
     attach the counterexample bundle."""

@@ -255,16 +255,16 @@ def test_yoneda_small_window_all_methods():
     rep = Representable(shape(1, 1))
     for x in (b1, rep):
         for a in shapes_with(2, 2):
-            sub = full_sub(a, window_for(a))
+            sub = full_sub(a)
             fams = nat_cells(sub, x)
             assert len(fams) == x.size(a)
             # the same count through the route between presheaves
-            assert len(nat_presheaves(SubAsPresheaf(sub), x, sub.window)) == x.size(a)
+            assert len(nat_presheaves(SubAsPresheaf(sub), x, window_for(a))) == x.size(a)
 
 
 def test_nat_on_boundary_of_interval():
     b1 = nerve_b1(cyclic(3))
-    sub = boundary(shape(1), window_for(shape(1)))
+    sub = boundary(shape(1))
     fams = nat_cells(sub, b1)
     assert len(fams) == b1.size(POINT) ** 2 == 1
     em = NerveB2EM(cyclic(2))
@@ -454,21 +454,19 @@ def test_face_union_families_agree_with_cell_search():
     # two independent enumeration routes over the same horn
     b1 = nerve_b1(cyclic(2))
     for a in [shape(2), shape(2, 1), shape(1, 2)]:
-        w = window_for(a)
         for fd in faces_of(a):
             roots = tuple(f for f in faces_of(a) if f != fd)
             via_roots = nat_face_union(roots, b1)
-            via_cells = nat_cells(horn(a, fd.k, fd.m, w), b1)
+            via_cells = nat_cells(horn(a, fd.k, fd.m), b1)
             assert len(via_roots) == len(via_cells)
 
 
 def test_face_union_families_are_natural():
     b1 = nerve_b1(cyclic(2))
     a = shape(2, 1)
-    w = window_for(a)
     for fd in faces_of(a):
         roots = tuple(f for f in faces_of(a) if f != fd)
-        sub = horn(a, fd.k, fd.m, w)
+        sub = horn(a, fd.k, fd.m)
         for fam in nat_face_union(roots, b1):
             assert family_is_natural(sub, b1, fam.value_at)
 
@@ -476,7 +474,7 @@ def test_face_union_families_are_natural():
 def test_cell_families_are_natural():
     b1 = nerve_b1(cyclic(2))
     a = shape(2)
-    sub = spine(a, window_for(a))
+    sub = spine(a)
     fams = nat_cells(sub, b1)
     for fam in fams:
         assert family_is_natural(sub, b1, fam.value_at)
@@ -489,7 +487,7 @@ def test_nat_presheaves_vs_subaspresheaf():
     b1 = nerve_b1(cyclic(2))
     a = shape(2)
     w = window_for(a)
-    sub = horn(a, 1, 1, w)
+    sub = horn(a, 1, 1)
     as_presheaf = SubAsPresheaf(sub)
     fams = nat_presheaves(as_presheaf, b1, w)
     assert len(fams) == len(nat_cells(sub, b1)) == 4
@@ -546,7 +544,7 @@ def _presheaf_pairs():
     return [
         (x1, y1, WindowSpec(1, 2)),
         (extend(x1, 1), extend(y1, 1), WindowSpec(2, 2)),
-        (SubAsPresheaf(horn(a, 1, 1, w)), nerve_b1(cyclic(2)), w),
+        (SubAsPresheaf(horn(a, 1, 1)), nerve_b1(cyclic(2)), w),
         (Representable(shape(2, 1)), nerve_b1(cyclic(3)), window_for(shape(2, 1))),
     ]
 
@@ -597,7 +595,7 @@ def test_nat_presheaves_budget_trips_like_per_element_oracle(monkeypatch, gname,
 
 def test_budget_exceeded():
     b1 = nerve_b1(cyclic(2))
-    sub = full_sub(shape(2, 2), window_for(shape(2, 2)))
+    sub = full_sub(shape(2, 2))
     with pytest.raises(BudgetExceededError) as err:
         nat_cells(sub, b1, budget=3)
     assert err.value.count > 3
@@ -612,7 +610,7 @@ def test_naturality_beyond_window_sampling():
     roots = tuple(fd for fd in faces_of(a) if not (fd.k == 1 and fd.m == 1))
     fams = nat_face_union(roots, b1)
     outside = [shape(1, 1, 1, 1), shape(2, 2, 1), shape(3, 1)]
-    horn_sub = horn(a, 1, 1, window_for(a))
+    horn_sub = horn(a, 1, 1)
     for _ in range(50):
         fam = rng.choice(fams)
         b2 = rng.choice(window_for(a).shapes())

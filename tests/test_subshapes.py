@@ -14,7 +14,6 @@ from conftest import (
     levelwise_sub,
     shapes_with,
 )
-from thetacat.errors import WindowInsufficientError
 from thetacat.subshapes import (
     SubOfRepresentable,
     WindowSpec,
@@ -64,13 +63,6 @@ def test_window_shapes_ordering():
     assert len(WindowSpec(3, 3).shapes()) == 40
 
 
-def test_window_insufficiency_raises():
-    with pytest.raises(WindowInsufficientError):
-        boundary(shape(2, 2), WindowSpec(1, 2))
-    with pytest.raises(WindowInsufficientError):
-        spine(shape(3), WindowSpec(1, 2))
-
-
 def test_face_membership_examples():
     a = shape(2)
     ident = identity_class(a)
@@ -84,22 +76,20 @@ def test_face_membership_examples():
 
 
 def test_boundary_of_interval():
-    w = window_for(shape(1))
-    bd = boundary(shape(1), w)
+    bd = boundary(shape(1))
     assert len(bd.level(POINT)) == 2
     assert identity_class(shape(1)) not in bd.level(shape(1))
 
 
 def test_boundary_of_point_is_empty():
     w = window_for(POINT)
-    bd = boundary(POINT, w)
+    bd = boundary(POINT)
     assert all(not bd.level(b) for b in w.shapes())
 
 
 def test_boundary_t11_level_interval():
     a = shape(1, 1)
-    w = window_for(a)
-    bd = boundary(a, w)
+    bd = boundary(a)
     level = bd.level(shape(1))
     # both dropped-coordinate face cells and both vertices-as-edges
     assert len(level) == 4
@@ -109,8 +99,7 @@ def test_boundary_t11_level_interval():
 
 def test_horn_equals_spine_on_triangle():
     a = shape(2)
-    w = window_for(a)
-    assert sub_algebra("equal", horn(a, 1, 1, w), spine(a, w))
+    assert sub_algebra("equal", horn(a, 1, 1), spine(a))
 
 
 def test_horn_missing_face_tagging():
@@ -121,40 +110,36 @@ def test_horn_missing_face_tagging():
 
 def test_horn_invalid_face_raises():
     with pytest.raises(ValueError):
-        horn(shape(1, 1), 1, 0, window_for(shape(1, 1)))
+        horn(shape(1, 1), 1, 0)
 
 
 def test_spine_of_all_ones_is_full():
     for d in range(4):
         a = Shape((1,) * d)
-        w = window_for(a)
-        assert sub_algebra("equal", spine(a, w), full_sub(a, w))
+        assert sub_algebra("equal", spine(a), full_sub(a))
 
 
 def test_spine_point_full():
-    w = window_for(POINT)
-    assert sub_algebra("equal", spine(POINT, w), full_sub(POINT, w))
+    assert sub_algebra("equal", spine(POINT), full_sub(POINT))
 
 
 def test_horn_union_face_is_boundary():
     for a in shapes_with(3, 3, min_dim=1):
-        w = window_for(a)
-        bd = boundary(a, w)
+        bd = boundary(a)
         for fd in faces_of(a):
-            h = horn(a, fd.k, fd.m, w)
-            assert sub_algebra("equal", sub_union(h, face_image(fd, w)), bd)
+            h = horn(a, fd.k, fd.m)
+            assert sub_algebra("equal", sub_union(h, face_image(fd)), bd)
 
 
 def test_equal_subobjects_hash_equal():
     # built different ways, equal subobjects are one element of a set
     a = shape(2)
-    w = window_for(a)
-    pairs = [(horn(a, 1, 1, w), spine(a, w))]
+    pairs = [(horn(a, 1, 1), spine(a))]
     w = WindowSpec(2, 2)
     for a in w.shapes():
         for fd in faces_of(a):
             pairs.append(
-                (sub_union(horn(a, fd.k, fd.m, w), face_image(fd, w)), boundary(a, w))
+                (sub_union(horn(a, fd.k, fd.m), face_image(fd)), boundary(a))
             )
     assert len(pairs) > 1
     for u, v in pairs:
@@ -167,18 +152,17 @@ def test_spine_in_outer_union():
     for a in shapes_with(3, 3, min_dim=1):
         if all(x == 1 for x in a.entries):
             continue
-        w = window_for(a)
-        assert sub_algebra("subset", spine(a, w), union_of_faces(a, outer_faces(a), w))
+        assert sub_algebra("subset", spine(a), union_of_faces(a, outer_faces(a)))
 
 
 def test_sub_algebra_idempotence_and_intersection():
     a = shape(2)
     w = window_for(a)
-    bd = boundary(a, w)
+    bd = boundary(a)
     assert sub_algebra("equal", sub_union(bd, bd), bd)
     # vertex 1 is the intersection of the two faces through it
-    f0 = face_image(face_descriptor(a, 1, 0), w)
-    f2 = face_image(face_descriptor(a, 1, 2), w)
+    f0 = face_image(face_descriptor(a, 1, 0))
+    f2 = face_image(face_descriptor(a, 1, 2))
     both = sub_intersect(f0, f2)
     vertex = constant_class(POINT, a, 1)
     assert both.level(POINT) == frozenset(
@@ -190,18 +174,16 @@ def test_sub_algebra_idempotence_and_intersection():
 
 
 def test_sub_algebra_base_mismatch():
-    w = window_for(shape(2))
     with pytest.raises(ValueError):
-        sub_algebra("union", boundary(shape(2), w), full_sub(shape(1), w))
+        sub_algebra("union", boundary(shape(2)), full_sub(shape(1)))
 
 
 def test_precomposition_closure():
     for a in [shape(2), shape(2, 1), shape(1, 1)]:
-        w = window_for(a)
-        check_closure(boundary(a, w))
-        check_closure(spine(a, w))
+        check_closure(boundary(a))
+        check_closure(spine(a))
         for fd in faces_of(a):
-            check_closure(horn(a, fd.k, fd.m, w))
+            check_closure(horn(a, fd.k, fd.m))
 
 
 def test_classical_agreement_dim_one():
@@ -217,18 +199,18 @@ def test_classical_agreement_dim_one():
         w = window_for(a)
         for m in range(0, w.max_dim + 1):
             b = POINT if m == 0 else shape(m)
-            level_maps = sorted(as_map(s).values for s in boundary(a, w).level(b))
+            level_maps = sorted(as_map(s).values for s in boundary(a).level(b))
             assert level_maps == sorted(f.values for f in classical_boundary(n, m))
-            level_maps = sorted(as_map(s).values for s in spine(a, w).level(b))
+            level_maps = sorted(as_map(s).values for s in spine(a).level(b))
             assert level_maps == sorted(f.values for f in classical_spine(n, m))
             for k in range(n + 1):
                 level_maps = sorted(
-                    as_map(s).values for s in horn(a, 1, k, w).level(b)
+                    as_map(s).values for s in horn(a, 1, k).level(b)
                 )
                 assert level_maps == sorted(
                     f.values for f in classical_horn(n, k, m)
                 )
-            full_maps = sorted(as_map(s).values for s in full_sub(a, w).level(b))
+            full_maps = sorted(as_map(s).values for s in full_sub(a).level(b))
             assert full_maps == sorted(f.values for f in classical_cells(n, m))
 
 
@@ -236,35 +218,35 @@ def test_pullback_examples():
     a = shape(2)
     w = window_for(a)
     ident = identity_class(a)
-    assert sub_algebra("equal", pullback_along(full_sub(a, w), ident), full_sub(a, w))
-    assert sub_algebra("equal", pullback_along(boundary(a, w), ident), boundary(a, w))
+    assert sub_algebra("equal", pullback_along(full_sub(a), ident), full_sub(a))
+    assert sub_algebra("equal", pullback_along(boundary(a), ident), boundary(a))
     # the horn pulled back along its own missing face is the boundary
     fc = face_class(face_descriptor(a, 1, 1))
-    pb = pullback_along(horn(a, 1, 1, w), fc)
-    bd = boundary(shape(1), WindowSpec(w.max_dim, w.max_entry))
+    pb = pullback_along(horn(a, 1, 1), fc)
+    bd = boundary(shape(1))
     assert [pb.level(b) for b in w.shapes()] == [bd.level(b) for b in w.shapes()]
     # pullback of anything full along any class is full
     for c in enumerate_hom(shape(1), a):
         assert sub_algebra(
             "equal",
-            pullback_along(full_sub(a, w), c),
-            full_sub(shape(1), w),
+            pullback_along(full_sub(a), c),
+            full_sub(shape(1)),
         )
 
 
 def test_nondegenerate_cells_counts():
-    assert len(nondegenerate_cells(full_sub(shape(1), window_for(shape(1))))) == 3
-    assert len(nondegenerate_cells(boundary(shape(1, 1), window_for(shape(1, 1))))) == 4
-    assert len(nondegenerate_cells(full_sub(POINT, window_for(POINT)))) == 1
+    assert len(nondegenerate_cells(full_sub(shape(1)))) == 3
+    assert len(nondegenerate_cells(boundary(shape(1, 1)))) == 4
+    assert len(nondegenerate_cells(full_sub(POINT))) == 1
 
 
 def test_nondegenerate_cells_match_brute_force():
     for sub in (
-        full_sub(shape(2, 1), window_for(shape(2, 1))),
-        full_sub(shape(3), window_for(shape(3))),
-        boundary(shape(1, 2), window_for(shape(1, 2))),
+        full_sub(shape(2, 1)),
+        full_sub(shape(3)),
+        boundary(shape(1, 2)),
     ):
-        w = sub.window
+        w = window_for(sub.base)
         brute = set()
         for b in w.shapes():
             for s in sub.level(b):
@@ -293,7 +275,7 @@ def test_face_image_is_image_of_face_class():
         for fd in faces_of(a):
             for b in w.shapes():
                 members = {s for s in enumerate_hom(b, a) if face_membership(s, fd)}
-                assert members == image(face_class(fd), w).level(b), (a, fd, b)
+                assert members == image(face_class(fd)).level(b), (a, fd, b)
                 checked += 1
     assert checked == 858
 
@@ -309,18 +291,18 @@ def _face_built(a: Shape, w: WindowSpec):
     face image and horn, and every union of faces of `a`."""
     fds = faces_of(a)
     out = [
-        (full_sub(a, w), levelwise_sub(a, w, lambda s: True)),
-        (boundary(a, w), levelwise_sub(a, w, lambda s: in_union_of_faces(s, fds))),
-        (spine(a, w), levelwise_sub(a, w, spine_membership)),
+        (full_sub(a), levelwise_sub(a, w, lambda s: True)),
+        (boundary(a), levelwise_sub(a, w, lambda s: in_union_of_faces(s, fds))),
+        (spine(a), levelwise_sub(a, w, spine_membership)),
     ]
     for fd in fds:
         others = [f for f in fds if f != fd]
         out.append(
-            (face_image(fd, w), levelwise_sub(a, w, lambda s: face_membership(s, fd)))
+            (face_image(fd), levelwise_sub(a, w, lambda s: face_membership(s, fd)))
         )
         out.append(
             (
-                horn(a, fd.k, fd.m, w),
+                horn(a, fd.k, fd.m),
                 levelwise_sub(a, w, lambda s: in_union_of_faces(s, others)),
             )
         )
@@ -328,7 +310,7 @@ def _face_built(a: Shape, w: WindowSpec):
         for chosen in itertools.combinations(fds, r):
             out.append(
                 (
-                    union_of_faces(a, chosen, w),
+                    union_of_faces(a, chosen),
                     levelwise_sub(a, w, lambda s: in_union_of_faces(s, chosen)),
                 )
             )
@@ -337,7 +319,7 @@ def _face_built(a: Shape, w: WindowSpec):
 
 def _assert_levels(u: SubOfRepresentable, levels: dict) -> None:
     """Derived levels and membership against the oracle at every shape."""
-    for b in u.window.shapes():
+    for b in levels:
         assert u.level(b) == levels[b], (u.base, b)
         for s in enumerate_hom(b, u.base):
             assert (s in u) == (s in levels[b]), s
@@ -345,16 +327,16 @@ def _assert_levels(u: SubOfRepresentable, levels: dict) -> None:
 
 def _assert_pairs(built) -> None:
     """`==`, `hash` and `is_subset` against the levelwise comparison on
-    every pair of `built` (subobjects of one base and window).
+    every pair of `built` (subobjects of one base, with oracle levels on
+    one window).
 
     Equality is checked within each class of equal oracle levels and
     between one representative of each class, so every pair is covered:
     equal subobjects have equal cells, hence the same subset relations.
     """
-    shapes = built[0][0].window.shapes()
     classes: dict[tuple, list] = {}
     for u, levels in built:
-        classes.setdefault(tuple(levels[b] for b in shapes), []).append(u)
+        classes.setdefault(tuple(levels.values()), []).append(u)
     reps = []
     for key, subs in classes.items():
         assert all(u == subs[0] and hash(u) == hash(subs[0]) for u in subs)
@@ -375,7 +357,7 @@ def test_mono_cells_match_levelwise_oracle(a):
     pulled: dict = {}  # source shape -> list of (pullback, oracle levels)
     for c in (c for b in w.shapes() for c in enumerate_hom(b, a)):
         composites = levelwise_composites(c, w)
-        images.append((image(c, w), levelwise_image(composites)))
+        images.append((image(c), levelwise_image(composites)))
         pulled.setdefault(c.src, []).extend(
             (pullback_along(u, c), levelwise_pullback(levels, composites))
             for u, levels in distinct.items()
@@ -387,6 +369,29 @@ def test_mono_cells_match_levelwise_oracle(a):
         _assert_pairs(group)
         for u, levels in dict(group).items():
             _assert_levels(u, levels)
+
+
+# ---------------------------------------------------------------------------
+# the lemma: every mono cell into a has its source in window_for(a), so the
+# stored cells fix the subobject's levels at every shape
+
+
+def test_mono_cell_sources_lie_in_window_for_the_base():
+    checked = 0
+    for a in shapes_with(3, 4):
+        window = set(window_for(a).shapes())
+        for s in mono_cells_into(a):
+            assert s.src in window, (a, s)
+            checked += 1
+    assert checked == 103825
+
+
+@pytest.mark.parametrize("a", DIFFERENTIAL_SHAPES, ids=str)
+def test_levels_past_the_window_match_levelwise_oracle(a):
+    # one more dimension and one more entry than window_for(a)
+    w = window_for(a)
+    for u, levels in _face_built(a, WindowSpec(w.max_dim + 1, w.max_entry + 1)):
+        _assert_levels(u, levels)
 
 
 def test_face_intersections_brute_force():
@@ -413,8 +418,7 @@ def test_face_intersections_brute_force():
         shape(3), shape(2, 1, 1), shape(1, 2, 1), shape(2, 2, 1)
     ]
     for a in cases:
-        w = window_for(a)
-        images = {c: image(c, w) for c in mono_cells_into(a)}
+        images = {c: image(c) for c in mono_cells_into(a)}
         for c1, c2 in itertools.combinations_with_replacement(images, 2):
             cells = common_cells(c1, c2)
             assert all(r in images[c1] and r in images[c2] for r in cells), (c1, c2)
