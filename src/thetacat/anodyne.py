@@ -293,25 +293,28 @@ class ProbeResult(NamedTuple):
         }
 
 
-def spine_probe(a: Shape, target: str, budget: int = 10**6) -> ProbeResult:
-    """Search for a certificate from the spine to the chosen target.
+# The ends a probe searches toward from spine(a), by target name: the spine
+# with every outer face, or the whole representable.  The builders look the
+# subobject functions up when called, so bench/tracer.py's rebinding sees them.
+PROBE_ENDS = {
+    "outer": lambda a: sub_union(spine(a), union_of_faces(a, outer_faces(a))),
+    "full": lambda a: full_sub(a),
+}
 
-    target is "full" (the whole representable) or "outer" (the spine
-    together with every outer face).  Candidate steps prefer cells of
-    smaller dimension and entry sum, then lexicographically smaller
-    attaching classes, so the returned certificate is canonical.  A
-    search that exhausts or runs out of budget is an exhaustion report,
-    never a refutation.  The candidate cells are the shapes of
-    `window_for(a)`, which hold the source of every mono cell into a: by
-    L2 no other cell attaches.
+
+def spine_probe(end: SubOfRepresentable, target: str, budget: int = 10**6) -> ProbeResult:
+    """Search for a certificate from the spine of `end.base` to `end`.
+
+    `target` names the end in the certificate (`PROBE_ENDS` builds the
+    named ones).  Candidate steps prefer cells of smaller dimension and
+    entry sum, then lexicographically smaller attaching classes, so the
+    returned certificate is canonical.  A search that exhausts or runs
+    out of budget is an exhaustion report, never a refutation.  The
+    candidate cells are the shapes of `window_for(a)`, which hold the
+    source of every mono cell into a: by L2 no other cell attaches.
     """
+    a = end.base
     start = spine(a)
-    if target == "full":
-        end = full_sub(a)
-    elif target == "outer":
-        end = sub_union(start, union_of_faces(a, outer_faces(a)))
-    else:
-        raise ValueError(f"unknown probe target {target!r}")
 
     shapes_order = sorted(
         window_for(a).shapes(),

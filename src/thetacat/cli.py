@@ -1,5 +1,8 @@
 """Batch command line: one JSON report per run.
 
+Each command maps its arguments to a report and an exit code, and `main`
+writes that report, or the report of a search that ran out of budget.
+
 Exit codes: 0 success or check passed, 1 usage error, 2 check failed
 (the report carries the witness), 3 search budget exceeded.
 """
@@ -13,7 +16,7 @@ import sys
 from itertools import islice
 
 from . import __version__
-from .anodyne import certify_union_inclusion, spine_probe, verify_certificate
+from .anodyne import PROBE_ENDS, certify_union_inclusion, spine_probe, verify_certificate
 from .checkers import check, parse_mode
 from .errors import BudgetExceededError, ProofShapeViolation
 from .groups import FiniteGroup, builtin_group
@@ -127,7 +130,7 @@ def _load_group(token: str) -> FiniteGroup:
         raise SystemExit(_usage_error(f"bad group token {token!r}")) from None
 
 
-def cmd_faces(args) -> int:
+def cmd_faces(args) -> tuple[dict, int]:
     a = _parse_shape_arg(args.shape)
     fds = faces_of(a)
     report = {
@@ -146,11 +149,10 @@ def cmd_faces(args) -> int:
             for fd in fds
         ],
     }
-    _write_report(report, args.out)
-    return 0
+    return report, 0
 
 
-def cmd_hom(args) -> int:
+def cmd_hom(args) -> tuple[dict, int]:
     a, b = _parse_shape_arg(args.src), _parse_shape_arg(args.dst)
     hom = enumerate_hom(a, b)
     report = {
@@ -164,31 +166,28 @@ def cmd_hom(args) -> int:
         },
         "classes": [f.to_json() for f in hom],
     }
-    _write_report(report, args.out)
-    return 0
+    return report, 0
 
 
-def cmd_check(args) -> int:
+def cmd_check(args) -> tuple[dict, int]:
     window = _window_from_args(args)
-    if args.nerve:
+    if args.nerve is not None:
         try:
             x = nerve_from_spec(args.nerve)
         except ValueError as exc:
-            return _usage_error(str(exc))
-    elif args.input:
+            raise SystemExit(_usage_error(str(exc))) from None
+    else:
         def parse(data):
             table = table_from_json(data)
             table.require_covers(window)
             return table
 
         x = _read_json(args.input, parse)
-    else:
-        return _usage_error("check needs --nerve or --input")
     try:
         mode = parse_mode(args.mode)
     except ValueError as exc:
-        return _usage_error(str(exc))
-    if args.input:
+        raise SystemExit(_usage_error(str(exc))) from None
+    if args.input is not None:
         funct = check_functoriality(x, window, args.budget)
         if not funct.ok:
             report = {
@@ -198,35 +197,30 @@ def cmd_check(args) -> int:
                 "verdict": "fail",
                 "functoriality": funct.to_json(),
             }
-            _write_report(report, args.out)
-            return 2
+            return report, 2
     report = check(x, mode, window, args.budget)
-    _write_report(dict(report.to_json(), command="check"), args.out)
-    return 0 if report.verdict else 2
+    return dict(report.to_json(), command="check"), 0 if report.verdict else 2
 
 
-def cmd_certify(args) -> int:
+def cmd_certify(args) -> tuple[dict, int]:
     a = _parse_shape_arg(args.shape)
     try:
         pairs = (map(int, tok.split(":")) for tok in args.gamma.split(",") if tok)
         gamma = [(k, m) for k, m in pairs]  # unpacking needs exactly two fields
     except ValueError:
-        return _usage_error(f"bad gamma list {args.gamma!r}")
+        raise SystemExit(_usage_error(f"bad gamma list {args.gamma!r}")) from None
     try:
         cert = certify_union_inclusion(a, gamma)
     except ProofShapeViolation as exc:
-        _write_report(
-            {
-                "command": "certify",
-                "error": "proof-shape violation",
-                "detail": str(exc),
-                "data": exc.data,
-            },
-            args.out,
-        )
-        return 2
+        report = {
+            "command": "certify",
+            "error": "proof-shape violation",
+            "detail": str(exc),
+            "data": exc.data,
+        }
+        return report, 2
     except ValueError as exc:
-        return _usage_error(str(exc))
+        raise SystemExit(_usage_error(str(exc))) from None
     verdict = verify_certificate(cert)
     report = {
         "command": "certify",
@@ -234,28 +228,23 @@ def cmd_certify(args) -> int:
         "verified": verdict.ok,
         "steps": len(cert.steps),
     }
-    _write_report(report, args.out)
-    return 0 if verdict.ok else 2
+    return report, 0 if verdict.ok else 2
 
 
-def cmd_probe(args) -> int:
+def cmd_probe(args) -> tuple[dict, int]:
     a = _parse_shape_arg(args.shape)
-    result = spine_probe(a, args.target, budget=args.budget)
+    result = spine_probe(PROBE_ENDS[args.target](a), args.target, budget=args.budget)
     report = dict(result.to_json(), command="probe", shape=a.to_json())
-    if result.found:
-        verdict = verify_certificate(result.certificate)
-        report["verified"] = verdict.ok
-        _write_report(report, args.out)
-        return 0 if verdict.ok else 2
-    _write_report(report, args.out)
-    return 3
+    if not result.found:
+        return report, 3
+    report["verified"] = verify_certificate(result.certificate).ok
+    return report, 0 if report["verified"] else 2
 
 
-def cmd_h2(args) -> int:
-    g = _load_group(args.group)
-    a = _load_group(args.coeff)
+def cmd_h2(args) -> tuple[dict, int]:
+    g, a = _load_group(args.group), _load_group(args.coeff)
     if not a.abelian:
-        return _usage_error(f"coefficient group {a.name} is not abelian")
+        raise SystemExit(_usage_error(f"coefficient group {a.name} is not abelian"))
     hreport = homotopy_classes(g, a, budget=args.budget)
     data, maps = hreport.h2, hreport.maps
     round_trip = all(cocycle_to_map(map_to_cocycle(m)) == m for m in maps)
@@ -278,16 +267,14 @@ def cmd_h2(args) -> int:
         },
         "counterexample": hreport.counterexample,
     }
-    _write_report(report, args.out)
-    return 0 if (hreport.agree and report["maps_equal_cocycles"] and round_trip) else 2
+    return report, 0 if (hreport.agree and report["maps_equal_cocycles"] and round_trip) else 2
 
 
-def cmd_selftest(args) -> int:
+def cmd_selftest(args) -> tuple[dict, int]:
     from .selftest import run_selftest
 
     report = dict(run_selftest(args.seed), command="selftest")
-    _write_report(report, args.out)
-    return 0 if report["verdict"] == "pass" else 2
+    return report, 0 if report["verdict"] == "pass" else 2
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -297,11 +284,14 @@ def build_parser() -> argparse.ArgumentParser:
     )
     parser.add_argument("--version", action="version", version=__version__)
     sub = parser.add_subparsers(dest="command", required=True)
+    searches = []
 
-    def command(name, fn, summary):
+    def command(name, fn, summary, budget=False):
         p = sub.add_parser(name, help=summary)
         p.add_argument("--out", default=None)
         p.set_defaults(fn=fn)
+        if budget:
+            searches.append(p)
         return p
 
     p = command("faces", cmd_faces, "list the faces of a shape")
@@ -311,53 +301,51 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("src")
     p.add_argument("dst")
 
-    p = command("check", cmd_check, "horn-filling check of a presheaf")
+    p = command("check", cmd_check, "horn-filling check of a presheaf", budget=True)
     p.add_argument("--mode", required=True)
-    p.add_argument("--nerve", default=None, help="B1:G, B2strict:A or B2em:A")
-    p.add_argument("--input", default=None, help="windowed presheaf JSON file")
-    p.add_argument("--max-dim", type=int, default=None)
-    p.add_argument("--max-entry", type=int, default=None)
-    p.add_argument("--budget", type=int, default=10**6)
+    source = p.add_mutually_exclusive_group(required=True)
+    source.add_argument("--nerve", help="B1:G, B2strict:A or B2em:A")
+    source.add_argument("--input", help="windowed presheaf JSON file")
+    p.add_argument("--max-dim", type=int)
+    p.add_argument("--max-entry", type=int)
 
     p = command("certify", cmd_certify, "certificate for a union of faces")
     p.add_argument("shape")
     p.add_argument("--gamma", required=True, help="comma list of k:m faces")
 
-    p = command("probe", cmd_probe, "search a certificate from the spine")
+    p = command("probe", cmd_probe, "search a certificate from the spine", budget=True)
     p.add_argument("shape")
-    p.add_argument("--target", choices=("outer", "full"), default="full")
-    p.add_argument("--budget", type=int, default=10**6)
+    p.add_argument("--target", choices=PROBE_ENDS, default="full")
 
-    p = command("h2", cmd_h2, "maps, cocycles and homotopy classes")
+    p = command("h2", cmd_h2, "maps, cocycles and homotopy classes", budget=True)
     p.add_argument("--group", required=True)
     p.add_argument("--coeff", required=True)
-    p.add_argument("--budget", type=int, default=10**6)
 
     p = command("selftest", cmd_selftest, "run every module's invariant suite")
     p.add_argument("--seed", type=int, default=0)
+
+    for p in searches:  # last, so that --help lists it after the command's own
+        p.add_argument("--budget", type=int, default=10**6)
     return parser
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
     try:
-        args = parser.parse_args(argv)
+        args = build_parser().parse_args(argv)
     except SystemExit as exc:
         return 1 if exc.code not in (0, None) else 0
     if getattr(args, "budget", 1) < 1:
         return _usage_error(f"budget must be at least 1, got {args.budget}")
     try:
         try:
-            return args.fn(args)
+            report, code = args.fn(args)
         except BudgetExceededError as exc:
-            _write_report(
-                {"command": args.command, "error": "budget exceeded", "nodes": exc.count},
-                args.out,
-            )
-            return 3
-    except SystemExit as exc:
-        code = exc.code
-        return code if isinstance(code, int) else 1
+            report = {"command": args.command, "error": "budget exceeded", "nodes": exc.count}
+            code = 3
+        _write_report(report, args.out)
+    except SystemExit as exc:  # a usage error, its message already written
+        return exc.code
+    return code
 
 
 if __name__ == "__main__":

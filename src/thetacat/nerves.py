@@ -302,14 +302,12 @@ def map_to_cocycle(phi: PresheafNatFamily) -> Cocycle2:
     return c
 
 
-def cocycle_to_map(
-    c: Cocycle2, window: WindowSpec = H2_WINDOW
-) -> PresheafNatFamily:
-    """The map of nerves classified by a group 2-cocycle."""
+def cocycle_to_map(c: Cocycle2) -> PresheafNatFamily:
+    """The map of nerves on `H2_WINDOW` classified by a group 2-cocycle."""
     g_, a_ = c.group, c.coeffs
     src, tgt = NerveB1(g_), NerveB2EM(a_)
     comps = {}
-    for b in window.shapes():
+    for b in H2_WINDOW.shapes():
         n = b.entry(1)
         values = []
         for x in src.elements(b):
@@ -320,7 +318,7 @@ def cocycle_to_map(
                 table.append(c.value(left, right))
             values.append(tgt.index_of(b, tuple(table)))
         comps[b] = tuple(values)
-    return PresheafNatFamily(src, tgt, window, comps)
+    return PresheafNatFamily(src, tgt, H2_WINDOW, comps)
 
 
 class HomotopyReport(NamedTuple):

@@ -157,9 +157,6 @@ class Representable(Presheaf):
     def apply(self, f: MorphismClass, x: MorphismClass) -> MorphismClass:
         return compose_classes(x, f)
 
-    def label(self, x: MorphismClass):
-        return x.to_json()
-
 
 class TerminalPresheaf(Presheaf):
     name = "1"
@@ -190,9 +187,6 @@ class ProductPresheaf(Presheaf):
         width = self.right.size(f.src)
         right = self.right.action(f)
         return tuple(i * width + j for i in self.left.action(f) for j in right)
-
-    def label(self, x):
-        return [self.left.label(x[0]), self.right.label(x[1])]
 
 
 def product(x: Presheaf, y: Presheaf) -> ProductPresheaf:
@@ -259,7 +253,7 @@ class TablePresheaf(Presheaf):
                         )
 
     @classmethod
-    def from_presheaf(cls, x: Presheaf, window: WindowSpec, name=None):
+    def from_presheaf(cls, x: Presheaf, window: WindowSpec):
         """Materialize every level and every action over a window."""
         levels = {b: x.elements(b) for b in window.shapes()}
         actions = {}
@@ -267,7 +261,7 @@ class TablePresheaf(Presheaf):
             for b2 in window.shapes():
                 for f in enumerate_hom(b1, b2):
                     actions[f] = x.action(f)
-        return cls(levels, actions, name or f"table({x.name})")
+        return cls(levels, actions, f"table({x.name})")
 
 
 def table_to_json(x: TablePresheaf) -> dict:
@@ -282,7 +276,7 @@ def table_to_json(x: TablePresheaf) -> dict:
     return {"levels": levels, "actions": actions}
 
 
-def table_from_json(data: dict, name: str = "table") -> TablePresheaf:
+def table_from_json(data: dict) -> TablePresheaf:
     from .theta import class_from_json
 
     levels = {}
@@ -293,7 +287,7 @@ def table_from_json(data: dict, name: str = "table") -> TablePresheaf:
     for row in data["actions"]:
         f = class_from_json(row["class"])
         actions[f] = tuple(row["map"])
-    return TablePresheaf(levels, actions, name)
+    return TablePresheaf(levels, actions)
 
 
 def _freeze(x):

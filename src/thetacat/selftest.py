@@ -163,7 +163,7 @@ def _anodyne_invariants(rng) -> dict:
                     continue
                 cert = anodyne.certify_union_inclusion(a, gamma)
                 ok = ok and anodyne.verify_certificate(cert).ok
-    probe = anodyne.spine_probe(theta.shape(2), "full")
+    probe = anodyne.spine_probe(subshapes.full_sub(theta.shape(2)), "full")
     ok_probe = probe.found and len(probe.certificate.steps) == 1
     return {"certify_exhaustive_small": ok, "probe_interval_triangle": ok_probe}
 

@@ -12,6 +12,7 @@ import time
 
 from conftest import brute_maximal_subobjects, shapes_with, yoneda_family
 from thetacat.anodyne import (
+    PROBE_ENDS,
     Step,
     _apply_step,
     _step_admissible,
@@ -190,7 +191,7 @@ def test_c06_spine_probe():
     t0 = time.time()
     budget = 10**6
 
-    r = spine_probe(shape(2), "full", budget=budget)
+    r = spine_probe(PROBE_ENDS["full"](shape(2)), "full", budget=budget)
     assert r.found and len(r.certificate.steps) == 1 and r.nodes <= budget
     assert verify_certificate(r.certificate).ok
 
@@ -200,7 +201,7 @@ def test_c06_spine_probe():
     # certificate needs four steps.  The breadth-first oracle below
     # confirms no three-step certificate exists, so the canonical
     # certificate found has four steps.
-    r = spine_probe(shape(3), "full", budget=budget)
+    r = spine_probe(PROBE_ENDS["full"](shape(3)), "full", budget=budget)
     assert r.found and r.nodes <= budget
     assert len(r.certificate.steps) == 4
     assert verify_certificate(r.certificate).ok
@@ -225,7 +226,7 @@ def test_c06_spine_probe():
         for current in frontier:
             assert any(current.level(b) != end.level(b) for b in w.shapes())
 
-    r = spine_probe(shape(2, 1), "outer", budget=budget)
+    r = spine_probe(PROBE_ENDS["outer"](shape(2, 1)), "outer", budget=budget)
     assert r.found and r.nodes <= budget
     assert len(r.certificate.steps) == 2
     assert verify_certificate(r.certificate).ok

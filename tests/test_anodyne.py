@@ -6,6 +6,7 @@ import pytest
 from conftest import full_level_step_check, is_mono_cell, levelwise_sub
 from thetacat import anodyne
 from thetacat.anodyne import (
+    PROBE_ENDS,
     AnodyneCertificate,
     Step,
     certify_union_inclusion,
@@ -231,7 +232,7 @@ def test_certificate_json():
 
 
 def test_probe_triangle_one_step():
-    r = spine_probe(shape(2), "full")
+    r = spine_probe(PROBE_ENDS["full"](shape(2)), "full")
     assert r.found and len(r.certificate.steps) == 1
     assert verify_certificate(r.certificate).ok
 
@@ -240,12 +241,12 @@ def test_probe_all_ones_is_empty():
     for d in (1, 2, 3):
         a = Shape((1,) * d)
         for target in ("full", "outer"):
-            r = spine_probe(a, target)
+            r = spine_probe(PROBE_ENDS[target](a), target)
             assert r.found and r.certificate.steps == ()
 
 
 def test_probe_t21_to_outer_two_steps():
-    r = spine_probe(shape(2, 1), "outer")
+    r = spine_probe(PROBE_ENDS["outer"](shape(2, 1)), "outer")
     assert r.found and len(r.certificate.steps) == 2
     assert verify_certificate(r.certificate).ok
     # both steps attach triangle faces along the dropped coordinate
@@ -253,7 +254,7 @@ def test_probe_t21_to_outer_two_steps():
 
 
 def test_probe_t21_to_full():
-    r = spine_probe(shape(2, 1), "full")
+    r = spine_probe(PROBE_ENDS["full"](shape(2, 1)), "full")
     assert r.found and len(r.certificate.steps) == 3
     assert verify_certificate(r.certificate).ok
 
@@ -262,7 +263,7 @@ def test_probe_tetrahedron_full_needs_four_steps():
     # each triangle step adds one triangle and one edge; the spine
     # misses three edges, four triangles and the top cell, so three
     # triangle attachments and the final horn are forced: four steps
-    r = spine_probe(shape(3), "full")
+    r = spine_probe(PROBE_ENDS["full"](shape(3)), "full")
     assert r.found and len(r.certificate.steps) == 4
     assert verify_certificate(r.certificate).ok
     cells = [s.cell for s in r.certificate.steps]
@@ -300,15 +301,10 @@ def test_probe_tetrahedron_no_three_step_certificate():
 
 
 def test_probe_budget_exhaustion_report():
-    r = spine_probe(shape(3), "full", budget=5)
+    r = spine_probe(PROBE_ENDS["full"](shape(3)), "full", budget=5)
     assert not r.found
     assert r.certificate is None
     assert r.nodes >= 5
-
-
-def test_probe_rejects_unknown_target():
-    with pytest.raises(ValueError):
-        spine_probe(shape(2), "boundary")
 
 
 # ---------------------------------------------------------------------------
@@ -347,7 +343,7 @@ def unfiltered_probe(monkeypatch, a, target, budget=10**6):
 
     with monkeypatch.context() as m:
         m.setattr(anodyne, "_pushout_fault", oracle_fault)
-        return spine_probe(a, target, budget=budget)
+        return spine_probe(PROBE_ENDS[target](a), target, budget=budget)
 
 
 @pytest.mark.parametrize("text,target", PREFILTER_PROBES)
@@ -362,7 +358,7 @@ def test_probe_prefilter_matches_unfiltered_search(monkeypatch, text, target):
 
     with monkeypatch.context() as m:
         m.setattr(anodyne, "_pushout_fault", logged)
-        result = spine_probe(a, target)
+        result = spine_probe(PROBE_ENDS[target](a), target)
     assert result.found
     assert len(tried) == result.nodes
     # the same verdict as the oracle on every candidate the search tries,
@@ -382,7 +378,7 @@ def test_probe_prefilter_same_result_at_every_budget(monkeypatch, text, target):
     total = unfiltered_probe(monkeypatch, a, target).nodes
     for budget in range(1, total + 1):
         expected = unfiltered_probe(monkeypatch, a, target, budget=budget)
-        assert spine_probe(a, target, budget=budget) == expected, budget
+        assert spine_probe(PROBE_ENDS[target](a), target, budget=budget) == expected, budget
         assert expected.found == (budget == total)
 
 
@@ -392,7 +388,7 @@ def test_probe_certificates_verify_on_windows_one_step_larger(text, target):
     # with one more dimension and with one more entry than window_for(a),
     # every step passes and the result has the target's levels there
     a = parse_shape(text)
-    cert = spine_probe(a, target).certificate
+    cert = spine_probe(PROBE_ENDS[target](a), target).certificate
     if target == "full":
         in_target = lambda s: True
     else:

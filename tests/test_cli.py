@@ -186,6 +186,26 @@ def test_check_usage_errors(tmp_path):
     assert main(["check", "--mode", "cat", "--nerve", "B9:Z2"]) == 1
 
 
+def test_check_takes_exactly_one_source(tmp_path):
+    # --nerve with --input, or neither: a usage error before any work, so
+    # the missing file is never read and no check runs on the nerve
+    missing = tmp_path / "missing.json"
+    for source, reason in (
+        (["--nerve", "B1:Z2", "--input", str(missing)], "not allowed with"),
+        ([], "one of the arguments --nerve --input is required"),
+    ):
+        proc = subprocess.run(
+            [sys.executable, "-m", "thetacat.cli", "check", "--mode", "strict-cat",
+             *source],
+            capture_output=True,
+            text=True,
+        )
+        assert proc.returncode == 1, (source, proc.stderr)
+        assert proc.stdout == ""
+        assert "Traceback" not in proc.stderr
+        assert reason in proc.stderr
+
+
 def test_window_cap_enforced(tmp_path):
     code = main(
         ["check", "--mode", "cat", "--nerve", "B1:Z2", "--max-dim", "7"]
@@ -331,6 +351,30 @@ def test_streamed_report_is_the_json_dumps_bytes(case, tmp_path, monkeypatch, ca
         assert json.loads(stdout)["counterexample"] is not None
 
 
+# One cheap run of each command, each ending in exit 0.
+COMMAND_CASES = [
+    ["faces", "t[2]"],
+    ["hom", "t[1]", "t[2]"],
+    ["check", "--mode", "cat", "--nerve", "B1:Z2", "--max-dim", "1",
+     "--max-entry", "2"],
+    ["certify", "t[3]", "--gamma", "1:0,1:3"],
+    ["probe", "t[2]"],
+    ["h2", "--group", "Z2", "--coeff", "Z3"],
+    ["selftest", "--seed", "0"],
+]
+
+
+@pytest.mark.parametrize("argv", COMMAND_CASES, ids=lambda argv: argv[0])
+def test_commands_return_their_report(argv, capsys):
+    # a command maps its arguments to (report, exit code) and writes
+    # nothing: main is the one place that writes a report
+    args = cli.build_parser().parse_args(argv)
+    report, code = args.fn(args)
+    assert isinstance(report, dict) and report["command"] == argv[0]
+    assert code == 0
+    assert capsys.readouterr().out == ""
+
+
 def test_report_writer_memory_is_bounded(monkeypatch):
     # the 600 895-byte report of `hom t[3,3] t[3,3]`, written to a sink
     # that drops it: the writer holds a batch, never the whole text
@@ -413,6 +457,14 @@ def test_probe_budget_exceeded(tmp_path):
     )
     assert code == 3
     assert not data["found"]
+
+
+def test_probe_rejects_unknown_target(capsys):
+    # the search takes an end subobject; the CLI maps target names to ends
+    assert main(["probe", "t[2]", "--target", "boundary"]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "invalid choice: 'boundary'" in captured.err
 
 
 def test_h2_command(tmp_path):

@@ -11,6 +11,7 @@ from conftest import (
     one_class_too_many,
     transitive_oracle,
 )
+from thetacat import nerves
 from thetacat.cli import main
 from thetacat.errors import BudgetExceededError
 from thetacat.groups import (
@@ -412,19 +413,21 @@ def test_trivial_cocycle_gives_constant_map():
         assert all(v == zero_idx for v in m.components[b])
 
 
-def test_cocycle_maps_are_natural_beyond_window():
-    # the formula evaluates at any shape; check squares into larger shapes
+def test_cocycle_maps_are_natural_beyond_window(monkeypatch):
+    # the formula evaluates at any shape; check squares into larger shapes,
+    # with the map built on WindowSpec(3, 3) in place of H2_WINDOW
     rng = random.Random(11)
     z3 = cyclic(3)
     for c in normalized_2cocycles(z3, z3):
-        m = cocycle_to_map(c, WindowSpec(2, 3))
-        src, tgt = m.source, m.target
+        with monkeypatch.context() as m:
+            m.setattr(nerves, "H2_WINDOW", WindowSpec(3, 3))
+            big = cocycle_to_map(c)
+        src, tgt = big.source, big.target
         for _ in range(10):
             b_out = rng.choice([shape(1, 1, 1), shape(3, 2, 1), shape(2, 2)])
             b_in = rng.choice(H2_WINDOW.shapes())
             f = rng.choice(enumerate_hom(b_out, b_in))
             for x in src.elements(b_in):
-                big = cocycle_to_map(c, WindowSpec(3, 3))
                 lhs = big.value(b_out, src.apply(f, x))
                 rhs = tgt.apply(f, big.value(b_in, x))
                 assert lhs == rhs
