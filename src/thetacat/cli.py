@@ -18,7 +18,7 @@ from itertools import islice
 from . import __version__
 from .anodyne import PROBE_ENDS, certify_union_inclusion, spine_probe, verify_certificate
 from .checkers import check, parse_mode
-from .errors import BudgetExceededError, ProofShapeViolation
+from .errors import BudgetExceededError
 from .groups import FiniteGroup, builtin_group
 from .nerves import (
     cocycle_to_map,
@@ -211,14 +211,6 @@ def cmd_certify(args) -> tuple[dict, int]:
         raise SystemExit(_usage_error(f"bad gamma list {args.gamma!r}")) from None
     try:
         cert = certify_union_inclusion(a, gamma)
-    except ProofShapeViolation as exc:
-        report = {
-            "command": "certify",
-            "error": "proof-shape violation",
-            "detail": str(exc),
-            "data": exc.data,
-        }
-        return report, 2
     except ValueError as exc:
         raise SystemExit(_usage_error(str(exc))) from None
     verdict = verify_certificate(cert)

@@ -18,15 +18,3 @@ class BudgetExceededError(RuntimeError):
     def __init__(self, message: str, count: int):
         super().__init__(message)
         self.count = count
-
-
-class ProofShapeViolation(RuntimeError):
-    """Raised when a face intersection fails to be a union of faces.
-
-    This is a genuine finding about the inductive filtration, not a bug,
-    so the offending data is attached for inspection.
-    """
-
-    def __init__(self, message: str, data=None):
-        super().__init__(message)
-        self.data = data

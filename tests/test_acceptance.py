@@ -22,7 +22,6 @@ from thetacat.anodyne import (
 )
 from thetacat.checkers import check
 from thetacat.cli import main
-from thetacat.errors import ProofShapeViolation
 from thetacat.groups import builtin_group, cyclic, normalized_2cocycles
 from thetacat.nerves import (
     H2_WINDOW,
@@ -147,7 +146,6 @@ def test_c03_yoneda():
 
 def test_c04_union_certifier_exhaustive():
     t0 = time.time()
-    violations = 0
     total = 0
     for a in shapes_with(2, 3, min_dim=1):
         inner = inner_faces(a)
@@ -157,19 +155,14 @@ def test_c04_union_certifier_exhaustive():
                 gamma = tuple(outer) + chosen
                 if len(gamma) == len(faces_of(a)):
                     continue
-                try:
-                    cert = certify_union_inclusion(a, gamma)
-                except ProofShapeViolation:
-                    violations += 1
-                    continue
+                cert = certify_union_inclusion(a, gamma)
                 assert verify_certificate(cert).ok, (a, gamma)
                 total += 1
-    assert violations == 0
     assert total == 44  # enumerated: sum over shapes of 2^inner - 1
     elapsed = time.time() - t0
     assert elapsed < 120
     report(
-        f"C4 union-of-faces certifier ({total} inclusions, 0 violations): PASS {elapsed:.1f}s"
+        f"C4 union-of-faces certifier ({total} verified inclusions): PASS {elapsed:.1f}s"
     )
 
 

@@ -24,6 +24,7 @@ from thetacat.subshapes import (
     full_sub,
     image,
     in_union_of_faces,
+    pullback_along,
     spine,
     spine_membership,
     union_of_faces,
@@ -194,6 +195,50 @@ def test_certify_exhaustive_small_shapes():
             assert rep.ok, (a, gamma, rep)
             checked += 1
     assert checked > 0
+
+
+def shapes_of_entry_sum(n: int):
+    """Every shape whose entries sum to n: one per composition of n."""
+    for r in range(n):
+        for cuts in itertools.combinations(range(1, n), r):
+            ends = (0, *cuts, n)
+            yield Shape(tuple(j - i for i, j in zip(ends, ends[1:])))
+
+
+def l5_cases(n: int):
+    """(a, gamma, B, others missing) for every shape a of entry sum n, every
+    gamma of its outer faces plus a proper subset of its inner faces, and
+    every missing inner face B."""
+    for a in shapes_of_entry_sum(n):
+        for gamma in admissible_gammas(a):
+            missing = [fd for fd in inner_faces(a) if fd not in gamma]
+            for b in missing:
+                yield a, gamma, b, len(missing) > 1
+
+
+def check_l5(a: Shape, gamma, b, others_missing: bool) -> None:
+    restricted = pullback_along(union_of_faces(a, gamma), face_class(b))
+    faces = faces_of(b.target)
+    gamma_b = [fd for fd in faces if face_class(fd) in restricted.cells]
+    assert restricted == union_of_faces(b.target, gamma_b), (a, gamma, b)
+    # proper exactly when another inner face is missing: with B alone
+    # missing the pullback is B's whole boundary
+    assert (len(gamma_b) < len(faces)) == others_missing, (a, gamma, b)
+    assert set(outer_faces(b.target)) <= set(gamma_b), (a, gamma, b)
+
+
+def test_lemma_l5_pullback_to_a_missing_face_is_a_union_of_faces():
+    # exhaustive up to entry sum 7, a seeded sample at sums 8 and 9
+    checked = 0
+    for n in range(1, 8):
+        for case in l5_cases(n):
+            check_l5(*case)
+            checked += case[3]
+    assert checked == 1684
+    rng = random.Random(5)
+    for n, draws in ((8, 64), (9, 32)):
+        for case in rng.sample([c for c in l5_cases(n) if c[3]], draws):
+            check_l5(*case)
 
 
 def test_certify_step_count_on_one_coordinate_shapes():
