@@ -21,7 +21,6 @@ from .subshapes import (
     boundary,
     face_membership,
     horn,
-    nondegenerate_cells,
     pullback_along,
     spine,
     sub_algebra,

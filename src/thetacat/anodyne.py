@@ -109,14 +109,6 @@ class VerifyReport(NamedTuple):
     failed_step: int | None
     reason: str
 
-    def to_json(self) -> dict:
-        return {
-            "ok": self.ok,
-            "steps_checked": self.steps_checked,
-            "failed_step": self.failed_step,
-            "reason": self.reason,
-        }
-
 
 def _apply_step(current: SubOfRepresentable, step: Step) -> SubOfRepresentable:
     return sub_union(current, image(step.attach))

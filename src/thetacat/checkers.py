@@ -57,9 +57,13 @@ def parse_mode(text: str) -> Mode:
         kind, n = text.split(":", 1)
         if kind not in ("n-strict", "n-cat"):
             raise ValueError(f"unknown mode {text!r}")
-        if int(n) < 0:
+        try:
+            n = int(n)
+        except ValueError:
+            raise ValueError(f"mode {text!r} needs an integer n") from None
+        if n < 0:
             raise ValueError(f"mode {text!r} needs n >= 0")
-        return Mode(kind, int(n))
+        return Mode(kind, n)
     if text not in ("cat", "groupoid", "strict-cat", "strict-groupoid"):
         raise ValueError(f"unknown mode {text!r}")
     return Mode(text)
@@ -103,7 +107,7 @@ def horn_filling(
     missing = face_descriptor(a, k, m)
     roots = tuple(fd for fd in faces_of(a) if fd != missing)
     families = nat_face_union(roots, x, budget)
-    keys = {fam.key(): 0 for fam in families}
+    keys = dict.fromkeys(families, 0)
     for idx, key in enumerate(_root_values(x, roots)):
         if key not in keys:
             raise AssertionError(
@@ -176,14 +180,6 @@ class LiftingSquare(NamedTuple):
     horn_family_key: tuple
     target_element: int
 
-    def to_json(self):
-        return {
-            "shape": list(self.shape.entries),
-            "horn": [self.k, self.m],
-            "horn_family": list(self.horn_family_key),
-            "target_element": self.target_element,
-        }
-
 
 class FibrationReport(NamedTuple):
     ok: bool
@@ -219,18 +215,11 @@ def inner_fibration_check(
             phi_a = phi.components[a]
             for fam in x_families:
                 pushed = tuple(
-                    phi.components[root.target][val]
-                    for root, val in zip(roots, fam.values)
+                    phi.components[root.target][val] for root, val in zip(roots, fam)
                 )
                 for v in y_keys.get(pushed, ()):
                     checked += 1
-                    lifts = [
-                        ix
-                        for ix in x_keys.get(fam.key(), ())
-                        if phi_a[ix] == v
-                    ]
+                    lifts = [ix for ix in x_keys.get(fam, ()) if phi_a[ix] == v]
                     if not lifts:
-                        failures.append(
-                            LiftingSquare(a, fd.k, fd.m, fam.key(), v)
-                        )
+                        failures.append(LiftingSquare(a, fd.k, fd.m, fam, v))
     return FibrationReport(not failures, checked, tuple(failures))

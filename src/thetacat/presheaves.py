@@ -7,19 +7,18 @@ element by element through `apply` unless the presheaf knows an exact
 shortcut: a product pairs its factors' arrays, since its level lists
 the pairs in factor order, and the nerves build one array per core
 (see `nerves`).  Natural families
-are enumerated three ways, all exact:
+are enumerated two ways, both exact:
 
-* out of a union of face images, by solving for the values on the face
-  roots with compatibility on the maximal common cells of face pairs;
-* out of an arbitrary subpresheaf of a representable, by solving for
-  the values on its nondegenerate cells with face incidences (both
-  routes give a `CellFamily`);
+* out of a union of face images (a horn, a boundary), by solving for
+  the values on the face roots with compatibility on the maximal common
+  cells of face pairs; a family is the tuple of its roots' values;
 * between two presheaves, by solving for the values on the
   nondegenerate source elements, with the constraints along a
   generating family of classes (faces and componentwise epis, which
   every class of the window factors through) carried over to them;
   each degenerate element's value is the action of its epi on its
-  root's value.
+  root's value.  Any other subobject of a representable is a source
+  through `SubAsPresheaf`.
 
 Horn checks repeat networks, and each distinct one is solved once per
 presheaf.  A face-union network is its roots' level sizes and one
@@ -64,12 +63,7 @@ from typing import NamedTuple
 from .csp import Network
 from .delta import constant_map
 from .errors import BudgetExceededError
-from .subshapes import (
-    SubOfRepresentable,
-    WindowSpec,
-    common_restrictions,
-    nondegenerate_cells,
-)
+from .subshapes import SubOfRepresentable, WindowSpec, common_restrictions
 from .theta import (
     FaceDescriptor,
     MorphismClass,
@@ -77,10 +71,8 @@ from .theta import (
     compose_classes,
     enumerate_hom,
     epi_classes_between,
-    epi_mono_factor_class,
     face_class,
     faces_of,
-    factor_through,
     identity_class,
 )
 
@@ -420,60 +412,18 @@ def check_functoriality(
 
 
 # ---------------------------------------------------------------------------
-# natural families on subpresheaves of a representable
-
-
-class CellFamily:
-    """A natural family on a subpresheaf of a representable, stored by its
-    values on mono cells that generate the subpresheaf: the face classes
-    of a union of faces, or every nondegenerate cell.
-
-    values[i] is an index into x.elements(cells[i].src); the value at any
-    other cell is derived by factoring its mono part through the first
-    stored cell that contains it, then acting by its epi part.
-    """
-
-    __slots__ = ("x", "cells", "values")
-
-    def __init__(self, x, cells, values):
-        self.x = x
-        self.cells = cells
-        self.values = tuple(values)
-
-    def key(self):
-        return self.values
-
-    def value_at(self, cell: MorphismClass):
-        """The family's value on any cell of the subpresheaf (as an element)."""
-        epi, mono = epi_mono_factor_class(cell)
-        for c, val in zip(self.cells, self.values):
-            u = factor_through(mono, c)
-            if u is not None:
-                xm = self.x.apply(u, self.x.elements(c.src)[val])
-                return self.x.apply(epi, xm) if not epi.is_identity() else xm
-        raise ValueError(f"cell {cell} is not in the subpresheaf")
-
-    def __eq__(self, other):
-        return (
-            isinstance(other, CellFamily)
-            and self.cells == other.cells
-            and self.values == other.values
-        )
-
-    def __hash__(self):
-        return hash((self.cells, self.values))
+# natural families on a union of faces
 
 
 def nat_face_union(
     roots: tuple[FaceDescriptor, ...],
     x: Presheaf,
     budget: int = DEFAULT_BUDGET,
-) -> list[CellFamily]:
-    """All natural families on the union of the given face images, stored
-    by their values on the roots' face classes: the solutions of the
-    roots' face-pair tables (`_face_pair_supports`), solved once per
-    distinct network on x by `solve_tables`."""
-    roots = tuple(roots)
+) -> list[tuple]:
+    """All natural families on the union of the given face images, each
+    the tuple of its values on the roots, in ascending order: the
+    solutions of the roots' face-pair tables (`_face_pair_supports`),
+    solved once per distinct network on x by `solve_tables`."""
     arcs = []
     for i, fd1 in enumerate(roots):
         for j in range(i + 1, len(roots)):
@@ -481,11 +431,7 @@ def nat_face_union(
             if table is not None:
                 arcs.append((i, j, table))
     sizes = [x.size(fd.target) for fd in roots]
-    cells = tuple(face_class(fd) for fd in roots)
-    return [
-        CellFamily(x, cells, values)
-        for values in solve_tables(sizes, arcs, budget, x._solves)
-    ]
+    return solve_tables(sizes, arcs, budget, x._solves)
 
 
 def solve_tables(sizes, arcs, budget: int, memo: dict) -> list[tuple]:
@@ -590,34 +536,6 @@ def _equal_key_supports(keys1, keys2) -> tuple[list[int], list[int]]:
     return [masks2.get(key, 0) for key in keys1], [masks1.get(key, 0) for key in keys2]
 
 
-def nat_cells(
-    sub: SubOfRepresentable, x: Presheaf, budget: int = DEFAULT_BUDGET
-) -> list[CellFamily]:
-    """All natural families on a subpresheaf, by generic cell search."""
-    cells = [s for _, s in nondegenerate_cells(sub)]
-    cells.sort(key=lambda s: (s.src.dim + sum(s.src.entries), s.src, _ckey(s)))
-    pos = {s: i for i, s in enumerate(cells)}
-    net = Network()
-    for s in cells:
-        net.add_var(range(x.size(s.src)))
-    supports = {}  # (array, source level size) -> masks, shared by its arcs
-    for s in cells:
-        for fd in faces_of(s.src):
-            fc = face_class(fd)
-            key = (x.action(fc), x.size(fc.src))
-            if key not in supports:
-                # value(lower) == arr[value(s)]
-                supports[key] = _equal_key_supports(key[0], range(key[1]))
-            net.add_arcs(pos[s], pos[compose_classes(s, fc)], "fn", *supports[key])
-    out = [CellFamily(x, tuple(cells), sol) for sol in net.solve_all(budget)]
-    out.sort(key=lambda fam: fam.values)
-    return out
-
-
-def _ckey(s: MorphismClass):
-    return tuple(f.values for f in s.components)
-
-
 # ---------------------------------------------------------------------------
 # natural families between presheaves
 
@@ -635,9 +553,6 @@ class PresheafNatFamily:
 
     def key(self):
         return tuple(self.components[b] for b in self.window.shapes())
-
-    def component(self, b: Shape) -> tuple[int, ...]:
-        return self.components[b]
 
     def value(self, b: Shape, x):
         return self.target.elements(b)[self.components[b][self.source.index_of(b, x)]]

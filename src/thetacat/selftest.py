@@ -132,7 +132,9 @@ def _presheaf_invariants(rng) -> dict:
     )
     ok_yoneda = True
     for a in w.shapes():
-        families = presheaves.nat_cells(subshapes.full_sub(a), b1)
+        families = presheaves.nat_presheaves(
+            presheaves.SubAsPresheaf(subshapes.full_sub(a)), b1, subshapes.window_for(a)
+        )
         ok_yoneda = ok_yoneda and len(families) == b1.size(a)
     return {"functoriality": ok_funct, "yoneda": ok_yoneda}
 

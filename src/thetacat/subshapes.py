@@ -211,13 +211,6 @@ def image(c: MorphismClass) -> SubOfRepresentable:
     return SubOfRepresentable(c.dst, cells)
 
 
-def nondegenerate_cells(u: SubOfRepresentable) -> list[tuple[Shape, MorphismClass]]:
-    """Cells not of the form s'.e for a non-identity componentwise epi e."""
-    out = [(s.src, s) for s in u.cells]
-    out.sort(key=lambda p: (p[0].dim, p[0].entries, _cell_key(p[1])))
-    return out
-
-
 # ---------------------------------------------------------------------------
 # maximal common cells of two mono cells (drives the horn-filling solver)
 

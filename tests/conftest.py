@@ -15,7 +15,6 @@ from thetacat.groups import Cocycle2, FiniteGroup
 from thetacat.nerves import H2_WINDOW, NerveB1, NerveB2EM, vertex_indices
 from thetacat.presheaves import (
     DEFAULT_BUDGET,
-    CellFamily,
     Presheaf,
     PresheafNatFamily,
     Representable,
@@ -38,6 +37,7 @@ from thetacat.theta import (
     Shape,
     compose_classes,
     enumerate_hom,
+    epi_mono_factor_class,
     face_class,
     face_descriptor,
     factor_through,
@@ -282,6 +282,58 @@ def family_is_natural(sub: SubOfRepresentable, x, value_at) -> bool:
 
 
 # ---------------------------------------------------------------------------
+# oracle: natural families on a subobject by generic cell search
+#
+# `presheaves.nat_cells` and its `_ckey`, kept verbatim apart from the
+# name, its constraints' masks, built by `fn_supports`, reading
+# `sub.cells` (which `subshapes.nondegenerate_cells` restated as
+# (source, cell) pairs) and returning the cells with the families'
+# sorted value tuples: one variable per mono cell of the subobject, and
+# one functional constraint per face of each cell.
+# `cell_value` reads a family at any cell of the subobject, as
+# `CellFamily.value_at` did.
+
+
+def nat_cells_oracle(
+    sub: SubOfRepresentable, x: Presheaf, budget: int = DEFAULT_BUDGET
+) -> tuple[tuple[MorphismClass, ...], list[tuple]]:
+    """All natural families on a subpresheaf, by generic cell search."""
+    cells = sorted(
+        sub.cells, key=lambda s: (s.src.dim + sum(s.src.entries), s.src, _ckey(s))
+    )
+    pos = {s: i for i, s in enumerate(cells)}
+    net = Network()
+    for s in cells:
+        net.add_var(range(x.size(s.src)))
+    supports = {}  # (array, source level size) -> masks, shared by its arcs
+    for s in cells:
+        for fd in faces_of(s.src):
+            fc = face_class(fd)
+            key = (x.action(fc), x.size(fc.src))
+            if key not in supports:
+                # value(lower) == arr[value(s)]
+                supports[key] = fn_supports(*key)
+            net.add_arcs(pos[s], pos[compose_classes(s, fc)], "fn", *supports[key])
+    return tuple(cells), sorted(net.solve_all(budget))
+
+
+def _ckey(s: MorphismClass):
+    return tuple(f.values for f in s.components)
+
+
+def cell_value(x: Presheaf, cells, values, cell: MorphismClass):
+    """The value, as an element of x, at any cell of the subpresheaf that
+    the cells generate, of the family with the given values on them."""
+    epi, mono = epi_mono_factor_class(cell)
+    for c, val in zip(cells, values):
+        u = factor_through(mono, c)
+        if u is not None:
+            xm = x.apply(u, x.elements(c.src)[val])
+            return x.apply(epi, xm) if not epi.is_identity() else xm
+    raise ValueError(f"cell {cell} is not in the subpresheaf")
+
+
+# ---------------------------------------------------------------------------
 # oracle: functoriality over every composable pair of the window
 
 
@@ -481,9 +533,10 @@ def transitive_oracle(pairs) -> bool:
 #
 # The body of `presheaves.nat_face_union` before its face-pair support
 # masks were memoized on the presheaf, kept verbatim apart from its name
-# (its parameters follow `nat_face_union`) and its tables' masks, built
-# by `table_supports`: each call rebuilds the compatibility table of
-# every pair of roots.  `_shared_keys` is the helper it
+# (its parameters follow `nat_face_union`), its tables' masks, built by
+# `table_supports`, and its families, the sorted tuples of the roots'
+# values: each call rebuilds the compatibility table of every pair of
+# roots.  `_shared_keys` is the helper it
 # called then, moved here when the face-pair tables were keyed by their
 # restriction arrays.
 
@@ -503,7 +556,7 @@ def face_union_oracle(
     roots: tuple[FaceDescriptor, ...],
     x: Presheaf,
     budget: int = DEFAULT_BUDGET,
-) -> list[CellFamily]:
+) -> list[tuple]:
     """All natural families on the union of the given face images."""
     roots = tuple(roots)
     net = Network()
@@ -525,11 +578,7 @@ def face_union_oracle(
                 allowed[v1] = set(buckets.get(key, ()))
             supports = table_supports(allowed, net.domains[i], net.domains[j])
             net.add_arcs(i, j, "tab", *supports)
-    out = []
-    for sol in net.solve_all(budget):
-        out.append(CellFamily(x, tuple(face_class(fd) for fd in roots), sol))
-    out.sort(key=lambda fam: fam.values)
-    return out
+    return sorted(net.solve_all(budget))
 
 
 # ---------------------------------------------------------------------------
@@ -537,8 +586,9 @@ def face_union_oracle(
 #
 # The bodies of `checkers.horn_filling` and `checkers.inner_fibration_check`
 # before each horn's face arrays were read once, kept verbatim apart from
-# their names and `fam.values`: every element looks up each root's face
-# class and action array again, through `restriction_key`.
+# their names and their families, which are value tuples: every element
+# looks up each root's face class and action array again, through
+# `restriction_key`.
 
 
 def restriction_key(x: Presheaf, a: Shape, xa_index: int, roots) -> tuple[int, ...]:
@@ -553,7 +603,7 @@ def horn_filling_oracle(
     missing = face_descriptor(a, k, m)
     roots = tuple(fd for fd in faces_of(a) if fd != missing)
     families = nat_face_union(roots, x, budget)
-    keys = {fam.key(): 0 for fam in families}
+    keys = dict.fromkeys(families, 0)
     for idx in range(x.size(a)):
         key = restriction_key(x, a, idx, roots)
         if key not in keys:
@@ -589,20 +639,13 @@ def inner_fibration_oracle(phi, window, budget: int = 10**7) -> FibrationReport:
             phi_a = phi.components[a]
             for fam in x_families:
                 pushed = tuple(
-                    phi.components[root.target][val]
-                    for root, val in zip(roots, fam.values)
+                    phi.components[root.target][val] for root, val in zip(roots, fam)
                 )
                 for v in y_keys.get(pushed, ()):
                     checked += 1
-                    lifts = [
-                        ix
-                        for ix in x_keys.get(fam.key(), ())
-                        if phi_a[ix] == v
-                    ]
+                    lifts = [ix for ix in x_keys.get(fam, ()) if phi_a[ix] == v]
                     if not lifts:
-                        failures.append(
-                            LiftingSquare(a, fd.k, fd.m, fam.key(), v)
-                        )
+                        failures.append(LiftingSquare(a, fd.k, fd.m, fam, v))
     return FibrationReport(not failures, checked, tuple(failures))
 
 

@@ -179,11 +179,16 @@ def test_tables_not_covering_the_window_exit_1(tmp_path):
         assert proc.stderr.count("\n") == 1
 
 
-def test_check_usage_errors(tmp_path):
+def test_check_usage_errors(tmp_path, capsys):
     assert main(["check", "--mode", "cat"]) == 1
     assert main(["check", "--mode", "nonsense", "--nerve", "B1:Z2"]) == 1
     assert main(["check", "--mode", "n-cat:-3", "--nerve", "B1:Z2"]) == 1
     assert main(["check", "--mode", "cat", "--nerve", "B9:Z2"]) == 1
+    # a mode's n that is no integer is named with its mode
+    for mode in ("n-strict:x", "n-cat:"):
+        capsys.readouterr()
+        assert main(["check", "--mode", mode, "--nerve", "B1:Z2"]) == 1
+        assert capsys.readouterr().err == f"thetacat: mode {mode!r} needs an integer n\n"
 
 
 def test_check_takes_exactly_one_source(tmp_path):

@@ -1,13 +1,16 @@
 import itertools
 import random
+from functools import partial
 
 import pytest
 
 from conftest import (
     all_pairs_functorial,
+    cell_value,
     constants_to_all_ones,
     face_union_oracle,
     family_is_natural,
+    nat_cells_oracle,
     nat_presheaves_oracle,
     shapes_with,
     swap_in_first_row,
@@ -33,7 +36,6 @@ from thetacat.presheaves import (
     check_functoriality,
     extend,
     generator_classes,
-    nat_cells,
     nat_face_union,
     nat_presheaves,
     product,
@@ -49,6 +51,7 @@ from thetacat.subshapes import (
     full_sub,
     horn,
     spine,
+    union_of_faces,
     window_for,
 )
 from thetacat.theta import (
@@ -60,6 +63,7 @@ from thetacat.theta import (
     face_descriptor,
     faces_of,
     identity_class,
+    outer_faces,
     shape,
 )
 
@@ -256,20 +260,50 @@ def test_yoneda_small_window_all_methods():
     for x in (b1, rep):
         for a in shapes_with(2, 2):
             sub = full_sub(a)
-            fams = nat_cells(sub, x)
+            _, fams = nat_cells_oracle(sub, x)
             assert len(fams) == x.size(a)
             # the same count through the route between presheaves
             assert len(nat_presheaves(SubAsPresheaf(sub), x, window_for(a))) == x.size(a)
 
 
+def _route_subobjects():
+    """For every shape of WindowSpec(2, 2) and t[3]: the full subobject,
+    the boundary, every horn, the spine and the union of the outer faces."""
+    for a in (*WindowSpec(2, 2).shapes(), shape(3)):
+        yield full_sub(a)
+        yield boundary(a)
+        for fd in faces_of(a):
+            yield horn(a, fd.k, fd.m)
+        yield spine(a)
+        yield union_of_faces(a, outer_faces(a))
+
+
+@pytest.mark.parametrize("name", ["B1(Z2)", "B2strict(Z2)", "y(t[2,1])"])
+def test_sub_as_presheaf_families_match_cell_oracle(name):
+    # the route between presheaves, on a subobject viewed as a presheaf,
+    # gives the cell search's families: read each at the mono cells
+    x = MEMO_PRESHEAVES[name]()
+    count = 0
+    for sub in _route_subobjects():
+        cells, want = nat_cells_oracle(sub, x)
+        source = SubAsPresheaf(sub)
+        got = {
+            tuple(fam.components[c.src][source.index_of(c.src, c)] for c in cells)
+            for fam in nat_presheaves(source, x, window_for(sub.base))
+        }
+        assert got == set(want), (name, sub.base, sorted(sub.cells, key=str))
+        count += 1
+    assert count == 57  # 8 shapes, 4 subobjects each and 25 horns
+
+
 def test_nat_on_boundary_of_interval():
     b1 = nerve_b1(cyclic(3))
     sub = boundary(shape(1))
-    fams = nat_cells(sub, b1)
+    _, fams = nat_cells_oracle(sub, b1)
     assert len(fams) == b1.size(POINT) ** 2 == 1
     em = NerveB2EM(cyclic(2))
     rep = Representable(shape(2))
-    fams = nat_cells(sub, rep)
+    _, fams = nat_cells_oracle(sub, rep)
     assert len(fams) == rep.size(POINT) ** 2 == 9
 
 
@@ -279,9 +313,8 @@ def test_nat_face_union_inner_horn_of_triangle():
     roots = tuple(fd for fd in faces_of(a) if not (fd.k == 1 and fd.m == 1))
     fams = nat_face_union(roots, b1)
     assert len(fams) == 4
-    keys = {fam.key() for fam in fams}
     hits = set(zip(*(b1.action(face_class(fd)) for fd in roots)))
-    assert hits == keys  # the restriction is a bijection onto the families
+    assert hits == set(fams)  # the restriction is a bijection onto the families
 
 
 # every horn of these shapes, inner and outer, goes through both routes
@@ -330,7 +363,7 @@ def test_nat_face_union_matches_per_call_tables(name):
 
 def _outcome(route, roots, x, budget):
     try:
-        return [f.values for f in route(roots, x, budget)], None
+        return route(roots, x, budget), None
     except BudgetExceededError as exc:
         return None, exc.count
 
@@ -451,14 +484,24 @@ def test_solve_tables_merges_ties_like_the_full_network(seed):
 
 
 def test_face_union_families_agree_with_cell_search():
-    # two independent enumeration routes over the same horn
+    # two independent enumeration routes over the same horn: each family
+    # on the roots, read at every cell, is one of the cell search's
     b1 = nerve_b1(cyclic(2))
     for a in [shape(2), shape(2, 1), shape(1, 2)]:
         for fd in faces_of(a):
             roots = tuple(f for f in faces_of(a) if f != fd)
+            root_cells = tuple(face_class(f) for f in roots)
             via_roots = nat_face_union(roots, b1)
-            via_cells = nat_cells(horn(a, fd.k, fd.m), b1)
+            cells, via_cells = nat_cells_oracle(horn(a, fd.k, fd.m), b1)
             assert len(via_roots) == len(via_cells)
+            read = {
+                tuple(
+                    b1.index_of(c.src, cell_value(b1, root_cells, fam, c))
+                    for c in cells
+                )
+                for fam in via_roots
+            }
+            assert read == set(via_cells)
 
 
 def test_face_union_families_are_natural():
@@ -467,17 +510,18 @@ def test_face_union_families_are_natural():
     for fd in faces_of(a):
         roots = tuple(f for f in faces_of(a) if f != fd)
         sub = horn(a, fd.k, fd.m)
+        cells = tuple(face_class(f) for f in roots)
         for fam in nat_face_union(roots, b1):
-            assert family_is_natural(sub, b1, fam.value_at)
+            assert family_is_natural(sub, b1, partial(cell_value, b1, cells, fam))
 
 
 def test_cell_families_are_natural():
     b1 = nerve_b1(cyclic(2))
     a = shape(2)
     sub = spine(a)
-    fams = nat_cells(sub, b1)
+    cells, fams = nat_cells_oracle(sub, b1)
     for fam in fams:
-        assert family_is_natural(sub, b1, fam.value_at)
+        assert family_is_natural(sub, b1, partial(cell_value, b1, cells, fam))
     # the spine of the triangle is its inner horn: four families
     assert len(fams) == 4
 
@@ -490,7 +534,7 @@ def test_nat_presheaves_vs_subaspresheaf():
     sub = horn(a, 1, 1)
     as_presheaf = SubAsPresheaf(sub)
     fams = nat_presheaves(as_presheaf, b1, w)
-    assert len(fams) == len(nat_cells(sub, b1)) == 4
+    assert len(fams) == len(nat_cells_oracle(sub, b1)[1]) == 4
 
 
 # ---------------------------------------------------------------------------
@@ -595,9 +639,9 @@ def test_nat_presheaves_budget_trips_like_per_element_oracle(monkeypatch, gname,
 
 def test_budget_exceeded():
     b1 = nerve_b1(cyclic(2))
-    sub = full_sub(shape(2, 2))
+    a = shape(2, 2)
     with pytest.raises(BudgetExceededError) as err:
-        nat_cells(sub, b1, budget=3)
+        nat_presheaves(SubAsPresheaf(full_sub(a)), b1, window_for(a), budget=3)
     assert err.value.count > 3
 
 
@@ -608,19 +652,15 @@ def test_naturality_beyond_window_sampling():
     b1 = nerve_b1(cyclic(2))
     a = shape(2)
     roots = tuple(fd for fd in faces_of(a) if not (fd.k == 1 and fd.m == 1))
+    root_cells = tuple(face_class(fd) for fd in roots)
     fams = nat_face_union(roots, b1)
     outside = [shape(1, 1, 1, 1), shape(2, 2, 1), shape(3, 1)]
     horn_sub = horn(a, 1, 1)
     for _ in range(50):
-        fam = rng.choice(fams)
+        value_at = partial(cell_value, b1, root_cells, rng.choice(fams))
         b2 = rng.choice(window_for(a).shapes())
         cells = [s for s in horn_sub.level(b2)]
         s = rng.choice(cells)
         b1_shape = rng.choice(outside)
         f = rng.choice(enumerate_hom(b1_shape, b2))
-        lhs = fam.value_at(s) if f.is_identity() else None
-        sf = None
-        from thetacat.theta import compose_classes
-
-        sf = compose_classes(s, f)
-        assert fam.value_at(sf) == b1.apply(f, fam.value_at(s))
+        assert value_at(compose_classes(s, f)) == b1.apply(f, value_at(s))

@@ -12,8 +12,10 @@ from conftest import (
     levelwise_image,
     levelwise_pullback,
     levelwise_sub,
+    nat_cells_oracle,
     shapes_with,
 )
+from thetacat.presheaves import Representable
 from thetacat.subshapes import (
     SubOfRepresentable,
     WindowSpec,
@@ -26,7 +28,6 @@ from thetacat.subshapes import (
     horn,
     image,
     in_union_of_faces,
-    nondegenerate_cells,
     pullback_along,
     spine,
     spine_membership,
@@ -235,9 +236,15 @@ def test_pullback_examples():
 
 
 def test_nondegenerate_cells_counts():
-    assert len(nondegenerate_cells(full_sub(shape(1)))) == 3
-    assert len(nondegenerate_cells(boundary(shape(1, 1)))) == 4
-    assert len(nondegenerate_cells(full_sub(POINT))) == 1
+    # a subobject's mono cells are its nondegenerate cells, and the cell
+    # oracle takes one variable per cell
+    for sub, count in (
+        (full_sub(shape(1)), 3),
+        (boundary(shape(1, 1)), 4),
+        (full_sub(POINT), 1),
+    ):
+        assert len(sub.cells) == count
+        assert len(nat_cells_oracle(sub, Representable(sub.base))[0]) == count
 
 
 def test_nondegenerate_cells_match_brute_force():
@@ -261,7 +268,9 @@ def test_nondegenerate_cells_match_brute_force():
                             degenerate = True
                 if not degenerate:
                     brute.add((b, s))
-        assert brute == set(nondegenerate_cells(sub)), sub.base
+        assert brute == {(s.src, s) for s in sub.cells}, sub.base
+        cells, _ = nat_cells_oracle(sub, Representable(sub.base))
+        assert set(cells) == sub.cells, sub.base
 
 
 def test_face_image_is_image_of_face_class():
