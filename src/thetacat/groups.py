@@ -70,13 +70,6 @@ class FiniteGroup:
     def __repr__(self):
         return f"FiniteGroup({self.name}, order={self.order})"
 
-    def to_json(self) -> dict:
-        return {
-            "name": self.name,
-            "elements": list(self.elements),
-            "table": [list(r) for r in self.table],
-        }
-
     @classmethod
     def from_json(cls, data: dict) -> "FiniteGroup":
         return cls(

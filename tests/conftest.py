@@ -115,6 +115,15 @@ def yoneda_family(x: Presheaf, a: Shape, idx: int, cells) -> tuple[int, ...]:
     return tuple(x.action(m)[idx] for m in cells)
 
 
+def group_to_json(g: FiniteGroup) -> dict:
+    """The group-file JSON that `FiniteGroup.from_json` reads."""
+    return {
+        "name": g.name,
+        "elements": list(g.elements),
+        "table": [list(r) for r in g.table],
+    }
+
+
 def cohomologous(c1: Cocycle2, c2: Cocycle2, b2: tuple[tuple[int, ...], ...]) -> bool:
     """Whether two cocycles differ by a coboundary."""
     g_, a_ = c1.group, c1.coeffs
@@ -388,7 +397,7 @@ def constants_to_all_ones(table: TablePresheaf) -> TablePresheaf:
 # ---------------------------------------------------------------------------
 # oracle: the anodyne step check level by level
 #
-# The step check that `anodyne._step_admissible` replaced, kept verbatim
+# The step check that `anodyne._step_fault` replaced, kept verbatim
 # apart from its name and its `window` parameter: it builds the horn and
 # compares the pullback with it at every level of the window, composing c
 # with every cell of the step cell.

@@ -20,7 +20,7 @@ from thetacat.anodyne import (
     PROBE_ENDS,
     Step,
     _apply_step,
-    _step_admissible,
+    _step_fault,
     certify_union_inclusion,
     spine_probe,
     verify_certificate,
@@ -210,7 +210,7 @@ def test_c06_spine_probe():
             _apply_step(current, step)
             for current in frontier
             for step in candidates
-            if _step_admissible(current, step)[0]
+            if _step_fault(current, step) is None
         ]
         for current in frontier:
             assert any(current.level(b) != end.level(b) for b in w.shapes())

@@ -13,9 +13,9 @@ from thetacat.anodyne import (
     spine_probe,
     verify_certificate,
     _apply_step,
-    _step_admissible,
     _pushout_fault,
     _step_fault,
+    _union_steps,
 )
 from thetacat.delta import MonotoneMap
 from thetacat.subshapes import (
@@ -38,6 +38,7 @@ from thetacat.theta import (
     epi_classes_between,
     epi_mono_factor_class,
     face_class,
+    face_descriptor,
     identity_class,
     inner_faces,
     mono_cells_into,
@@ -131,7 +132,7 @@ def test_verify_rejects_noninjective_attachment():
     ]:
         start = spine(base)
         step = Step(shape(2), c, (1, 1))
-        assert _step_admissible(start, step) == (False, reason)
+        assert _step_fault(start, step) == reason
         assert not full_level_step_check(start, step, w)[0]
         cert = AnodyneCertificate(
             start, full_sub(base), steps=(step,),
@@ -172,6 +173,19 @@ def test_certify_t22_outer_regression():
     # contains a bare vertex; recognition happens at the union level
     cert = certify_union_inclusion(shape(2, 2), [(1, 0), (1, 2), (2, 0), (2, 2)])
     assert verify_certificate(cert).ok
+
+
+def test_union_steps_off_lemma_l5_fail_verification():
+    # the recursion runs no input checks of its own: a start outside L5's
+    # hypotheses gives a certificate that fails verification, not an error
+    a = shape(2)
+    start = union_of_faces(a, [faces_of(a)[0]])  # outer face (1,2) missing
+    cert = AnodyneCertificate(start, full_sub(a), tuple(_union_steps(start)))
+    rep = verify_certificate(cert)
+    assert (rep.ok, rep.failed_step) == (False, 0)
+    assert rep.reason == "horn (1,1) of t[1] is not inner"
+    # with no face missing there is no step, and no face to read
+    assert _union_steps(full_sub(a)) == []
 
 
 def admissible_gammas(a: Shape):
@@ -241,6 +255,35 @@ def test_lemma_l5_pullback_to_a_missing_face_is_a_union_of_faces():
             check_l5(*case)
 
 
+def test_lemma_l4_each_step_adds_two_mono_cells():
+    # every certify input up to entry sum 6, every probe up to entry sum 5:
+    # each step adds exactly c and c . face_class((k, m)), so the step
+    # count is half the number of mono cells added
+    certs = [
+        certify_union_inclusion(a, gamma)
+        for n in range(1, 7)
+        for a in shapes_of_entry_sum(n)
+        for gamma in admissible_gammas(a)
+    ]
+    assert len(certs) == 301
+    probes = [
+        spine_probe(PROBE_ENDS[target](a), target)
+        for n in range(1, 6)
+        for a in shapes_of_entry_sum(n)
+        for target in ("full", "outer")
+    ]
+    assert len(probes) == 62 and all(r.found for r in probes)
+    for cert in certs + [r.certificate for r in probes]:
+        current = cert.start
+        for step in cert.steps:
+            c = step.attach
+            horn_face = face_class(face_descriptor(step.cell, *step.horn))
+            new = _apply_step(current, step)
+            assert new.cells - current.cells == {c, compose_classes(c, horn_face)}, step
+            current = new
+        assert 2 * len(cert.steps) == len(cert.end.cells) - len(cert.start.cells)
+
+
 def test_certify_step_count_on_one_coordinate_shapes():
     # starting from the outer faces, one step per missing inner face
     for n in (2, 3):
@@ -252,8 +295,7 @@ def test_certificate_growth_is_strict():
     cert = certify_union_inclusion(shape(3), [(1, 0), (1, 3)])
     current = cert.start
     for step in cert.steps:
-        ok, _ = _step_admissible(current, step)
-        assert ok
+        assert _step_fault(current, step) is None
         new = _apply_step(current, step)
         assert any(
             len(new.level(b)) > len(current.level(b))
@@ -335,8 +377,7 @@ def test_probe_tetrahedron_no_three_step_certificate():
         nxt = []
         for current in frontier:
             for step in candidates:
-                ok, _ = _step_admissible(current, step)
-                if ok:
+                if _step_fault(current, step) is None:
                     nxt.append(_apply_step(current, step))
         frontier = nxt
         assert all(
@@ -384,7 +425,7 @@ def unfiltered_probe(monkeypatch, a, target, budget=10**6):
 
     def oracle_fault(current, c, fd):
         ok, reason = full_level_step_check(current, Step(fd.base, c, (fd.k, fd.m)), w)
-        return None if ok else (reason,)
+        return None if ok else reason
 
     with monkeypatch.context() as m:
         m.setattr(anodyne, "_pushout_fault", oracle_fault)
@@ -410,7 +451,8 @@ def test_probe_prefilter_matches_unfiltered_search(monkeypatch, text, target):
     # and the search skips only guards that every candidate passes
     w = window_for(a)
     for current, step, fault in tried:
-        assert _step_fault(current, step) == fault, step
+        reason = None if fault is None else f"pullback is not the horn at level {fault}"
+        assert _step_fault(current, step) == reason, step
         assert full_level_step_check(current, step, w)[0] == (fault is None), step
     oks = [fault is None for _, _, fault in tried]
     assert any(oks) and not all(oks)
@@ -495,7 +537,7 @@ def test_step_check_matches_oracle_on_every_start_and_step(a):
     accepted = 0
     for current in starts:
         for step in steps:
-            ok = _step_admissible(current, step)[0]
+            ok = _step_fault(current, step) is None
             assert ok == full_level_step_check(current, step, w)[0], (current, step)
             accepted += ok
     assert (accepted > 0) == any(inner_faces(b) for b in w.shapes())
@@ -510,8 +552,8 @@ def test_step_cell_outside_the_window_is_rejected():
     c = next(c for c in enumerate_hom(cell, a) if c.degree == 2)
     step = Step(cell, c, (1, 1))
     start = spine(a)
-    ok, reason = _step_admissible(start, step)
-    assert not ok and reason.startswith("pullback is not the horn at level ")
+    reason = _step_fault(start, step)
+    assert reason is not None and reason.startswith("pullback is not the horn at level ")
     assert not full_level_step_check(start, step, WindowSpec(1, 3))[0]
     cert = AnodyneCertificate(start, full_sub(a), (step,), "spine", "full")
     rep = verify_certificate(cert)

@@ -442,6 +442,39 @@ def test_certify_bad_gamma(tmp_path):
     assert main(["certify", "t[2,2]", "--gamma", "1:0:9,1:2,2:0,2:2,2:1:junk"]) == 1
 
 
+def test_certify_start_tag_is_canonical(tmp_path):
+    # the union is a set of faces: order and repeats in --gamma do not
+    # reach the report
+    outs = []
+    for gamma in ("2:3,2:0,1:3,1:0,1:1,1:1", "1:0,1:1,1:3,2:0,2:3"):
+        outs.append(tmp_path / f"{len(outs)}.json")
+        assert main(["certify", "t[3,3]", "--gamma", gamma, "--out", str(outs[-1])]) == 0
+    assert outs[0].read_bytes() == outs[1].read_bytes()
+    data = json.loads(outs[0].read_text())
+    assert data["certificate"]["start"] == "gamma:1:0,1:1,1:3,2:0,2:3"
+
+
+def test_reports_do_not_depend_on_the_hash_seed():
+    root = Path(__file__).resolve().parents[1]
+    commands = [
+        ["certify", "t[3,3]", "--gamma", "2:3,2:0,1:3,1:0,1:1,1:1"],
+        ["probe", "t[3,1]", "--target", "outer"],
+        ["check", "--mode", "strict-cat", "--nerve", "B1:Z2"],
+    ]
+    for argv in commands:
+        stdouts = set()
+        for seed in ("0", "12345"):
+            proc = subprocess.run(
+                [sys.executable, "-m", "thetacat.cli", *argv],
+                capture_output=True,
+                env={**os.environ, "PYTHONPATH": str(root / "src"), "PYTHONHASHSEED": seed},
+                timeout=120,
+            )
+            assert proc.returncode == 0, (argv, seed, proc.stderr.decode())
+            stdouts.add(proc.stdout)
+        assert len(stdouts) == 1, argv
+
+
 def test_probe_full(tmp_path):
     code, data = run_cli(tmp_path, "probe", "t[3]", "--target", "full")
     assert code == 0
@@ -487,10 +520,11 @@ def test_h2_nonabelian_coeff(tmp_path):
 
 
 def test_h2_custom_group_file(tmp_path):
+    from conftest import group_to_json
     from thetacat.groups import klein_four
 
     path = tmp_path / "v4.json"
-    path.write_text(json.dumps(klein_four().to_json()))
+    path.write_text(json.dumps(group_to_json(klein_four())))
     code, data = run_cli(tmp_path, "h2", "--group", "Z2", "--coeff", f"@{path}")
     assert code == 0 and data["coeff"] == "V4"
 

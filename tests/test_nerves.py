@@ -7,6 +7,7 @@ import pytest
 
 from conftest import (
     cohomologous,
+    group_to_json,
     homotopy_pairs_oracle,
     one_class_too_many,
     transitive_oracle,
@@ -74,7 +75,7 @@ def test_builtin_groups_validate():
 
 def test_group_json_roundtrip():
     g = klein_four()
-    back = FiniteGroup.from_json(g.to_json())
+    back = FiniteGroup.from_json(group_to_json(g))
     assert back.table == g.table and back.elements == g.elements
 
 
