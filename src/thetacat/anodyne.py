@@ -189,10 +189,10 @@ def verify_certificate(cert: AnodyneCertificate) -> VerifyReport:
 def certify_union_inclusion(a: Shape, gamma) -> AnodyneCertificate:
     """Certificate that a proper outer-containing union of faces fills in.
 
-    `gamma` names faces of a by `FaceDescriptor` or (k, m), in any order
-    and with repeats; the start tag lists them in `faces_of(a)` order.
+    `gamma` names faces of a by (k, m), in any order and with repeats;
+    the start tag lists them in `faces_of(a)` order.
     """
-    fds = {g if isinstance(g, FaceDescriptor) else face_descriptor(a, *g) for g in gamma}
+    fds = {face_descriptor(a, k, m) for k, m in gamma}
     if not set(outer_faces(a)) <= fds:
         raise ValueError("the union must contain every outer face")
     if fds == set(faces_of(a)):

@@ -47,13 +47,13 @@ from .presheaves import (
     Representable,
     nat_network,
     nat_presheaves,
-    product,
     union_heads,
 )
 from .subshapes import WindowSpec
 from .theta import MorphismClass, Shape, constant_class, shape
 
 H2_WINDOW = WindowSpec(2, 3)
+EM_LEVEL_BUDGET = 10**6  # cocycle tables a NerveB2EM level may hold
 
 
 class CoreNerve(Presheaf):
@@ -182,12 +182,11 @@ class NerveB2EM(CoreNerve):
 
     core_dim = 1
 
-    def __init__(self, group: FiniteGroup, level_budget: int = 10**6):
+    def __init__(self, group: FiniteGroup):
         super().__init__()
         if not group.abelian:
             raise ValueError("cocycle coefficients must be abelian")
         self.group = group
-        self.level_budget = level_budget
         self.name = f"B2em({group.name})"
 
     def _elements(self, b: Shape) -> tuple:
@@ -196,7 +195,7 @@ class NerveB2EM(CoreNerve):
         trips = _triples(n)
         free = [t for t in trips if t[0] == 0]
         tables = a_.order ** len(free)
-        if tables > self.level_budget:
+        if tables > EM_LEVEL_BUDGET:
             raise BudgetExceededError(
                 f"cocycle level at {b} needs {tables} tables", tables
             )
@@ -246,16 +245,7 @@ class NerveB2EM(CoreNerve):
         return tuple(out)
 
 
-def nerve_b1(group: FiniteGroup) -> NerveB1:
-    return NerveB1(group)
-
-
-def nerve_b2_strict(group: FiniteGroup) -> NerveB2Strict:
-    return NerveB2Strict(group)
-
-
-def nerve_b2_em(group: FiniteGroup) -> NerveB2EM:
-    return NerveB2EM(group)
+NERVES = {"B1": NerveB1, "B2strict": NerveB2Strict, "B2em": NerveB2EM}
 
 
 def nerve_from_spec(spec: str) -> Presheaf:
@@ -267,13 +257,9 @@ def nerve_from_spec(spec: str) -> Presheaf:
     except ValueError:
         raise ValueError(f"bad nerve spec {spec!r}") from None
     group = builtin_group(gname)
-    if kind == "B1":
-        return nerve_b1(group)
-    if kind == "B2strict":
-        return nerve_b2_strict(group)
-    if kind == "B2em":
-        return nerve_b2_em(group)
-    raise ValueError(f"bad nerve spec {spec!r}")
+    if kind not in NERVES:
+        raise ValueError(f"bad nerve spec {spec!r}")
+    return NERVES[kind](group)
 
 
 # ---------------------------------------------------------------------------
@@ -405,7 +391,7 @@ def homotopy_classes(
     src, tgt = NerveB1(g_), NerveB2EM(a_)
     maps = nat_presheaves(src, tgt, H2_WINDOW, budget)
     key_of = {m.key(): i for i, m in enumerate(maps)}
-    cyl = product(src, Representable(shape(1)))
+    cyl = ProductPresheaf(src, Representable(shape(1)))
     net, roots = nat_network(cyl, tgt, H2_WINDOW)
     readers = [
         vertex_inclusion_values(roots, vertex_indices(cyl, src, H2_WINDOW, vertex))

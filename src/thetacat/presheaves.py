@@ -17,8 +17,7 @@ are enumerated two ways, both exact:
   generating family of classes (faces and componentwise epis, which
   every class of the window factors through) carried over to them;
   each degenerate element's value is the action of its epi on its
-  root's value.  Any other subobject of a representable is a source
-  through `SubAsPresheaf`.
+  root's value.
 
 Horn checks repeat networks, and each distinct one is solved once per
 presheaf.  A face-union network is its roots' level sizes and one
@@ -63,7 +62,7 @@ from typing import NamedTuple
 from .csp import Network
 from .delta import constant_map
 from .errors import BudgetExceededError
-from .subshapes import SubOfRepresentable, WindowSpec, common_restrictions
+from .subshapes import WindowSpec, common_restrictions
 from .theta import (
     FaceDescriptor,
     MorphismClass,
@@ -179,26 +178,6 @@ class ProductPresheaf(Presheaf):
         width = self.right.size(f.src)
         right = self.right.action(f)
         return tuple(i * width + j for i in self.left.action(f) for j in right)
-
-
-def product(x: Presheaf, y: Presheaf) -> ProductPresheaf:
-    return ProductPresheaf(x, y)
-
-
-class SubAsPresheaf(Presheaf):
-    """A subpresheaf of a representable, viewed as a presheaf: its level
-    at any shape is derived from its mono cells (`subshapes`)."""
-
-    def __init__(self, sub: SubOfRepresentable):
-        super().__init__()
-        self.sub = sub
-        self.name = f"sub({sub.base})"
-
-    def _elements(self, b: Shape) -> tuple:
-        return tuple(self.sub.cells_sorted(b))
-
-    def apply(self, f: MorphismClass, x: MorphismClass) -> MorphismClass:
-        return compose_classes(x, f)
 
 
 class TablePresheaf(Presheaf):
@@ -332,14 +311,6 @@ class ExtendedPresheaf(Presheaf):
 
     def apply(self, f: MorphismClass, x):
         return self.inner.apply(project_class(f, self.n), x)
-
-
-def truncate(x: Presheaf, n: int) -> TruncatedPresheaf:
-    return TruncatedPresheaf(x, n)
-
-
-def extend(xn: Presheaf, n: int) -> ExtendedPresheaf:
-    return ExtendedPresheaf(xn, n)
 
 
 # ---------------------------------------------------------------------------

@@ -124,7 +124,7 @@ def _subshapes_invariants(rng) -> dict:
 
 def _presheaf_invariants(rng) -> dict:
     w = WindowSpec(2, 2)
-    b1 = nerves.nerve_b1(groups.cyclic(2))
+    b1 = nerves.NerveB1(groups.cyclic(2))
     rep = presheaves.Representable(theta.shape(1, 1))
     ok_funct = (
         presheaves.check_functoriality(b1, w).ok
@@ -133,7 +133,7 @@ def _presheaf_invariants(rng) -> dict:
     ok_yoneda = True
     for a in w.shapes():
         families = presheaves.nat_presheaves(
-            presheaves.SubAsPresheaf(subshapes.full_sub(a)), b1, subshapes.window_for(a)
+            presheaves.Representable(a), b1, subshapes.window_for(a)
         )
         ok_yoneda = ok_yoneda and len(families) == b1.size(a)
     return {"functoriality": ok_funct, "yoneda": ok_yoneda}
@@ -141,9 +141,9 @@ def _presheaf_invariants(rng) -> dict:
 
 def _checker_invariants(rng) -> dict:
     w = WindowSpec(2, 2)
-    b1 = nerves.nerve_b1(groups.cyclic(2))
+    b1 = nerves.NerveB1(groups.cyclic(2))
     rep_strict = checkers.check(b1, "strict-groupoid", w)
-    b2 = nerves.nerve_b2_strict(groups.cyclic(2))
+    b2 = nerves.NerveB2Strict(groups.cyclic(2))
     rep_cat = checkers.check(b2, "strict-cat", w)
     return {
         "b1_strict_groupoid": rep_strict.verdict,
@@ -160,7 +160,7 @@ def _anodyne_invariants(rng) -> dict:
         outer = theta.outer_faces(a)
         for r in range(len(inner)):
             for chosen in itertools.combinations(inner, r):
-                gamma = tuple(outer) + chosen
+                gamma = [(fd.k, fd.m) for fd in tuple(outer) + chosen]
                 if len(gamma) == len(theta.faces_of(a)):
                     continue
                 cert = anodyne.certify_union_inclusion(a, gamma)

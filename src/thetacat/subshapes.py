@@ -117,16 +117,9 @@ class SubOfRepresentable(NamedTuple):
     def level(self, b: Shape) -> frozenset:
         return frozenset(s for s in enumerate_hom(b, self.base) if s in self)
 
-    def cells_sorted(self, b: Shape) -> list[MorphismClass]:
-        return sorted(self.level(b), key=_cell_key)
-
     def is_subset(self, other: "SubOfRepresentable") -> bool:
         _check_compatible(self, other)
         return self.cells <= other.cells
-
-
-def _cell_key(s: MorphismClass):
-    return (s.degree, tuple(f.values for f in s.components), s.src)
 
 
 def _check_compatible(u: SubOfRepresentable, v: SubOfRepresentable) -> None:

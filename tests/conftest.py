@@ -17,12 +17,12 @@ from thetacat.presheaves import (
     DEFAULT_BUDGET,
     Presheaf,
     PresheafNatFamily,
+    ProductPresheaf,
     Representable,
     TablePresheaf,
     generator_classes,
     nat_face_union,
     nat_presheaves,
-    product,
 )
 from thetacat.subshapes import (
     SubOfRepresentable,
@@ -132,6 +132,29 @@ def cohomologous(c1: Cocycle2, c2: Cocycle2, b2: tuple[tuple[int, ...], ...]) ->
         a_.mul(c1.table[i], a_.inverse[c2.table[i]]) for i in range(n * n)
     )
     return diff in set(b2)
+
+
+# ---------------------------------------------------------------------------
+# adapter: a subobject of a representable as a presheaf
+#
+# The level at b lists the subobject's cells b -> base in (degree,
+# component values, source) order, and a class acts by precomposition.
+
+
+class SubAsPresheaf(Presheaf):
+    def __init__(self, sub: SubOfRepresentable):
+        super().__init__()
+        self.sub = sub
+        self.name = f"sub({sub.base})"
+
+    def _elements(self, b: Shape) -> tuple:
+        return tuple(sorted(
+            self.sub.level(b),
+            key=lambda s: (s.degree, tuple(f.values for f in s.components), s.src),
+        ))
+
+    def apply(self, f: MorphismClass, x: MorphismClass) -> MorphismClass:
+        return compose_classes(x, f)
 
 
 # ---------------------------------------------------------------------------
@@ -498,7 +521,7 @@ def homotopy_pairs_oracle(
     src, tgt = NerveB1(g_), NerveB2EM(a_)
     maps = nat_presheaves(src, tgt, window, budget)
     key_of = {m.key(): i for i, m in enumerate(maps)}
-    cyl = product(src, Representable(shape(1)))
+    cyl = ProductPresheaf(src, Representable(shape(1)))
     homotopies = nat_presheaves(cyl, tgt, window, budget)
     indices = [vertex_indices(cyl, src, window, vertex) for vertex in (0, 1)]
     pairs = set()

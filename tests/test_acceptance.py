@@ -32,12 +32,10 @@ from thetacat.nerves import (
     H2_WINDOW,
     NerveB1,
     NerveB2EM,
+    NerveB2Strict,
     cocycle_to_map,
     homotopy_classes,
     map_to_cocycle,
-    nerve_b1,
-    nerve_b2_em,
-    nerve_b2_strict,
 )
 from thetacat.presheaves import Representable, nat_presheaves
 from thetacat.subshapes import (
@@ -127,9 +125,9 @@ def test_c03_yoneda():
     z2 = cyclic(2)
     subjects = [
         Representable(shape(2, 1)),
-        nerve_b1(z2),
-        nerve_b2_strict(z2),
-        nerve_b2_em(z2),
+        NerveB1(z2),
+        NerveB2Strict(z2),
+        NerveB2EM(z2),
     ]
     for x in subjects:
         for a in WINDOW.shapes():
@@ -148,7 +146,7 @@ def test_c04_union_certifier_exhaustive():
         outer = outer_faces(a)
         for r in range(len(inner)):
             for chosen in itertools.combinations(inner, r):
-                gamma = tuple(outer) + chosen
+                gamma = [(fd.k, fd.m) for fd in tuple(outer) + chosen]
                 if len(gamma) == len(faces_of(a)):
                     continue
                 cert = certify_union_inclusion(a, gamma)
@@ -228,9 +226,9 @@ def test_c06_spine_probe():
 def test_c07_nerve_checks():
     t0 = time.time()
     for name in ("Z2", "Z3", "Z4", "V4"):
-        rep = check(nerve_b1(builtin_group(name)), "strict-groupoid", WINDOW)
+        rep = check(NerveB1(builtin_group(name)), "strict-groupoid", WINDOW)
         assert rep.verdict, name
-    b2 = nerve_b2_strict(cyclic(2))
+    b2 = NerveB2Strict(cyclic(2))
     assert check(b2, "strict-cat", WINDOW).verdict
     rep = check(b2, "groupoid", WINDOW)
     assert not rep.verdict

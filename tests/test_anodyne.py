@@ -204,7 +204,7 @@ def test_certify_exhaustive_small_shapes():
         for gamma in admissible_gammas(a):
             if len(gamma) == len(faces_of(a)):
                 continue
-            cert = certify_union_inclusion(a, gamma)
+            cert = certify_union_inclusion(a, [(fd.k, fd.m) for fd in gamma])
             rep = verify_certificate(cert)
             assert rep.ok, (a, gamma, rep)
             checked += 1
@@ -260,7 +260,7 @@ def test_lemma_l4_each_step_adds_two_mono_cells():
     # each step adds exactly c and c . face_class((k, m)), so the step
     # count is half the number of mono cells added
     certs = [
-        certify_union_inclusion(a, gamma)
+        certify_union_inclusion(a, [(fd.k, fd.m) for fd in gamma])
         for n in range(1, 7)
         for a in shapes_of_entry_sum(n)
         for gamma in admissible_gammas(a)

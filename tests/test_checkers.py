@@ -1,5 +1,6 @@
 import pytest
 from conftest import (
+    SubAsPresheaf,
     face_union_oracle,
     horn_filling_oracle,
     inner_fibration_oracle,
@@ -16,11 +17,10 @@ from thetacat.checkers import (
     parse_mode,
 )
 from thetacat.groups import builtin_group, cyclic
-from thetacat.nerves import nerve_b1, nerve_b2_em, nerve_b2_strict
+from thetacat.nerves import NerveB1, NerveB2EM, NerveB2Strict
 from thetacat.presheaves import (
     PresheafNatFamily,
     Representable,
-    SubAsPresheaf,
     TablePresheaf,
     TerminalPresheaf,
 )
@@ -40,7 +40,7 @@ def test_parse_mode():
 
 
 def test_horn_filling_group_nerve_unique():
-    b1 = nerve_b1(cyclic(2))
+    b1 = NerveB1(cyclic(2))
     rec = horn_filling(b1, shape(2), 1, 1)
     assert rec.inner
     assert rec.surjective and rec.bijective
@@ -49,7 +49,7 @@ def test_horn_filling_group_nerve_unique():
 
 
 def test_horn_filling_b2_outer_not_surjective():
-    b2 = nerve_b2_strict(cyclic(2))
+    b2 = NerveB2Strict(cyclic(2))
     rec = horn_filling(b2, shape(2, 1), 2, 0)
     assert not rec.inner
     assert not rec.surjective
@@ -57,21 +57,21 @@ def test_horn_filling_b2_outer_not_surjective():
 
 
 def test_horn_of_t11_is_outer():
-    b1 = nerve_b1(cyclic(2))
+    b1 = NerveB1(cyclic(2))
     rec = horn_filling(b1, shape(1, 1), 2, 0)
     assert not rec.inner
     assert rec.bijective
 
 
 def test_check_b1_strict_groupoid():
-    rep = check(nerve_b1(cyclic(2)), "strict-groupoid", WindowSpec(2, 3))
+    rep = check(NerveB1(cyclic(2)), "strict-groupoid", WindowSpec(2, 3))
     assert rep.verdict
     assert rep.witness is None
 
 
 def test_check_b2_strict_cat_and_groupoid_witness():
     w = WindowSpec(2, 3)
-    b2 = nerve_b2_strict(cyclic(2))
+    b2 = NerveB2Strict(cyclic(2))
     assert check(b2, "strict-cat", w).verdict
     rep = check(b2, "groupoid", w)
     assert not rep.verdict
@@ -81,15 +81,15 @@ def test_check_b2_strict_cat_and_groupoid_witness():
 
 def test_n_strict_one_equals_strict_cat():
     w = WindowSpec(2, 2)
-    b2 = nerve_b2_strict(cyclic(2))
+    b2 = NerveB2Strict(cyclic(2))
     assert check(b2, Mode("n-strict", 1), w).verdict == check(b2, "strict-cat", w).verdict
-    b1 = nerve_b1(cyclic(3))
+    b1 = NerveB1(cyclic(3))
     assert check(b1, Mode("n-strict", 1), w).verdict == check(b1, "strict-cat", w).verdict
 
 
 def test_n_cat_mode_restricts_shapes():
     w = WindowSpec(2, 2)
-    b1 = nerve_b1(cyclic(2))
+    b1 = NerveB1(cyclic(2))
     rep = check(b1, Mode("n-cat", 1), w)
     assert rep.verdict
     assert all(rec.shape.dim <= 1 for rec, _, _ in rep.records)
@@ -98,7 +98,7 @@ def test_n_cat_mode_restricts_shapes():
 def test_groupoid_pass_implies_cat_pass():
     w = WindowSpec(2, 2)
     for gname in ("Z2", "Z3", "V4"):
-        x = nerve_b1(builtin_group(gname))
+        x = NerveB1(builtin_group(gname))
         if check(x, "groupoid", w).verdict:
             assert check(x, "cat", w).verdict
 
@@ -107,9 +107,9 @@ def test_strict_groupoid_iff_groupoid_and_strict_cat():
     # the decidable rendering of the groupoid-strictness equivalence,
     # on the builtin family
     w = WindowSpec(2, 2)
-    subjects = [nerve_b1(builtin_group(n)) for n in ("Z2", "Z3", "Z4", "V4")]
-    subjects.append(nerve_b2_strict(cyclic(2)))
-    subjects.append(nerve_b2_em(cyclic(2)))
+    subjects = [NerveB1(builtin_group(n)) for n in ("Z2", "Z3", "Z4", "V4")]
+    subjects.append(NerveB2Strict(cyclic(2)))
+    subjects.append(NerveB2EM(cyclic(2)))
     for x in subjects:
         lhs = check(x, "strict-groupoid", w).verdict
         rhs = check(x, "groupoid", w).verdict and check(x, "strict-cat", w).verdict
@@ -120,13 +120,13 @@ def test_em_nerve_windowed_evidence():
     # recorded evidence: the cocycle realization does not fill all
     # windowed horns; its failures start at the two-column shape
     w = WindowSpec(2, 2)
-    rep = check(nerve_b2_em(cyclic(2)), "groupoid", w)
+    rep = check(NerveB2EM(cyclic(2)), "groupoid", w)
     assert not rep.verdict
     assert rep.witness.shape == shape(2, 1)
 
 
 def test_report_json():
-    rep = check(nerve_b1(cyclic(2)), "cat", WindowSpec(1, 2))
+    rep = check(NerveB1(cyclic(2)), "cat", WindowSpec(1, 2))
     data = rep.to_json()
     assert data["verdict"] == "pass"
     assert data["mode"] == "cat"
@@ -135,7 +135,7 @@ def test_report_json():
 
 def test_inner_fibration_to_terminal_for_cat():
     w = WindowSpec(2, 2)
-    b1 = nerve_b1(cyclic(2))
+    b1 = NerveB1(cyclic(2))
     phi = PresheafNatFamily(
         b1, TerminalPresheaf(), w, {b: (0,) * b1.size(b) for b in w.shapes()}
     )
@@ -146,7 +146,7 @@ def test_inner_fibration_to_terminal_for_cat():
 
 def test_inner_fibration_identity():
     w = WindowSpec(2, 2)
-    b2 = nerve_b2_strict(cyclic(2))
+    b2 = NerveB2Strict(cyclic(2))
     phi = PresheafNatFamily(
         b2, b2, w, {b: tuple(range(b2.size(b))) for b in w.shapes()}
     )
@@ -176,7 +176,7 @@ def test_representable_horn_records_finite():
     assert len(rec.fiber_sizes) == rec.nat_size
 
 
-@pytest.mark.parametrize("nerve", [nerve_b1, nerve_b2_strict])
+@pytest.mark.parametrize("nerve", [NerveB1, NerveB2Strict])
 def test_reports_match_per_call_face_tables(nerve, monkeypatch):
     # the same checks with every face-pair table rebuilt per horn
     w = WindowSpec(2, 2)
@@ -237,15 +237,15 @@ def _identity(x, w):
 
 # the inner_fibration_check cases of this file
 FIBRATIONS = {
-    "B1(Z2) -> 1": lambda: _to_terminal(nerve_b1(cyclic(2)), WindowSpec(2, 2)),
+    "B1(Z2) -> 1": lambda: _to_terminal(NerveB1(cyclic(2)), WindowSpec(2, 2)),
     # the check reads phi's own window, however small
-    "B1(Z2) -> 1 at D=1": lambda: _to_terminal(nerve_b1(cyclic(2)), WindowSpec(1, 2)),
-    "B1(Z2) -> B1(Z2)": lambda: _identity(nerve_b1(cyclic(2)), WindowSpec(2, 2)),
+    "B1(Z2) -> 1 at D=1": lambda: _to_terminal(NerveB1(cyclic(2)), WindowSpec(1, 2)),
+    "B1(Z2) -> B1(Z2)": lambda: _identity(NerveB1(cyclic(2)), WindowSpec(2, 2)),
     "B2strict(Z2) -> 1": lambda: _to_terminal(
-        nerve_b2_strict(cyclic(2)), WindowSpec(2, 2)
+        NerveB2Strict(cyclic(2)), WindowSpec(2, 2)
     ),
     "B2strict(Z2) -> B2strict(Z2)": lambda: _identity(
-        nerve_b2_strict(cyclic(2)), WindowSpec(2, 2)
+        NerveB2Strict(cyclic(2)), WindowSpec(2, 2)
     ),
     "horn(t[2], 1, 1) -> 1": lambda: _to_terminal(
         SubAsPresheaf(horn(shape(2), 1, 1)), window_for(shape(2))

@@ -70,11 +70,11 @@ def test_check_fail_witness(tmp_path):
 
 def test_check_table_input(tmp_path):
     from thetacat.groups import cyclic
-    from thetacat.nerves import nerve_b1
+    from thetacat.nerves import NerveB1
     from thetacat.presheaves import TablePresheaf, table_to_json
     from thetacat.subshapes import WindowSpec
 
-    tbl = TablePresheaf.from_presheaf(nerve_b1(cyclic(2)), WindowSpec(1, 2))
+    tbl = TablePresheaf.from_presheaf(NerveB1(cyclic(2)), WindowSpec(1, 2))
     path = tmp_path / "presheaf.json"
     path.write_text(json.dumps(table_to_json(tbl)))
     code, data = run_cli(
@@ -88,7 +88,7 @@ def test_check_table_input(tmp_path):
 def test_table_that_is_not_a_presheaf_exit_2(tmp_path):
     from conftest import constants_to_all_ones, swap_in_first_row
     from thetacat.groups import cyclic
-    from thetacat.nerves import nerve_b1
+    from thetacat.nerves import NerveB1
     from thetacat.presheaves import (
         TablePresheaf,
         check_functoriality,
@@ -97,7 +97,7 @@ def test_table_that_is_not_a_presheaf_exit_2(tmp_path):
     from thetacat.subshapes import WindowSpec
 
     window = WindowSpec(1, 2)
-    good = TablePresheaf.from_presheaf(nerve_b1(cyclic(2)), window)
+    good = TablePresheaf.from_presheaf(NerveB1(cyclic(2)), window)
     # a swapped row, and a fault that only the epi generators see
     tables = {
         "good": good,
@@ -136,12 +136,12 @@ def test_table_that_is_not_a_presheaf_exit_2(tmp_path):
 
 def test_tables_not_covering_the_window_exit_1(tmp_path):
     from thetacat.groups import cyclic
-    from thetacat.nerves import nerve_b1
+    from thetacat.nerves import NerveB1
     from thetacat.presheaves import TablePresheaf, table_to_json
     from thetacat.subshapes import WindowSpec
 
     good = table_to_json(
-        TablePresheaf.from_presheaf(nerve_b1(cyclic(2)), WindowSpec(1, 2))
+        TablePresheaf.from_presheaf(NerveB1(cyclic(2)), WindowSpec(1, 2))
     )
     no_row = json.loads(json.dumps(good))
     no_row["actions"].pop()
@@ -317,13 +317,13 @@ STREAM_CASES = {
 def test_streamed_report_is_the_json_dumps_bytes(case, tmp_path, monkeypatch, capsysbinary):
     from conftest import one_class_too_many, swap_in_first_row
     from thetacat.groups import cyclic
-    from thetacat.nerves import nerve_b1
+    from thetacat.nerves import NerveB1
     from thetacat.presheaves import TablePresheaf, table_to_json
     from thetacat.subshapes import WindowSpec
 
     argv, expected_code = STREAM_CASES[case]
     if case == "check-functoriality":
-        good = TablePresheaf.from_presheaf(nerve_b1(cyclic(2)), WindowSpec(1, 2))
+        good = TablePresheaf.from_presheaf(NerveB1(cyclic(2)), WindowSpec(1, 2))
         table = tmp_path / "table.json"
         table.write_text(json.dumps(table_to_json(swap_in_first_row(good))))
         argv = [str(table) if tok == "{table}" else tok for tok in argv]
@@ -684,11 +684,11 @@ def test_cli_never_tracebacks(argv):
 
 def _valid_table() -> dict:
     from thetacat.groups import cyclic
-    from thetacat.nerves import nerve_b1
+    from thetacat.nerves import NerveB1
     from thetacat.presheaves import TablePresheaf, table_to_json
     from thetacat.subshapes import WindowSpec
 
-    tbl = TablePresheaf.from_presheaf(nerve_b1(cyclic(2)), WindowSpec(1, 2))
+    tbl = TablePresheaf.from_presheaf(NerveB1(cyclic(2)), WindowSpec(1, 2))
     return table_to_json(tbl)
 
 

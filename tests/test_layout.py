@@ -4,10 +4,10 @@ and every module of the package and the tests reads what it imports.
 A module-level function or class, or a method other than a dunder, counts
 as used when its name appears in `src/` outside its own body and outside
 `__init__`: as a name, an attribute or an import alias (an export alone
-is not a use).  Attribute names count as references, so `steps.extend(...)`
-hides `presheaves.extend` from the lint.  For the same reason a method
-counts as used when another class has a method of that name that is
-called: a dead `to_json` or `component` goes unflagged while
+is not a use).  Attribute names count as references, so a list's
+`out.extend(...)` would hide a function named `extend`.  For the same
+reason a method counts as used when another class has a method of that
+name that is called: a dead `to_json` or `component` goes unflagged while
 `MorphismClass.to_json` or `MorphismClass.component` has a caller.
 Helpers that only tests call belong in `tests/conftest.py`.
 """
@@ -21,7 +21,8 @@ SRC = Path(__file__).resolve().parents[1] / "src" / "thetacat"
 ALLOWED = {
     "presheaves.table_to_json": "documented API: writes the table JSON that `check --input` reads",
     "presheaves.TablePresheaf.from_presheaf": "documented API: a presheaf's tables over a window",
-    "presheaves.truncate": "documented API: truncation along the dimension filtration",
+    "presheaves.TruncatedPresheaf": "documented API: truncation along the dimension filtration",
+    "presheaves.ExtendedPresheaf": "documented API: extension along the dimension filtration",
     "checkers.inner_fibration_check": "documented API: the inner-fibration lifting check",
     "presheaves.TerminalPresheaf": "the terminal presheaf, target of maps to test as fibrations",
     "theta.factor_through": "the tests' oracles factor cells through it, and the bench traces it by name",
@@ -91,9 +92,18 @@ def unused_imports(path: Path) -> list[str]:
     return [name for name in imported if name not in used]
 
 
+def test_package_init_binds_only_the_version():
+    """Names are imported from their modules, so `__init__` exports nothing."""
+    tree = ast.parse((SRC / "__init__.py").read_text())
+    assert not any(isinstance(n, (ast.Import, ast.ImportFrom)) for n in ast.walk(tree))
+    assert not any(isinstance(n, (ast.FunctionDef, ast.ClassDef)) for n in tree.body)
+    stored = [
+        n.id for n in ast.walk(tree) if isinstance(n, ast.Name) and isinstance(n.ctx, ast.Store)
+    ]
+    assert stored == ["__version__"]
+
+
 def test_no_unused_imports():
-    # an `__init__` imports names to export them
-    paths = [p for p in SRC.glob("*.py") if p.name != "__init__.py"]
-    paths += Path(__file__).parent.glob("*.py")
+    paths = [*SRC.glob("*.py"), *Path(__file__).parent.glob("*.py")]
     found = {p.name: names for p in sorted(paths) if (names := unused_imports(p))}
     assert found == {}

@@ -35,9 +35,6 @@ from thetacat.nerves import (
     homotopy_classes,
     is_transitive,
     map_to_cocycle,
-    nerve_b1,
-    nerve_b2_em,
-    nerve_b2_strict,
     nerve_from_spec,
 )
 from thetacat.presheaves import (
@@ -91,14 +88,14 @@ def test_group_table_validation():
 
 
 def test_b1_level_sizes():
-    b1 = nerve_b1(cyclic(2))
+    b1 = NerveB1(cyclic(2))
     assert b1.size(shape(2, 1)) == 4
     assert b1.size(POINT) == 1
     assert b1.size(shape(3)) == 8
 
 
 def test_b1_constant_class_acts_as_identity_string():
-    b1 = nerve_b1(cyclic(2))
+    b1 = NerveB1(cyclic(2))
     const = constant_class(shape(1), shape(1), 1)
     e = b1.group.identity
     for x in b1.elements(shape(1)):
@@ -107,7 +104,7 @@ def test_b1_constant_class_acts_as_identity_string():
 
 def test_b1_face_actions_multiply():
     g = cyclic(3)
-    b1 = nerve_b1(g)
+    b1 = NerveB1(g)
     from thetacat.theta import face_class, face_descriptor
 
     # the inner face of the triangle composes the two arrows
@@ -118,7 +115,7 @@ def test_b1_face_actions_multiply():
 
 def test_b1_functoriality():
     for g in (cyclic(2), symmetric_3()):
-        assert check_functoriality(nerve_b1(g), WindowSpec(2, 2)).ok
+        assert check_functoriality(NerveB1(g), WindowSpec(2, 2)).ok
 
 
 def test_nerve_actions_independent_of_representative():
@@ -132,9 +129,9 @@ def test_nerve_actions_independent_of_representative():
     rng = random.Random(5)
     shapes = WindowSpec(2, 2).shapes()
     nerves = [
-        nerve_b1(symmetric_3()),
-        nerve_b2_strict(cyclic(4)),
-        nerve_b2_em(cyclic(3)),
+        NerveB1(symmetric_3()),
+        NerveB2Strict(cyclic(4)),
+        NerveB2EM(cyclic(3)),
     ]
     for _ in range(500):
         a = rng.choice(shapes)
@@ -160,13 +157,13 @@ def test_nerve_actions_independent_of_representative():
 
 def test_b2_needs_abelian():
     with pytest.raises(ValueError):
-        nerve_b2_strict(symmetric_3())
+        NerveB2Strict(symmetric_3())
     with pytest.raises(ValueError):
-        nerve_b2_em(symmetric_3())
+        NerveB2EM(symmetric_3())
 
 
 def test_b2_level_sizes():
-    b2 = nerve_b2_strict(cyclic(2))
+    b2 = NerveB2Strict(cyclic(2))
     assert b2.size(shape(2, 1)) == 4
     for n in range(1, 4):
         assert b2.size(shape(n)) == 1
@@ -181,7 +178,7 @@ def test_b2_level_sizes():
 )
 def test_b2_sizes_count_the_levels(group, window):
     # the closed form |A|^(b1*b2) on one nerve, the built levels on another
-    counted, built = nerve_b2_strict(group), nerve_b2_strict(group)
+    counted, built = NerveB2Strict(group), NerveB2Strict(group)
     for b in window.shapes():
         assert counted.size(b) == len(built.elements(b)), b
 
@@ -208,13 +205,13 @@ def test_bench_checks_build_no_b2_level(monkeypatch, tmp_path):
 
 
 def test_b2_functoriality():
-    assert check_functoriality(nerve_b2_strict(cyclic(2)), WindowSpec(2, 2)).ok
-    assert check_functoriality(nerve_b2_strict(cyclic(3)), WindowSpec(1, 3)).ok
+    assert check_functoriality(NerveB2Strict(cyclic(2)), WindowSpec(2, 2)).ok
+    assert check_functoriality(NerveB2Strict(cyclic(3)), WindowSpec(1, 3)).ok
 
 
 def test_b2_column_sums():
     a_ = cyclic(4)
-    b2 = nerve_b2_strict(a_)
+    b2 = NerveB2Strict(a_)
     from thetacat.theta import face_class, face_descriptor
 
     # composing the two columns of t[2,1] adds the grids
@@ -228,7 +225,7 @@ def test_b2_column_sums():
 
 
 def test_em_level_sizes():
-    em = nerve_b2_em(cyclic(2))
+    em = NerveB2EM(cyclic(2))
     assert em.size(shape(2)) == 2  # one free value: the coefficient group
     assert em.size(shape(3)) == 8
     assert em.size(shape(1)) == 1
@@ -237,15 +234,15 @@ def test_em_level_sizes():
 
 
 def test_em_levels_are_cocycles():
-    em = nerve_b2_em(cyclic(3))
+    em = NerveB2EM(cyclic(3))
     for n in (2, 3):
         for table in em.elements(shape(n)):
             assert em._is_simplicial_cocycle(n, table)
 
 
 def test_em_functoriality():
-    assert check_functoriality(nerve_b2_em(cyclic(2)), WindowSpec(2, 2)).ok
-    assert check_functoriality(nerve_b2_em(cyclic(3)), WindowSpec(1, 3)).ok
+    assert check_functoriality(NerveB2EM(cyclic(2)), WindowSpec(2, 2)).ok
+    assert check_functoriality(NerveB2EM(cyclic(3)), WindowSpec(1, 3)).ok
 
 
 CORE_SHAPES = WindowSpec(2, 3).shapes()
@@ -257,10 +254,10 @@ CORE_CLASSES = [
 @pytest.mark.parametrize(
     "make",
     [
-        lambda: nerve_b1(cyclic(3)),
-        lambda: nerve_b1(klein_four()),
-        lambda: nerve_b2_strict(cyclic(2)),
-        lambda: nerve_b2_em(cyclic(2)),
+        lambda: NerveB1(cyclic(3)),
+        lambda: NerveB1(klein_four()),
+        lambda: NerveB2Strict(cyclic(2)),
+        lambda: NerveB2EM(cyclic(2)),
     ],
     ids=["B1(Z3)", "B1(V4)", "B2strict(Z2)", "B2em(Z2)"],
 )
@@ -311,11 +308,12 @@ def test_cocycle_counts_frozen():
     assert (len(data.z2), len(data.b2), data.classes) == (3, 3, 1)
 
 
-def test_budget_counts_refused_candidates():
+def test_budget_counts_refused_candidates(monkeypatch):
     z2, z3 = cyclic(2), cyclic(3)
     # the t[3] level has 3 free entries (i, j, k) with i = 0
+    monkeypatch.setattr(nerves, "EM_LEVEL_BUDGET", 7)
     with pytest.raises(BudgetExceededError) as exc:
-        NerveB2EM(z2, level_budget=7).elements(shape(3))
+        NerveB2EM(z2).elements(shape(3))
     assert exc.value.count == 2**3
     # 4 free entries of a normalized table on Z3
     with pytest.raises(BudgetExceededError) as exc:

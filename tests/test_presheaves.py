@@ -5,6 +5,7 @@ from functools import partial
 import pytest
 
 from conftest import (
+    SubAsPresheaf,
     all_pairs_functorial,
     cell_value,
     constants_to_all_ones,
@@ -22,28 +23,25 @@ from thetacat.nerves import (
     H2_WINDOW,
     NerveB1,
     NerveB2EM,
-    nerve_b1,
-    nerve_b2_em,
-    nerve_b2_strict,
+    NerveB2Strict,
 )
 from thetacat.presheaves import (
+    ExtendedPresheaf,
     Presheaf,
+    ProductPresheaf,
     Representable,
-    SubAsPresheaf,
     TablePresheaf,
     TerminalPresheaf,
+    TruncatedPresheaf,
     DEFAULT_BUDGET,
     check_functoriality,
-    extend,
     generator_classes,
     nat_face_union,
     nat_presheaves,
-    product,
     project_class,
     solve_tables,
     table_from_json,
     table_to_json,
-    truncate,
 )
 from thetacat.subshapes import (
     WindowSpec,
@@ -74,7 +72,7 @@ def test_representable_functoriality():
 
 
 def test_table_fault_injection_gives_witness():
-    tbl = TablePresheaf.from_presheaf(nerve_b1(cyclic(2)), WindowSpec(1, 2))
+    tbl = TablePresheaf.from_presheaf(NerveB1(cyclic(2)), WindowSpec(1, 2))
     assert check_functoriality(tbl, WindowSpec(1, 2)).ok
     rep = check_functoriality(swap_in_first_row(tbl), WindowSpec(1, 2))
     assert not rep.ok and rep.violation is not None
@@ -83,15 +81,15 @@ def test_table_fault_injection_gives_witness():
 # the presheaves the functoriality tests of this file and test_nerves pass
 FUNCTORIAL = [
     (lambda: Representable(shape(2, 1)), WindowSpec(2, 2)),
-    (lambda: nerve_b1(cyclic(2)), WindowSpec(1, 2)),
-    (lambda: product(nerve_b1(cyclic(2)), Representable(shape(1))), WindowSpec(1, 2)),
-    (lambda: extend(truncate(nerve_b1(cyclic(2)), 1), 1), WindowSpec(2, 2)),
-    (lambda: nerve_b1(cyclic(2)), WindowSpec(2, 2)),
-    (lambda: nerve_b1(symmetric_3()), WindowSpec(2, 2)),
-    (lambda: nerve_b2_strict(cyclic(2)), WindowSpec(2, 2)),
-    (lambda: nerve_b2_strict(cyclic(3)), WindowSpec(1, 3)),
-    (lambda: nerve_b2_em(cyclic(2)), WindowSpec(2, 2)),
-    (lambda: nerve_b2_em(cyclic(3)), WindowSpec(1, 3)),
+    (lambda: NerveB1(cyclic(2)), WindowSpec(1, 2)),
+    (lambda: ProductPresheaf(NerveB1(cyclic(2)), Representable(shape(1))), WindowSpec(1, 2)),
+    (lambda: ExtendedPresheaf(TruncatedPresheaf(NerveB1(cyclic(2)), 1), 1), WindowSpec(2, 2)),
+    (lambda: NerveB1(cyclic(2)), WindowSpec(2, 2)),
+    (lambda: NerveB1(symmetric_3()), WindowSpec(2, 2)),
+    (lambda: NerveB2Strict(cyclic(2)), WindowSpec(2, 2)),
+    (lambda: NerveB2Strict(cyclic(3)), WindowSpec(1, 3)),
+    (lambda: NerveB2EM(cyclic(2)), WindowSpec(2, 2)),
+    (lambda: NerveB2EM(cyclic(3)), WindowSpec(1, 3)),
 ]
 
 
@@ -110,9 +108,9 @@ def test_functoriality_agrees_with_all_pairs(make, window):
 @pytest.mark.parametrize(
     "make, window",
     [
-        (lambda: nerve_b1(cyclic(2)), WindowSpec(1, 2)),
+        (lambda: NerveB1(cyclic(2)), WindowSpec(1, 2)),
         (lambda: Representable(shape(1)), WindowSpec(1, 2)),
-        (lambda: nerve_b2_em(cyclic(2)), WindowSpec(1, 3)),
+        (lambda: NerveB2EM(cyclic(2)), WindowSpec(1, 3)),
     ],
     ids=["B1Z2", "y1", "EMZ2"],
 )
@@ -141,7 +139,7 @@ def test_functoriality_agrees_with_all_pairs_on_every_swap(make, window):
 )
 def test_functoriality_rejects_a_fault_only_epis_see(window):
     bad = constants_to_all_ones(
-        TablePresheaf.from_presheaf(nerve_b1(cyclic(2)), window)
+        TablePresheaf.from_presheaf(NerveB1(cyclic(2)), window)
     )
     rep = check_functoriality(bad, window)
     assert not rep.ok
@@ -154,7 +152,7 @@ def test_functoriality_rejects_a_fault_only_epis_see(window):
 
 
 def test_functoriality_budget_counts_pairs():
-    x, window = nerve_b1(cyclic(2)), WindowSpec(2, 2)
+    x, window = NerveB1(cyclic(2)), WindowSpec(2, 2)
     pairs = check_functoriality(x, window).pairs_checked
     assert check_functoriality(x, window, budget=pairs).ok
     with pytest.raises(BudgetExceededError) as exc:
@@ -188,7 +186,7 @@ def test_generators_reach_every_class(window):
 
 
 def test_table_json_roundtrip():
-    tbl = TablePresheaf.from_presheaf(nerve_b1(cyclic(2)), WindowSpec(1, 1))
+    tbl = TablePresheaf.from_presheaf(NerveB1(cyclic(2)), WindowSpec(1, 1))
     data = table_to_json(tbl)
     back = table_from_json(data)
     for b in WindowSpec(1, 1).shapes():
@@ -198,11 +196,11 @@ def test_table_json_roundtrip():
 
 
 def test_product_sizes():
-    b1 = nerve_b1(cyclic(2))
-    x = product(b1, Representable(shape(1)))
+    b1 = NerveB1(cyclic(2))
+    x = ProductPresheaf(b1, Representable(shape(1)))
     assert x.size(shape(1)) == 2 * 3
     term = TerminalPresheaf()
-    y = product(b1, term)
+    y = ProductPresheaf(b1, term)
     for b in WindowSpec(2, 2).shapes():
         assert y.size(b) == b1.size(b)
     assert check_functoriality(x, WindowSpec(1, 2)).ok
@@ -210,26 +208,26 @@ def test_product_sizes():
 
 def test_product_arrays_pair_the_factor_arrays():
     # the h2 cylinder B1(Z3) x y(t[1]) against the element-by-element build
-    cyl = product(nerve_b1(cyclic(3)), Representable(shape(1)))
+    cyl = ProductPresheaf(NerveB1(cyclic(3)), Representable(shape(1)))
     shapes = H2_WINDOW.shapes()
     for f in (f for b1 in shapes for b2 in shapes for f in enumerate_hom(b1, b2)):
         assert cyl.action(f) == Presheaf._build_action(cyl, f), f
 
 
 def test_truncate_extend_roundtrip():
-    b1 = nerve_b1(cyclic(2))
-    x1 = truncate(b1, 1)
-    e1 = extend(x1, 1)
+    b1 = NerveB1(cyclic(2))
+    x1 = TruncatedPresheaf(b1, 1)
+    e1 = ExtendedPresheaf(x1, 1)
     for b in WindowSpec(1, 3).shapes():
-        assert truncate(e1, 1).elements(b) == x1.elements(b)
+        assert TruncatedPresheaf(e1, 1).elements(b) == x1.elements(b)
     assert check_functoriality(e1, WindowSpec(2, 2)).ok
     with pytest.raises(ValueError):
         x1.elements(shape(1, 1))
 
 
 def test_extend_of_zero_truncation_is_constant():
-    b1 = nerve_b1(cyclic(3))
-    e0 = extend(truncate(b1, 0), 0)
+    b1 = NerveB1(cyclic(3))
+    e0 = ExtendedPresheaf(TruncatedPresheaf(b1, 0), 0)
     for b in WindowSpec(2, 2).shapes():
         assert e0.size(b) == b1.size(POINT)
 
@@ -242,10 +240,10 @@ def test_project_class_drops_higher_coordinates():
 
 
 def test_extension_full_and_faithful_small():
-    x1 = truncate(nerve_b1(cyclic(2)), 1)
-    y1 = truncate(nerve_b1(cyclic(3)), 1)
+    x1 = TruncatedPresheaf(NerveB1(cyclic(2)), 1)
+    y1 = TruncatedPresheaf(NerveB1(cyclic(3)), 1)
     low = nat_presheaves(x1, y1, WindowSpec(1, 2))
-    high = nat_presheaves(extend(x1, 1), extend(y1, 1), WindowSpec(2, 2))
+    high = nat_presheaves(ExtendedPresheaf(x1, 1), ExtendedPresheaf(y1, 1), WindowSpec(2, 2))
     assert len(low) == len(high)
     low_keys = {tuple(f.components[b] for b in WindowSpec(1, 2).shapes()) for f in low}
     high_keys = {
@@ -255,7 +253,7 @@ def test_extension_full_and_faithful_small():
 
 
 def test_yoneda_small_window_all_methods():
-    b1 = nerve_b1(cyclic(2))
+    b1 = NerveB1(cyclic(2))
     rep = Representable(shape(1, 1))
     for x in (b1, rep):
         for a in shapes_with(2, 2):
@@ -263,7 +261,7 @@ def test_yoneda_small_window_all_methods():
             _, fams = nat_cells_oracle(sub, x)
             assert len(fams) == x.size(a)
             # the same count through the route between presheaves
-            assert len(nat_presheaves(SubAsPresheaf(sub), x, window_for(a))) == x.size(a)
+            assert len(nat_presheaves(Representable(a), x, window_for(a))) == x.size(a)
 
 
 def _route_subobjects():
@@ -297,7 +295,7 @@ def test_sub_as_presheaf_families_match_cell_oracle(name):
 
 
 def test_nat_on_boundary_of_interval():
-    b1 = nerve_b1(cyclic(3))
+    b1 = NerveB1(cyclic(3))
     sub = boundary(shape(1))
     _, fams = nat_cells_oracle(sub, b1)
     assert len(fams) == b1.size(POINT) ** 2 == 1
@@ -308,7 +306,7 @@ def test_nat_on_boundary_of_interval():
 
 
 def test_nat_face_union_inner_horn_of_triangle():
-    b1 = nerve_b1(cyclic(2))
+    b1 = NerveB1(cyclic(2))
     a = shape(2)
     roots = tuple(fd for fd in faces_of(a) if not (fd.k == 1 and fd.m == 1))
     fams = nat_face_union(roots, b1)
@@ -323,7 +321,7 @@ MEMO_SHAPES = (*WindowSpec(2, 3).shapes(), shape(2, 2, 1))
 
 def _b1_z3_table() -> TablePresheaf:
     """B1(Z3) as explicit tables over WindowSpec(2, 3) and window_for(t[2,2,1])."""
-    x = nerve_b1(cyclic(3))
+    x = NerveB1(cyclic(3))
     parts = [
         TablePresheaf.from_presheaf(x, w)
         for w in (WindowSpec(2, 3), window_for(shape(2, 2, 1)))
@@ -334,9 +332,9 @@ def _b1_z3_table() -> TablePresheaf:
 
 
 MEMO_PRESHEAVES = {
-    "B1(Z2)": lambda: nerve_b1(cyclic(2)),
-    "B1(V4)": lambda: nerve_b1(klein_four()),
-    "B2strict(Z2)": lambda: nerve_b2_strict(cyclic(2)),
+    "B1(Z2)": lambda: NerveB1(cyclic(2)),
+    "B1(V4)": lambda: NerveB1(klein_four()),
+    "B2strict(Z2)": lambda: NerveB2Strict(cyclic(2)),
     "y(t[2,1])": lambda: Representable(shape(2, 1)),
     "table(B1(Z3))": _b1_z3_table,
 }
@@ -486,7 +484,7 @@ def test_solve_tables_merges_ties_like_the_full_network(seed):
 def test_face_union_families_agree_with_cell_search():
     # two independent enumeration routes over the same horn: each family
     # on the roots, read at every cell, is one of the cell search's
-    b1 = nerve_b1(cyclic(2))
+    b1 = NerveB1(cyclic(2))
     for a in [shape(2), shape(2, 1), shape(1, 2)]:
         for fd in faces_of(a):
             roots = tuple(f for f in faces_of(a) if f != fd)
@@ -505,7 +503,7 @@ def test_face_union_families_agree_with_cell_search():
 
 
 def test_face_union_families_are_natural():
-    b1 = nerve_b1(cyclic(2))
+    b1 = NerveB1(cyclic(2))
     a = shape(2, 1)
     for fd in faces_of(a):
         roots = tuple(f for f in faces_of(a) if f != fd)
@@ -516,7 +514,7 @@ def test_face_union_families_are_natural():
 
 
 def test_cell_families_are_natural():
-    b1 = nerve_b1(cyclic(2))
+    b1 = NerveB1(cyclic(2))
     a = shape(2)
     sub = spine(a)
     cells, fams = nat_cells_oracle(sub, b1)
@@ -524,17 +522,6 @@ def test_cell_families_are_natural():
         assert family_is_natural(sub, b1, partial(cell_value, b1, cells, fam))
     # the spine of the triangle is its inner horn: four families
     assert len(fams) == 4
-
-
-def test_nat_presheaves_vs_subaspresheaf():
-    # a third route: view the subpresheaf as a presheaf of its own
-    b1 = nerve_b1(cyclic(2))
-    a = shape(2)
-    w = window_for(a)
-    sub = horn(a, 1, 1)
-    as_presheaf = SubAsPresheaf(sub)
-    fams = nat_presheaves(as_presheaf, b1, w)
-    assert len(fams) == len(nat_cells_oracle(sub, b1)[1]) == 4
 
 
 # ---------------------------------------------------------------------------
@@ -562,7 +549,7 @@ def _nat_outcome(monkeypatch, builder, source, target, window, budget=DEFAULT_BU
 def _h2_networks(gname, aname):
     """The maps and the cylinder network of `homotopy_classes` on (G, A)."""
     src, tgt = NerveB1(builtin_group(gname)), NerveB2EM(builtin_group(aname))
-    return {"maps": (src, tgt), "cylinder": (product(src, Representable(shape(1))), tgt)}
+    return {"maps": (src, tgt), "cylinder": (ProductPresheaf(src, Representable(shape(1))), tgt)}
 
 
 @pytest.mark.parametrize(
@@ -582,14 +569,14 @@ def test_nat_presheaves_matches_per_element_oracle_on_h2(monkeypatch, gname, ana
 def _presheaf_pairs():
     """The source, target and window of the other nat_presheaves calls of
     this module, and a representable source."""
-    x1, y1 = truncate(nerve_b1(cyclic(2)), 1), truncate(nerve_b1(cyclic(3)), 1)
+    x1, y1 = TruncatedPresheaf(NerveB1(cyclic(2)), 1), TruncatedPresheaf(NerveB1(cyclic(3)), 1)
     a = shape(2)
     w = window_for(a)
     return [
         (x1, y1, WindowSpec(1, 2)),
-        (extend(x1, 1), extend(y1, 1), WindowSpec(2, 2)),
-        (SubAsPresheaf(horn(a, 1, 1)), nerve_b1(cyclic(2)), w),
-        (Representable(shape(2, 1)), nerve_b1(cyclic(3)), window_for(shape(2, 1))),
+        (ExtendedPresheaf(x1, 1), ExtendedPresheaf(y1, 1), WindowSpec(2, 2)),
+        (SubAsPresheaf(horn(a, 1, 1)), NerveB1(cyclic(2)), w),
+        (Representable(shape(2, 1)), NerveB1(cyclic(3)), window_for(shape(2, 1))),
     ]
 
 
@@ -605,7 +592,7 @@ def test_nat_presheaves_exact_between_tables_that_are_not_presheaves():
     # substituting through the degenerate elements keeps every constraint,
     # so the families agree even where the search trees need not
     w = WindowSpec(2, 2)
-    table = TablePresheaf.from_presheaf(nerve_b1(cyclic(3)), w)
+    table = TablePresheaf.from_presheaf(NerveB1(cyclic(3)), w)
     for bad in (swap_in_first_row(table), constants_to_all_ones(table)):
         assert not check_functoriality(bad, w).ok
         for source, target in ((bad, table), (table, bad), (bad, bad)):
@@ -638,7 +625,7 @@ def test_nat_presheaves_budget_trips_like_per_element_oracle(monkeypatch, gname,
 
 
 def test_budget_exceeded():
-    b1 = nerve_b1(cyclic(2))
+    b1 = NerveB1(cyclic(2))
     a = shape(2, 2)
     with pytest.raises(BudgetExceededError) as err:
         nat_presheaves(SubAsPresheaf(full_sub(a)), b1, window_for(a), budget=3)
@@ -649,7 +636,7 @@ def test_naturality_beyond_window_sampling():
     # families carry enough structure to evaluate at any cell; sample
     # naturality squares whose source lies outside the core window
     rng = random.Random(7)
-    b1 = nerve_b1(cyclic(2))
+    b1 = NerveB1(cyclic(2))
     a = shape(2)
     roots = tuple(fd for fd in faces_of(a) if not (fd.k == 1 and fd.m == 1))
     root_cells = tuple(face_class(fd) for fd in roots)
