@@ -275,20 +275,25 @@ def spine_probe(end: SubOfRepresentable, target: str, budget: int = 10**6) -> Pr
     a = end.base
     start = spine(a)
 
-    shapes_order = sorted(
-        window_for(a).shapes(),
-        key=lambda c: (c.dim + sum(c.entries), c.dim, c.entries),
-    )
-    # (attaching class, horn face): window shapes and their inner faces
-    # pass the guards of `_step_fault`, so the search checks only the
-    # pushout
-    candidates = []
-    for c_shape in shapes_order:
-        horns = inner_faces(c_shape)
-        if not horns:
-            continue
-        for c in enumerate_hom(c_shape, a):
-            candidates.extend((c, fd) for fd in horns)
+    # window shapes with their inner faces, in search order: they pass the
+    # guards of `_step_fault`, so the search checks only the pushout
+    cells = [
+        (c_shape, horns)
+        for c_shape in sorted(
+            window_for(a).shapes(),
+            key=lambda c: (c.dim + sum(c.entries), c.dim, c.entries),
+        )
+        if (horns := inner_faces(c_shape))
+    ]
+
+    def candidates():
+        """(attaching class, horn face) in search order.  Each state scans
+        afresh, so a hom set is built only when a scan reaches its shape,
+        and the budget bounds that work too."""
+        for c_shape, horns in cells:
+            for c in enumerate_hom(c_shape, a):
+                for fd in horns:
+                    yield c, fd
 
     nodes = 0
     seen: set[SubOfRepresentable] = set()
@@ -304,7 +309,7 @@ def spine_probe(end: SubOfRepresentable, target: str, budget: int = 10**6) -> Pr
         if current in seen:
             return False
         seen.add(current)
-        for c, fd in candidates:
+        for c, fd in candidates():
             nodes += 1
             if nodes > budget:
                 raise BudgetExceededError("probe budget exceeded", nodes)

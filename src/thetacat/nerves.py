@@ -39,7 +39,7 @@ from operator import getitem
 from typing import NamedTuple
 
 from .errors import BudgetExceededError
-from .groups import Cocycle2, FiniteGroup, H2Data
+from .groups import Cocycle2, FiniteGroup, H2Data, builtin_group, cocycle_tools
 from .presheaves import (
     Presheaf,
     PresheafNatFamily,
@@ -250,8 +250,6 @@ NERVES = {"B1": NerveB1, "B2strict": NerveB2Strict, "B2em": NerveB2EM}
 
 def nerve_from_spec(spec: str) -> Presheaf:
     """Build the presheaf named by "B1:Z2", "B2strict:Z2" or "B2em:Z3"."""
-    from .groups import builtin_group
-
     try:
         kind, gname = spec.split(":", 1)
     except ValueError:
@@ -308,8 +306,6 @@ def cocycle_to_map(c: Cocycle2) -> PresheafNatFamily:
 
 
 class HomotopyReport(NamedTuple):
-    group: str
-    coeffs: str
     num_classes: int
     agree: bool
     relation_was_reflexive: bool
@@ -385,8 +381,6 @@ def homotopy_classes(
     is the solution's value there, and the families' keys compare as
     their root tuples do.
     """
-    from .groups import cocycle_tools
-
     h2 = cocycle_tools(g_, a_, budget)
     src, tgt = NerveB1(g_), NerveB2EM(a_)
     maps = nat_presheaves(src, tgt, H2_WINDOW, budget)
@@ -420,8 +414,6 @@ def homotopy_classes(
             "coboundaries": [list(t) for t in h2.b2],
         }
     return HomotopyReport(
-        g_.name,
-        a_.name,
         classes,
         agree,
         reflexive,

@@ -67,6 +67,7 @@ from .theta import (
     FaceDescriptor,
     MorphismClass,
     Shape,
+    class_from_json,
     compose_classes,
     enumerate_hom,
     epi_classes_between,
@@ -248,8 +249,6 @@ def table_to_json(x: TablePresheaf) -> dict:
 
 
 def table_from_json(data: dict) -> TablePresheaf:
-    from .theta import class_from_json
-
     levels = {}
     for lv in data["levels"]:
         b = Shape(tuple(lv["shape"]))

@@ -361,11 +361,14 @@ class AutomorphismReport(NamedTuple):
     num_automorphisms: int
 
 
-def automorphism_report(a: Shape, bound: int = 10**7) -> AutomorphismReport:
+AUTOMORPHISM_BOUND = 10**7  # pairs of self-classes the automorphism search may compose
+
+
+def automorphism_report(a: Shape) -> AutomorphismReport:
     """Count invertible self-classes by exhaustive two-sided inverse search."""
     hom = enumerate_hom(a, a)
     pairs = len(hom) * len(hom)
-    if pairs > bound:
+    if pairs > AUTOMORPHISM_BOUND:
         raise BudgetExceededError(
             f"automorphism search on {a} needs {pairs} compositions", pairs
         )

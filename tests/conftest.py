@@ -6,7 +6,7 @@ import itertools
 import unittest.mock as mock
 from contextlib import contextmanager
 
-from thetacat import groups as groups_mod
+from thetacat import nerves as nerves_mod
 from thetacat.checkers import FibrationReport, HornRecord, LiftingSquare
 from thetacat.csp import Network
 from thetacat.delta import constant_map, enumerate_monos
@@ -43,6 +43,7 @@ from thetacat.theta import (
     factor_through,
     faces_of,
     identity_class,
+    inner_faces,
     mono_cells_into,
     shape,
 )
@@ -459,6 +460,29 @@ def full_level_step_check(
 
 
 # ---------------------------------------------------------------------------
+# oracle: the spine probe's candidate list, built in full
+#
+# The list `anodyne.spine_probe` built before its first node, kept
+# verbatim apart from its name: (attaching class, horn face) pairs in
+# search order.  The search scans a prefix of it from each state.
+
+
+def eager_probe_candidates(a: Shape) -> list[tuple[MorphismClass, FaceDescriptor]]:
+    shapes_order = sorted(
+        window_for(a).shapes(),
+        key=lambda c: (c.dim + sum(c.entries), c.dim, c.entries),
+    )
+    candidates = []
+    for c_shape in shapes_order:
+        horns = inner_faces(c_shape)
+        if not horns:
+            continue
+        for c in enumerate_hom(c_shape, a):
+            candidates.extend((c, fd) for fd in horns)
+    return candidates
+
+
+# ---------------------------------------------------------------------------
 # oracle: natural families between presheaves with a variable per element
 #
 # The body of `presheaves.nat_presheaves` before it solved on the
@@ -544,14 +568,14 @@ def homotopy_pairs_oracle(
 def one_class_too_many():
     """`cocycle_tools` tells one cocycle class too many, which makes
     `homotopy_classes` disagree and attach the counterexample bundle."""
-    original = groups_mod.cocycle_tools
+    original = nerves_mod.cocycle_tools
 
     def fake_tools(g_, a_, budget=10**7):
         data = original(g_, a_, budget)
         return data._replace(classes=data.classes + 1)
 
-    # homotopy_classes resolves cocycle_tools from the groups module
-    with mock.patch.object(groups_mod, "cocycle_tools", fake_tools):
+    # homotopy_classes resolves cocycle_tools from the nerves module
+    with mock.patch.object(nerves_mod, "cocycle_tools", fake_tools):
         yield
 
 

@@ -3,7 +3,12 @@ import random
 
 import pytest
 
-from conftest import full_level_step_check, is_mono_cell, levelwise_sub
+from conftest import (
+    eager_probe_candidates,
+    full_level_step_check,
+    is_mono_cell,
+    levelwise_sub,
+)
 from thetacat import anodyne
 from thetacat.anodyne import (
     PROBE_ENDS,
@@ -318,6 +323,11 @@ def test_certificate_json():
 # the spine probe
 
 
+def eager_steps(a):
+    """The probe's candidates, in search order, as steps."""
+    return [Step(fd.base, c, (fd.k, fd.m)) for c, fd in eager_probe_candidates(a)]
+
+
 def test_probe_triangle_one_step():
     r = spine_probe(PROBE_ENDS["full"](shape(2)), "full")
     assert r.found and len(r.certificate.steps) == 1
@@ -363,15 +373,7 @@ def test_probe_tetrahedron_no_three_step_certificate():
     w = window_for(a)
     start = spine(a)
     end = full_sub(a)
-    shapes_order = sorted(
-        w.shapes(), key=lambda c: (c.dim + sum(c.entries), c.dim, c.entries)
-    )
-    candidates = []
-    for c_shape in shapes_order:
-        horns = [(fd.k, fd.m) for fd in inner_faces(c_shape)]
-        for c in enumerate_hom(c_shape, a):
-            for h in horns:
-                candidates.append(Step(c_shape, c, h))
+    candidates = eager_steps(a)
     frontier = [start]
     for depth in range(3):
         nxt = []
@@ -391,6 +393,16 @@ def test_probe_budget_exhaustion_report():
     assert not r.found
     assert r.certificate is None
     assert r.nodes >= 5
+
+
+def test_probe_builds_a_hom_set_only_when_its_scan_reaches_it():
+    # five nodes try classes of the first hom set in the scan only; the
+    # whole candidate list of t[6,6] does not fit in memory
+    end = full_sub(shape(6, 6))
+    before = enumerate_hom.cache_info().currsize
+    r = spine_probe(end, "full", budget=5)
+    assert (r.found, r.nodes, r.states) == (False, 6, 1)
+    assert enumerate_hom.cache_info().currsize - before <= 1
 
 
 # ---------------------------------------------------------------------------
@@ -432,9 +444,8 @@ def unfiltered_probe(monkeypatch, a, target, budget=10**6):
         return spine_probe(PROBE_ENDS[target](a), target, budget=budget)
 
 
-@pytest.mark.parametrize("text,target", PREFILTER_PROBES)
-def test_probe_prefilter_matches_unfiltered_search(monkeypatch, text, target):
-    a = parse_shape(text)
+def logged_probe(monkeypatch, a, target, budget=10**6):
+    """`spine_probe` and the candidates it tried, as (state, step, fault)."""
     tried = []
 
     def logged(current, c, fd):
@@ -444,9 +455,28 @@ def test_probe_prefilter_matches_unfiltered_search(monkeypatch, text, target):
 
     with monkeypatch.context() as m:
         m.setattr(anodyne, "_pushout_fault", logged)
-        result = spine_probe(PROBE_ENDS[target](a), target)
+        return spine_probe(PROBE_ENDS[target](a), target, budget=budget), tried
+
+
+def scans_by_state(tried) -> dict:
+    """The steps tried from each state, in the order tried."""
+    scans: dict = {}
+    for current, step, _ in tried:
+        scans.setdefault(current, []).append(step)
+    return scans
+
+
+@pytest.mark.parametrize("text,target", PREFILTER_PROBES)
+def test_probe_prefilter_matches_unfiltered_search(monkeypatch, text, target):
+    a = parse_shape(text)
+    result, tried = logged_probe(monkeypatch, a, target)
     assert result.found
     assert len(tried) == result.nodes
+    # each state scans a prefix of the eager candidate list, in order
+    eager = eager_steps(a)
+    scans = scans_by_state(tried)
+    assert len(scans) == result.states
+    assert all(steps == eager[: len(steps)] for steps in scans.values())
     # the same verdict as the oracle on every candidate the search tries,
     # and the search skips only guards that every candidate passes
     w = window_for(a)
@@ -463,10 +493,16 @@ def test_probe_prefilter_matches_unfiltered_search(monkeypatch, text, target):
 def test_probe_prefilter_same_result_at_every_budget(monkeypatch, text, target):
     a = parse_shape(text)
     total = unfiltered_probe(monkeypatch, a, target).nodes
+    eager = eager_steps(a)
     for budget in range(1, total + 1):
         expected = unfiltered_probe(monkeypatch, a, target, budget=budget)
-        assert spine_probe(PROBE_ENDS[target](a), target, budget=budget) == expected, budget
+        result, tried = logged_probe(monkeypatch, a, target, budget)
+        assert result == expected, budget
         assert expected.found == (budget == total)
+        # a tripped budget leaves its last node untried
+        assert len(tried) == min(result.nodes, budget)
+        scans = scans_by_state(tried)
+        assert all(steps == eager[: len(steps)] for steps in scans.values()), budget
 
 
 @pytest.mark.parametrize("text,target", PREFILTER_PROBES)

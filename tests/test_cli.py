@@ -483,11 +483,15 @@ def test_probe_full(tmp_path):
 
 
 def test_probe_budget_exceeded(tmp_path):
-    code, data = run_cli(
-        tmp_path, "probe", "t[3]", "--target", "full", "--budget", "3"
-    )
-    assert code == 3
-    assert not data["found"]
+    # t[6,6]: its whole candidate list does not fit in memory, so the
+    # budget must bound the building of hom sets too
+    for text, budget in (("t[3]", 3), ("t[6,6]", 5)):
+        code, data = run_cli(
+            tmp_path, "probe", text, "--target", "full", "--budget", str(budget)
+        )
+        assert code == 3
+        assert not data["found"]
+        assert data["nodes"] == budget + 1
 
 
 def test_probe_rejects_unknown_target(capsys):

@@ -1,5 +1,6 @@
 """Layout lint: every definition in the package is used by the package,
-and every module of the package and the tests reads what it imports.
+every module of the package and the tests reads what it imports, and the
+package imports its own modules at module level.
 
 A module-level function or class, or a method other than a dunder, counts
 as used when its name appears in `src/` outside its own body and outside
@@ -90,6 +91,33 @@ def unused_imports(path: Path) -> list[str]:
             imported += [a.asname or a.name for a in node.names]
     used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
     return [name for name in imported if name not in used]
+
+
+# functions of src/ that import from the package inside their body, each
+# with its reason
+LOCAL_IMPORTS = {
+    "cli.cmd_selftest": "only `selftest` loads the self-test module and `random`, "
+    "so the other commands do not pay for them at start-up",
+}
+
+
+def local_imports() -> set[str]:
+    """The functions and methods of `src/` with a relative import in
+    their body (a nested function counts for the one that holds it)."""
+    out = set()
+    for path in SRC.glob("*.py"):
+        for qualname, node in _definitions(path.stem, ast.parse(path.read_text())):
+            if isinstance(node, ast.FunctionDef) and any(
+                isinstance(n, ast.ImportFrom) and n.level for n in ast.walk(node)
+            ):
+                out.add(qualname)
+    return out
+
+
+def test_package_imports_at_module_level():
+    found = local_imports()
+    assert found - LOCAL_IMPORTS.keys() == set(), "hoist the import to the module top"
+    assert LOCAL_IMPORTS.keys() - found == set(), "no local import: drop from LOCAL_IMPORTS"
 
 
 def test_package_init_binds_only_the_version():

@@ -9,6 +9,7 @@ from conftest import (
     normalize_components,
     shapes_with,
 )
+from thetacat import theta
 from thetacat.delta import MonotoneMap, constant_map, enumerate_monos, identity_map
 from thetacat.errors import BudgetExceededError, IncomposableError
 from thetacat.theta import (
@@ -244,12 +245,14 @@ def test_automorphism_reports():
         assert automorphism_report(a).num_automorphisms == 1
 
 
-def test_automorphism_budget_counts_compositions():
+def test_automorphism_budget_counts_compositions(monkeypatch):
     n = len(enumerate_hom(shape(2), shape(2)))
+    monkeypatch.setattr(theta, "AUTOMORPHISM_BOUND", n * n - 1)
     with pytest.raises(BudgetExceededError) as exc:
-        automorphism_report(shape(2), bound=n * n - 1)
+        automorphism_report(shape(2))
     assert exc.value.count == n * n
-    assert automorphism_report(shape(2), bound=n * n).num_automorphisms == 1
+    monkeypatch.setattr(theta, "AUTOMORPHISM_BOUND", n * n)
+    assert automorphism_report(shape(2)).num_automorphisms == 1
 
 
 def test_mono_cells_canonical():
