@@ -41,8 +41,11 @@ def _write_report(report: dict, out_path: str | None) -> None:
     The chunks of the encoder behind `json.dumps(report, indent=2,
     sort_keys=True)` are joined and written `REPORT_BATCH` at a time, so
     the bytes are those of `json.dumps` plus a newline while memory stays
-    bounded.  A destination that cannot be written is a usage error and
-    may be left holding part of the report.
+    bounded.  Joining matters when stdout is unbuffered (`PYTHONUNBUFFERED=1`,
+    which `bench/run.py` passes to every job): each `write` is then a
+    system call, and a report has tens of thousands of chunks.  A
+    destination that cannot be written is a usage error and may be left
+    holding part of the report.
     """
     chunks = json.JSONEncoder(indent=2, sort_keys=True).iterencode(report)
     try:

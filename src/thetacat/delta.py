@@ -101,9 +101,7 @@ def nonconstant_monos(m: int, n: int) -> tuple[MonotoneMap, ...]:
 @lru_cache(maxsize=None)
 def strict_monos(m: int, n: int) -> tuple[MonotoneMap, ...]:
     """Strictly increasing maps [m] -> [n] (injections, lex order)."""
-    return tuple(
-        MonotoneMap(m, n, vals) for vals in itertools.combinations(range(n + 1), m + 1)
-    )
+    return tuple(f for f in enumerate_monos(m, n) if f.is_injective())
 
 
 @lru_cache(maxsize=None)

@@ -7,9 +7,10 @@ Three formula-backed presheaves:
 * the strict one-object one-arrow 2-nerve of an abelian group: level
   A^{b1*b2} grids, acting bilinearly through the first two components;
 * the cocycle realization: level = normalized simplicial 2-cocycles on
-  the first-coordinate simplex, acting by cochain pullback.  Its level
-  at t[2] is a single free value, and it has no nondegenerate cells at
-  shapes of dimension above 1 apart from those of the 1-skeleton.
+  the first-coordinate simplex, each stored by its cone values z(0, j, k),
+  acting by cochain pullback.  Its level at t[2] is a single free value,
+  and it has no nondegenerate cells at shapes of dimension above 1 apart
+  from those of the 1-skeleton.
 
 All three factor through projection to the leading coordinates, which
 is what makes their actions independent of the class representative.
@@ -34,7 +35,6 @@ counterexample bundle, kept for a disagreement, solves the network again.
 from __future__ import annotations
 
 import itertools
-from functools import lru_cache
 from operator import getitem
 from typing import NamedTuple
 
@@ -172,13 +172,20 @@ class NerveB2Strict(CoreNerve):
         return tuple(arr)
 
 
-@lru_cache(maxsize=None)
-def _triples(n: int) -> tuple[tuple[int, int, int], ...]:
-    return tuple(itertools.combinations(range(n + 1), 3))
+def _cone(n: int) -> tuple[tuple[int, int], ...]:
+    """The pairs (j, k), 0 < j < k <= n, in lex order: the free triples
+    (0, j, k) of a normalized 2-cocycle on [n]."""
+    return tuple(itertools.combinations(range(1, n + 1), 2))
 
 
 class NerveB2EM(CoreNerve):
-    """Level = normalized 2-cocycles on the first-coordinate simplex."""
+    """Level = normalized 2-cocycles on the first-coordinate simplex, each
+    stored by its cone values z(0, j, k), one per pair of `_cone`.
+
+    The cone values fix the cocycle: the 4-term identity on (0, a, b, c)
+    gives z(a, b, c) = z(0, b, c) - z(0, a, c) + z(0, a, b), and any
+    choice of cone values extends this way to a cocycle.
+    """
 
     core_dim = 1
 
@@ -190,58 +197,27 @@ class NerveB2EM(CoreNerve):
         self.name = f"B2em({group.name})"
 
     def _elements(self, b: Shape) -> tuple:
-        n = b.entry(1)
-        a_ = self.group
-        trips = _triples(n)
-        free = [t for t in trips if t[0] == 0]
-        tables = a_.order ** len(free)
+        free = len(_cone(b.entry(1)))
+        tables = self.group.order**free
         if tables > EM_LEVEL_BUDGET:
             raise BudgetExceededError(
                 f"cocycle level at {b} needs {tables} tables", tables
             )
-        pos = {t: i for i, t in enumerate(trips)}
-        out = []
-        for assignment in itertools.product(range(a_.order), repeat=len(free)):
-            vals = [a_.identity] * len(trips)
-            for t, v in zip(free, assignment):
-                vals[pos[t]] = v
-            for i, j, k in trips:
-                if i == 0:
-                    continue
-                # z(i,j,k) = z(0,j,k) - z(0,i,k) + z(0,i,j)
-                vals[pos[(i, j, k)]] = a_.mul(
-                    a_.mul(vals[pos[(0, j, k)]], a_.inverse[vals[pos[(0, i, k)]]]),
-                    vals[pos[(0, i, j)]],
-                )
-            table = tuple(vals)
-            if not self._is_simplicial_cocycle(n, table):
-                raise AssertionError("cone reconstruction produced a non-cocycle")
-            out.append(table)
-        return tuple(out)
-
-    def _is_simplicial_cocycle(self, n: int, table) -> bool:
-        a_ = self.group
-        pos = {t: i for i, t in enumerate(_triples(n))}
-        for i, j, k, l in itertools.combinations(range(n + 1), 4):
-            # z(j,k,l) - z(i,k,l) + z(i,j,l) - z(i,j,k) = 0
-            acc = a_.mul(table[pos[(j, k, l)]], a_.inverse[table[pos[(i, k, l)]]])
-            acc = a_.mul(acc, table[pos[(i, j, l)]])
-            acc = a_.mul(acc, a_.inverse[table[pos[(i, j, k)]]])
-            if acc != a_.identity:
-                return False
-        return True
+        return tuple(itertools.product(range(self.group.order), repeat=free))
 
     def apply(self, f: MorphismClass, x):
-        n_src, n_dst = f.src.entry(1), f.dst.entry(1)
+        a_ = self.group
         f1 = f.component(1)
-        pos_dst = {t: i for i, t in enumerate(_triples(n_dst))}
+        # z(0, j, k) by pair; z(0, 0, k) is the identity (normalization)
+        z = dict(zip(_cone(f.dst.entry(1)), x))
         out = []
-        for i, j, k in _triples(n_src):
-            a, b, c = f1(i), f1(j), f1(k)
+        for j, k in _cone(f.src.entry(1)):
+            a, b, c = f1(0), f1(j), f1(k)
             if a < b < c:
-                out.append(x[pos_dst[(a, b, c)]])
+                acc = a_.mul(z[b, c], a_.inverse[z.get((a, c), a_.identity)])
+                out.append(a_.mul(acc, z.get((a, b), a_.identity)))
             else:
-                out.append(self.group.identity)
+                out.append(a_.identity)
         return tuple(out)
 
 
@@ -274,13 +250,12 @@ def map_to_cocycle(phi: PresheafNatFamily) -> Cocycle2:
     tgt: NerveB2EM = phi.target
     g_, a_ = src.group, tgt.group
     b = shape(2)
-    trip = _triples(2).index((0, 1, 2))
     n = g_.order
     table = []
     for g in range(n):
         for h in range(n):
             z = phi.value(b, (g, h))
-            table.append(z[trip])
+            table.append(z[0])  # the cone value on (0, 1, 2)
     c = Cocycle2(g_, a_, tuple(table))
     c.validate()
     return c
@@ -292,15 +267,12 @@ def cocycle_to_map(c: Cocycle2) -> PresheafNatFamily:
     src, tgt = NerveB1(g_), NerveB2EM(a_)
     comps = {}
     for b in H2_WINDOW.shapes():
-        n = b.entry(1)
         values = []
         for x in src.elements(b):
-            table = []
-            for i, j, k in _triples(n):
-                left = g_.prod(x[u] for u in range(i, j))
-                right = g_.prod(x[u] for u in range(j, k))
-                table.append(c.value(left, right))
-            values.append(tgt.index_of(b, tuple(table)))
+            cone = tuple(
+                c.value(g_.prod(x[:j]), g_.prod(x[j:k])) for j, k in _cone(b.entry(1))
+            )
+            values.append(tgt.index_of(b, cone))
         comps[b] = tuple(values)
     return PresheafNatFamily(src, tgt, H2_WINDOW, comps)
 

@@ -5,6 +5,7 @@ from __future__ import annotations
 import itertools
 import unittest.mock as mock
 from contextlib import contextmanager
+from functools import lru_cache
 
 from thetacat import nerves as nerves_mod
 from thetacat.checkers import FibrationReport, HornRecord, LiftingSquare
@@ -12,7 +13,14 @@ from thetacat.csp import Network
 from thetacat.delta import constant_map, enumerate_monos
 from thetacat.errors import BudgetExceededError
 from thetacat.groups import Cocycle2, FiniteGroup
-from thetacat.nerves import H2_WINDOW, NerveB1, NerveB2EM, vertex_indices
+from thetacat.nerves import (
+    EM_LEVEL_BUDGET,
+    H2_WINDOW,
+    CoreNerve,
+    NerveB1,
+    NerveB2EM,
+    vertex_indices,
+)
 from thetacat.presheaves import (
     DEFAULT_BUDGET,
     Presheaf,
@@ -522,6 +530,105 @@ def nat_presheaves_oracle(
         out.append(PresheafNatFamily(source, target, window, comps))
     out.sort(key=lambda fam: fam.key())
     return out
+
+
+# ---------------------------------------------------------------------------
+# oracle: the cocycle nerve with full tables
+#
+# `nerves.NerveB2EM` before it stored each cocycle by its cone values,
+# kept verbatim apart from its name: a level lists the full tables, one
+# value per triple of `_triples(n)`, rebuilt from the free values
+# z(0, j, k) in the same product order, and each table is checked
+# against the 4-term identity.
+
+
+@lru_cache(maxsize=None)
+def _triples(n: int) -> tuple[tuple[int, int, int], ...]:
+    return tuple(itertools.combinations(range(n + 1), 3))
+
+
+class NerveB2EMTables(CoreNerve):
+    """Level = normalized 2-cocycles on the first-coordinate simplex."""
+
+    core_dim = 1
+
+    def __init__(self, group: FiniteGroup):
+        super().__init__()
+        if not group.abelian:
+            raise ValueError("cocycle coefficients must be abelian")
+        self.group = group
+        self.name = f"B2em({group.name})"
+
+    def _elements(self, b: Shape) -> tuple:
+        n = b.entry(1)
+        a_ = self.group
+        trips = _triples(n)
+        free = [t for t in trips if t[0] == 0]
+        tables = a_.order ** len(free)
+        if tables > EM_LEVEL_BUDGET:
+            raise BudgetExceededError(
+                f"cocycle level at {b} needs {tables} tables", tables
+            )
+        pos = {t: i for i, t in enumerate(trips)}
+        out = []
+        for assignment in itertools.product(range(a_.order), repeat=len(free)):
+            vals = [a_.identity] * len(trips)
+            for t, v in zip(free, assignment):
+                vals[pos[t]] = v
+            for i, j, k in trips:
+                if i == 0:
+                    continue
+                # z(i,j,k) = z(0,j,k) - z(0,i,k) + z(0,i,j)
+                vals[pos[(i, j, k)]] = a_.mul(
+                    a_.mul(vals[pos[(0, j, k)]], a_.inverse[vals[pos[(0, i, k)]]]),
+                    vals[pos[(0, i, j)]],
+                )
+            table = tuple(vals)
+            if not self._is_simplicial_cocycle(n, table):
+                raise AssertionError("cone reconstruction produced a non-cocycle")
+            out.append(table)
+        return tuple(out)
+
+    def _is_simplicial_cocycle(self, n: int, table) -> bool:
+        a_ = self.group
+        pos = {t: i for i, t in enumerate(_triples(n))}
+        for i, j, k, l in itertools.combinations(range(n + 1), 4):
+            # z(j,k,l) - z(i,k,l) + z(i,j,l) - z(i,j,k) = 0
+            acc = a_.mul(table[pos[(j, k, l)]], a_.inverse[table[pos[(i, k, l)]]])
+            acc = a_.mul(acc, table[pos[(i, j, l)]])
+            acc = a_.mul(acc, a_.inverse[table[pos[(i, j, k)]]])
+            if acc != a_.identity:
+                return False
+        return True
+
+    def apply(self, f: MorphismClass, x):
+        n_src, n_dst = f.src.entry(1), f.dst.entry(1)
+        f1 = f.component(1)
+        pos_dst = {t: i for i, t in enumerate(_triples(n_dst))}
+        out = []
+        for i, j, k in _triples(n_src):
+            a, b, c = f1(i), f1(j), f1(k)
+            if a < b < c:
+                out.append(x[pos_dst[(a, b, c)]])
+            else:
+                out.append(self.group.identity)
+        return tuple(out)
+
+
+def cone_to_table(group: FiniteGroup, n: int, cone: tuple) -> tuple:
+    """The full table, one value per triple of `_triples(n)`, of the
+    normalized 2-cocycle on [n] with cone values `cone` (one per pair
+    0 < j < k <= n, in lex order): z(i, j, k) = z(0, j, k) - z(0, i, k)
+    + z(0, i, j), where z(0, 0, k) is the identity."""
+    z0 = dict(zip(itertools.combinations(range(1, n + 1), 2), cone))
+
+    def at(i, j):
+        return z0[i, j] if i else group.identity
+
+    return tuple(
+        group.mul(group.mul(at(j, k), group.inverse[at(i, k)]), at(i, j))
+        for i, j, k in _triples(n)
+    )
 
 
 # ---------------------------------------------------------------------------

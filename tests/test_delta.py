@@ -1,3 +1,4 @@
+import itertools
 import random
 from math import comb
 
@@ -11,6 +12,7 @@ from thetacat.delta import (
     enumerate_monos,
     epi_mono_factor,
     identity_map,
+    strict_monos,
 )
 from thetacat.errors import IncomposableError
 
@@ -96,6 +98,15 @@ def test_epi_mono_roundtrip_exhaustive():
                 assert e.is_surjective()
                 assert m.is_injective()
                 assert compose_mono(m, e) == f
+
+
+def test_strict_monos_are_the_increasing_value_tuples():
+    # the filtered enumeration lists the (m+1)-subsets of [n] in lex order
+    for m in range(8):
+        for n in range(8):
+            want = tuple(itertools.combinations(range(n + 1), m + 1))
+            assert tuple(f.values for f in strict_monos(m, n)) == want
+            assert all((f.dom, f.cod) == (m, n) for f in strict_monos(m, n))
 
 
 def test_associativity_fuzzed():

@@ -28,7 +28,6 @@ ALLOWED = {
     "presheaves.TerminalPresheaf": "the terminal presheaf, target of maps to test as fibrations",
     "theta.factor_through": "the tests' oracles factor cells through it, and the bench traces it by name",
     "subshapes.common_cells": "common_restrictions' exactness argument is stated against it",
-    "delta.MonotoneMap.is_injective": "one of MonotoneMap's four predicates",
 }
 
 

@@ -6,7 +6,9 @@ import random
 import pytest
 
 from conftest import (
+    NerveB2EMTables,
     cohomologous,
+    cone_to_table,
     group_to_json,
     homotopy_pairs_oracle,
     one_class_too_many,
@@ -233,11 +235,41 @@ def test_em_level_sizes():
     assert em.size(shape(2, 3)) == em.size(shape(2))  # depends on b1 only
 
 
-def test_em_levels_are_cocycles():
-    em = NerveB2EM(cyclic(3))
-    for n in (2, 3):
-        for table in em.elements(shape(n)):
-            assert em._is_simplicial_cocycle(n, table)
+@pytest.mark.parametrize(
+    "group,top",
+    [(cyclic(2), 4), (cyclic(3), 4), (cyclic(4), 3), (klein_four(), 3)],
+    ids=["Z2-4", "Z3-4", "Z4-3", "V4-3"],
+)
+def test_em_levels_match_full_table_oracle(group, top):
+    # the cone values rebuild the oracle's full tables, element by element
+    # and in order, and every full table is a cocycle
+    em, oracle = NerveB2EM(group), NerveB2EMTables(group)
+    for n in range(top + 1):
+        b = shape(n) if n else POINT
+        tables = oracle.elements(b)
+        assert tables == tuple(cone_to_table(group, n, x) for x in em.elements(b))
+        assert all(oracle._is_simplicial_cocycle(n, t) for t in tables)
+
+
+@pytest.mark.parametrize(
+    "group,window",
+    [
+        (cyclic(2), WindowSpec(2, 3)),
+        (cyclic(3), WindowSpec(2, 3)),
+        (cyclic(4), WindowSpec(2, 3)),
+        (klein_four(), WindowSpec(2, 3)),
+        (cyclic(2), WindowSpec(1, 4)),
+        (cyclic(3), WindowSpec(1, 4)),
+    ],
+    ids=["Z2-(2,3)", "Z3-(2,3)", "Z4-(2,3)", "V4-(2,3)", "Z2-(1,4)", "Z3-(1,4)"],
+)
+def test_em_action_arrays_match_full_table_oracle(group, window):
+    em, oracle = NerveB2EM(group), NerveB2EMTables(group)
+    shapes = window.shapes()
+    for b1 in shapes:
+        for b2 in shapes:
+            for f in enumerate_hom(b1, b2):
+                assert em.action(f) == oracle.action(f), f
 
 
 def test_em_functoriality():

@@ -299,7 +299,6 @@ def test_nat_on_boundary_of_interval():
     sub = boundary(shape(1))
     _, fams = nat_cells_oracle(sub, b1)
     assert len(fams) == b1.size(POINT) ** 2 == 1
-    em = NerveB2EM(cyclic(2))
     rep = Representable(shape(2))
     _, fams = nat_cells_oracle(sub, rep)
     assert len(fams) == rep.size(POINT) ** 2 == 9
