@@ -1,4 +1,9 @@
-"""Horn-filling checkers and the inner-fibration lifting check.
+"""Horn-filling checkers.
+
+A presheaf X is a cat when every inner horn in X can be filled: X -> 1
+has the right lifting property against the inner horn inclusions.
+`check` in mode `cat` decides this horn by horn, and the other modes
+ask for more horns or for unique fillers.
 
 All checks are windowed: they quantify over the horns of the shapes in
 a finite window, and every report records that window, so a pass is
@@ -9,7 +14,7 @@ from __future__ import annotations
 
 from typing import NamedTuple
 
-from .presheaves import Presheaf, PresheafNatFamily, nat_face_union
+from .presheaves import Presheaf, nat_face_union
 from .subshapes import WindowSpec
 from .theta import Shape, face_class, faces_of, face_descriptor
 
@@ -167,59 +172,3 @@ def check(
                 witness = rec
                 verdict = False
     return CheckReport(x.name, mode, window, tuple(records), verdict, witness)
-
-
-# ---------------------------------------------------------------------------
-# inner fibrations
-
-
-class LiftingSquare(NamedTuple):
-    shape: Shape
-    k: int
-    m: int
-    horn_family_key: tuple
-    target_element: int
-
-
-class FibrationReport(NamedTuple):
-    ok: bool
-    squares_checked: int
-    failures: tuple[LiftingSquare, ...]
-
-
-def inner_fibration_check(
-    phi: PresheafNatFamily, budget: int = 10**7
-) -> FibrationReport:
-    """Test the right lifting property against every inner horn of phi's
-    window.
-
-    For each inner horn and each commuting square (a family on the horn
-    in the source, an element of the target level restricting to its
-    image), search for an element of the source level lifting both.
-    """
-    x, y = phi.source, phi.target
-    checked = 0
-    failures = []
-    for a in phi.window.shapes():
-        for fd in faces_of(a):
-            if not fd.inner:
-                continue
-            roots = tuple(f for f in faces_of(a) if f != fd)
-            x_families = nat_face_union(roots, x, budget)
-            x_keys: dict[tuple, list[int]] = {}
-            for idx, key in enumerate(_root_values(x, roots)):
-                x_keys.setdefault(key, []).append(idx)
-            y_keys: dict[tuple, list[int]] = {}
-            for idx, key in enumerate(_root_values(y, roots)):
-                y_keys.setdefault(key, []).append(idx)
-            phi_a = phi.components[a]
-            for fam in x_families:
-                pushed = tuple(
-                    phi.components[root.target][val] for root, val in zip(roots, fam)
-                )
-                for v in y_keys.get(pushed, ()):
-                    checked += 1
-                    lifts = [ix for ix in x_keys.get(fam, ()) if phi_a[ix] == v]
-                    if not lifts:
-                        failures.append(LiftingSquare(a, fd.k, fd.m, fam, v))
-    return FibrationReport(not failures, checked, tuple(failures))

@@ -130,12 +130,6 @@ class Presheaf:
             self.index_of(f.src, self.apply(f, x)) for x in self.elements(f.dst)
         )
 
-    def label(self, x):
-        """JSON-friendly rendering of an element."""
-        if isinstance(x, tuple):
-            return list(x)
-        return x
-
 
 class Representable(Presheaf):
     def __init__(self, base: Shape):
@@ -148,16 +142,6 @@ class Representable(Presheaf):
 
     def apply(self, f: MorphismClass, x: MorphismClass) -> MorphismClass:
         return compose_classes(x, f)
-
-
-class TerminalPresheaf(Presheaf):
-    name = "1"
-
-    def _elements(self, b: Shape) -> tuple:
-        return ("*",)
-
-    def apply(self, f: MorphismClass, x):
-        return "*"
 
 
 class ProductPresheaf(Presheaf):
@@ -239,9 +223,7 @@ class TablePresheaf(Presheaf):
 def table_to_json(x: TablePresheaf) -> dict:
     levels = []
     for b in sorted(x.levels, key=lambda s: (s.dim, s.entries)):
-        levels.append(
-            {"shape": list(b.entries), "elements": [x.label(e) for e in x.levels[b]]}
-        )
+        levels.append({"shape": list(b.entries), "elements": list(x.levels[b])})
     actions = []
     for f in sorted(x.actions_table, key=lambda f: (f.src, f.dst, f.components)):
         actions.append({"class": f.to_json(), "map": list(x.actions_table[f])})

@@ -208,41 +208,20 @@ def image(c: MorphismClass) -> SubOfRepresentable:
 # maximal common cells of two mono cells (drives the horn-filling solver)
 
 
-def common_cells(c1: MorphismClass, c2: MorphismClass) -> tuple[MorphismClass, ...]:
-    """The maximal mono cells of image(c1) & image(c2), for mono cells into
-    one shape, ordered by their constant value.
+def common_restrictions(c1: MorphismClass, c2: MorphismClass) -> tuple[tuple, tuple]:
+    """For the maximal mono cells r of image(c1) & image(c2), for mono
+    cells into one shape, ordered by their constant value: the classes u1
+    and u2 with r = c1 . u1 = c2 . u2, as two tuples.
 
     A mono cell lies in image(c) exactly when its degree is at most c's
     and each component takes values among those of c's (`factor_through`).
     So intersect the value sets coordinatewise up to the first set with
     fewer than two values (a degree component is constant, so there is
     one), stepping back a coordinate if that set is empty.  Every common
-    cell factors through the cell that includes the sets below the last
-    coordinate and is constant at one of its values there.
-    """
-    sets = _common_value_sets(c1, c2)
-    if not sets:
-        return ()
-    a = c1.dst
-    *below, top = sets
-    src = Shape(tuple(len(vals) - 1 for vals in below))
-    comps = tuple(
-        MonotoneMap(len(vals) - 1, a.entry(j), vals)
-        for j, vals in enumerate(below, start=1)
-    )
-    q = len(sets)
-    return tuple(
-        MorphismClass(src, a, comps + (constant_map(0, a.entry(q), v),)) for v in top
-    )
-
-
-def common_restrictions(c1: MorphismClass, c2: MorphismClass) -> tuple[tuple, tuple]:
-    """For each cell r of `common_cells(c1, c2)`, in order, the classes u1
-    and u2 with r = c1 . u1 = c2 . u2, as two tuples.
-
-    r's components are the value sets of `common_cells`, so u's k-th
-    component lists the positions of those values in c's k-th
-    component, as `factor_through(r, c)` finds them one cell at a time.
+    cell factors through a cell r that includes the sets below the last
+    coordinate and is constant at one of its values there.  So u's k-th
+    component lists the positions of r's values in c's k-th component, as
+    `factor_through(r, c)` finds them one cell at a time.
     """
     sets = _common_value_sets(c1, c2)
     if not sets:
@@ -267,8 +246,8 @@ def common_restrictions(c1: MorphismClass, c2: MorphismClass) -> tuple[tuple, tu
 
 
 def _common_value_sets(c1: MorphismClass, c2: MorphismClass) -> list[tuple]:
-    """The coordinatewise value sets of `common_cells`, empty when the
-    images share no cell."""
+    """The coordinatewise value sets of the maximal common cells of two
+    images, empty when the images share no cell."""
     if c2.dst != c1.dst:
         raise ValueError(f"{c1} and {c2} land in different shapes")
     sets = []

@@ -8,9 +8,9 @@ from contextlib import contextmanager
 from functools import lru_cache
 
 from thetacat import nerves as nerves_mod
-from thetacat.checkers import FibrationReport, HornRecord, LiftingSquare
+from thetacat.checkers import HornRecord
 from thetacat.csp import Network
-from thetacat.delta import constant_map, enumerate_monos
+from thetacat.delta import MonotoneMap, constant_map, enumerate_monos
 from thetacat.errors import BudgetExceededError
 from thetacat.groups import Cocycle2, FiniteGroup
 from thetacat.nerves import (
@@ -35,7 +35,7 @@ from thetacat.presheaves import (
 from thetacat.subshapes import (
     SubOfRepresentable,
     WindowSpec,
-    common_cells,
+    _common_value_sets,
     horn,
     window_for,
 )
@@ -105,18 +105,32 @@ def check_closure(sub: SubOfRepresentable) -> None:
                         )
 
 
-def is_natural(fam: PresheafNatFamily) -> bool:
-    """Check every naturality square along the window's generators."""
-    for f in generator_classes(fam.window):
-        src_arr = fam.source.action(f)
-        tgt_arr = fam.target.action(f)
-        phi_src, phi_dst = fam.components[f.src], fam.components[f.dst]
-        if any(
-            phi_src[src_arr[i]] != tgt_arr[phi_dst[i]]
-            for i in range(fam.source.size(f.dst))
-        ):
-            return False
-    return True
+def common_cells(c1: MorphismClass, c2: MorphismClass) -> tuple[MorphismClass, ...]:
+    """The maximal mono cells of image(c1) & image(c2), for mono cells into
+    one shape, ordered by their constant value.
+
+    A mono cell lies in image(c) exactly when its degree is at most c's
+    and each component takes values among those of c's (`factor_through`).
+    So intersect the value sets coordinatewise up to the first set with
+    fewer than two values (a degree component is constant, so there is
+    one), stepping back a coordinate if that set is empty.  Every common
+    cell factors through the cell that includes the sets below the last
+    coordinate and is constant at one of its values there.
+    """
+    sets = _common_value_sets(c1, c2)
+    if not sets:
+        return ()
+    a = c1.dst
+    *below, top = sets
+    src = Shape(tuple(len(vals) - 1 for vals in below))
+    comps = tuple(
+        MonotoneMap(len(vals) - 1, a.entry(j), vals)
+        for j, vals in enumerate(below, start=1)
+    )
+    q = len(sets)
+    return tuple(
+        MorphismClass(src, a, comps + (constant_map(0, a.entry(q), v),)) for v in top
+    )
 
 
 def yoneda_family(x: Presheaf, a: Shape, idx: int, cells) -> tuple[int, ...]:
@@ -745,13 +759,12 @@ def face_union_oracle(
 
 
 # ---------------------------------------------------------------------------
-# oracle: horn filling and inner fibrations with root values per element
+# oracle: horn filling with root values per element
 #
-# The bodies of `checkers.horn_filling` and `checkers.inner_fibration_check`
-# before each horn's face arrays were read once, kept verbatim apart from
-# their names and their families, which are value tuples: every element
-# looks up each root's face class and action array again, through
-# `restriction_key`.
+# The body of `checkers.horn_filling` before each horn's face arrays were
+# read once, kept verbatim apart from its name and its families, which are
+# value tuples: every element looks up each root's face class and action
+# array again, through `restriction_key`.
 
 
 def restriction_key(x: Presheaf, a: Shape, xa_index: int, roots) -> tuple[int, ...]:
@@ -780,36 +793,6 @@ def horn_filling_oracle(
     return HornRecord(
         a, k, m, missing.inner, x.size(a), len(families), fibers, surjective, bijective
     )
-
-
-def inner_fibration_oracle(phi, window, budget: int = 10**7) -> FibrationReport:
-    """Test the right lifting property against every inner horn in window."""
-    x, y = phi.source, phi.target
-    checked = 0
-    failures = []
-    for a in window.shapes():
-        for fd in faces_of(a):
-            if not fd.inner:
-                continue
-            roots = tuple(f for f in faces_of(a) if f != fd)
-            x_families = nat_face_union(roots, x, budget)
-            x_keys: dict[tuple, list[int]] = {}
-            for idx in range(x.size(a)):
-                x_keys.setdefault(restriction_key(x, a, idx, roots), []).append(idx)
-            y_keys: dict[tuple, list[int]] = {}
-            for idx in range(y.size(a)):
-                y_keys.setdefault(restriction_key(y, a, idx, roots), []).append(idx)
-            phi_a = phi.components[a]
-            for fam in x_families:
-                pushed = tuple(
-                    phi.components[root.target][val] for root, val in zip(roots, fam)
-                )
-                for v in y_keys.get(pushed, ()):
-                    checked += 1
-                    lifts = [ix for ix in x_keys.get(fam, ()) if phi_a[ix] == v]
-                    if not lifts:
-                        failures.append(LiftingSquare(a, fd.k, fd.m, fam, v))
-    return FibrationReport(not failures, checked, tuple(failures))
 
 
 # ---------------------------------------------------------------------------

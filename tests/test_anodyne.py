@@ -261,9 +261,10 @@ def test_lemma_l5_pullback_to_a_missing_face_is_a_union_of_faces():
 
 
 def test_lemma_l4_each_step_adds_two_mono_cells():
-    # every certify input up to entry sum 6, every probe up to entry sum 5:
-    # each step adds exactly c and c . face_class((k, m)), so the step
-    # count is half the number of mono cells added
+    # every certify input and every probe up to entry sum 6: each step adds
+    # exactly c and c . face_class((k, m)), so the step count is half the
+    # number of mono cells added.  The probes are the spine census: each
+    # finds a certificate that verifies, and never backtracks
     certs = [
         certify_union_inclusion(a, [(fd.k, fd.m) for fd in gamma])
         for n in range(1, 7)
@@ -271,14 +272,17 @@ def test_lemma_l4_each_step_adds_two_mono_cells():
         for gamma in admissible_gammas(a)
     ]
     assert len(certs) == 301
-    probes = [
-        spine_probe(PROBE_ENDS[target](a), target)
-        for n in range(1, 6)
+    probes = {
+        (a, target): spine_probe(PROBE_ENDS[target](a), target)
+        for n in range(1, 7)
         for a in shapes_of_entry_sum(n)
         for target in ("full", "outer")
-    ]
-    assert len(probes) == 62 and all(r.found for r in probes)
-    for cert in certs + [r.certificate for r in probes]:
+    }
+    assert len(probes) == 126
+    for key, r in probes.items():
+        assert r.found and verify_certificate(r.certificate).ok, key
+        assert r.states == r.max_depth, key
+    for cert in certs + [r.certificate for r in probes.values()]:
         current = cert.start
         for step in cert.steps:
             c = step.attach

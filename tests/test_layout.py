@@ -10,13 +10,16 @@ is not a use).  Attribute names count as references, so a list's
 reason a method counts as used when another class has a method of that
 name that is called: a dead `to_json` or `component` goes unflagged while
 `MorphismClass.to_json` or `MorphismClass.component` has a caller.
-Helpers that only tests call belong in `tests/conftest.py`.
+Helpers that only tests call belong in `tests/conftest.py`, and each
+top-level definition there must be referenced by some module of the
+tests outside its own body.
 """
 
 import ast
 from pathlib import Path
 
-SRC = Path(__file__).resolve().parents[1] / "src" / "thetacat"
+TESTS = Path(__file__).resolve().parent
+SRC = TESTS.parent / "src" / "thetacat"
 
 # definitions kept without a reference in src/, each with its reason
 ALLOWED = {
@@ -24,10 +27,7 @@ ALLOWED = {
     "presheaves.TablePresheaf.from_presheaf": "documented API: a presheaf's tables over a window",
     "presheaves.TruncatedPresheaf": "documented API: truncation along the dimension filtration",
     "presheaves.ExtendedPresheaf": "documented API: extension along the dimension filtration",
-    "checkers.inner_fibration_check": "documented API: the inner-fibration lifting check",
-    "presheaves.TerminalPresheaf": "the terminal presheaf, target of maps to test as fibrations",
     "theta.factor_through": "the tests' oracles factor cells through it, and the bench traces it by name",
-    "subshapes.common_cells": "common_restrictions' exactness argument is stated against it",
 }
 
 
@@ -55,27 +55,47 @@ def _references(tree: ast.Module):
                 yield node.asname, node
 
 
-def unreferenced() -> set[str]:
-    trees = {path.stem: ast.parse(path.read_text()) for path in SRC.glob("*.py")}
+def _unused(definitions, trees) -> set[str]:
+    """The qualnames of the definitions whose name no tree references
+    outside the definition's own body."""
     refs: dict[str, list] = {}
-    for module, tree in trees.items():
-        if module == "__init__":
-            continue
+    for tree in trees:
         for name, node in _references(tree):
             refs.setdefault(name, []).append(node)
     out = set()
-    for module, tree in trees.items():
-        for qualname, node in _definitions(module, tree):
-            own = {id(n) for n in ast.walk(node)}
-            if all(id(n) in own for n in refs.get(node.name, ())):
-                out.add(qualname)
+    for qualname, node in definitions:
+        own = {id(n) for n in ast.walk(node)}
+        if all(id(n) in own for n in refs.get(node.name, ())):
+            out.add(qualname)
     return out
+
+
+def unreferenced() -> set[str]:
+    trees = {path.stem: ast.parse(path.read_text()) for path in SRC.glob("*.py")}
+    definitions = [d for module, tree in trees.items() for d in _definitions(module, tree)]
+    return _unused(definitions, [t for m, t in trees.items() if m != "__init__"])
 
 
 def test_every_src_definition_has_a_src_reference():
     flagged = unreferenced()
     assert flagged - ALLOWED.keys() == set(), "no caller in src/: move to the tests"
     assert ALLOWED.keys() - flagged == set(), "referenced in src/: drop from ALLOWED"
+
+
+def unreferenced_in_conftest() -> set[str]:
+    """The top-level functions and classes of `tests/conftest.py` that no
+    module of the tests references outside their own body."""
+    trees = {path.name: ast.parse(path.read_text()) for path in TESTS.glob("*.py")}
+    definitions = [
+        (node.name, node)
+        for node in trees["conftest.py"].body
+        if isinstance(node, (ast.FunctionDef, ast.ClassDef))
+    ]
+    return _unused(definitions, trees.values())
+
+
+def test_every_conftest_definition_has_a_test_reference():
+    assert unreferenced_in_conftest() == set(), "no test uses it: delete it"
 
 
 def unused_imports(path: Path) -> list[str]:
@@ -131,6 +151,6 @@ def test_package_init_binds_only_the_version():
 
 
 def test_no_unused_imports():
-    paths = [*SRC.glob("*.py"), *Path(__file__).parent.glob("*.py")]
+    paths = [*SRC.glob("*.py"), *TESTS.glob("*.py")]
     found = {p.name: names for p in sorted(paths) if (names := unused_imports(p))}
     assert found == {}

@@ -31,7 +31,6 @@ from thetacat.presheaves import (
     ProductPresheaf,
     Representable,
     TablePresheaf,
-    TerminalPresheaf,
     TruncatedPresheaf,
     DEFAULT_BUDGET,
     check_functoriality,
@@ -166,7 +165,8 @@ def test_functoriality_budget_counts_pairs():
     ids=lambda w: f"{w.max_dim}-{w.max_entry}",
 )
 def test_generators_reach_every_class(window):
-    # the premise of check_functoriality, nat_presheaves and conftest.is_natural
+    # the premise of check_functoriality, nat_presheaves and
+    # conftest.nat_presheaves_oracle
     shapes = window.shapes()
     out_of = {b: [] for b in shapes}
     for g in generator_classes(window):
@@ -199,9 +199,11 @@ def test_product_sizes():
     b1 = NerveB1(cyclic(2))
     x = ProductPresheaf(b1, Representable(shape(1)))
     assert x.size(shape(1)) == 2 * 3
-    term = TerminalPresheaf()
+    # y(t[]) is the terminal presheaf: one class b -> t[] at every shape
+    term = Representable(POINT)
     y = ProductPresheaf(b1, term)
     for b in WindowSpec(2, 2).shapes():
+        assert term.size(b) == 1
         assert y.size(b) == b1.size(b)
     assert check_functoriality(x, WindowSpec(1, 2)).ok
 

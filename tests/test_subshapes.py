@@ -8,6 +8,7 @@ from conftest import (
     classical_horn,
     check_closure,
     classical_spine,
+    common_cells,
     levelwise_composites,
     levelwise_image,
     levelwise_pullback,
@@ -20,7 +21,6 @@ from thetacat.subshapes import (
     SubOfRepresentable,
     WindowSpec,
     boundary,
-    common_cells,
     common_restrictions,
     face_image,
     face_membership,
