@@ -14,6 +14,7 @@ from __future__ import annotations
 
 from typing import NamedTuple
 
+from .errors import DEFAULT_BUDGET
 from .presheaves import Presheaf, nat_face_union
 from .subshapes import WindowSpec
 from .theta import Shape, face_class, faces_of, face_descriptor
@@ -106,7 +107,7 @@ def _root_values(x: Presheaf, roots):
 
 
 def horn_filling(
-    x: Presheaf, a: Shape, k: int, m: int, budget: int = 10**7
+    x: Presheaf, a: Shape, k: int, m: int, budget: int = DEFAULT_BUDGET
 ) -> HornRecord:
     """One horn: the family count, the restriction map, and its fibers."""
     missing = face_descriptor(a, k, m)
@@ -150,7 +151,7 @@ class CheckReport(NamedTuple):
 
 
 def check(
-    x: Presheaf, mode: Mode | str, window: WindowSpec, budget: int = 10**7
+    x: Presheaf, mode: Mode | str, window: WindowSpec, budget: int = DEFAULT_BUDGET
 ) -> CheckReport:
     """Run the mode's requirement over every horn of the window."""
     if isinstance(mode, str):

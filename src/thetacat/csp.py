@@ -1,9 +1,9 @@
 """A small exact solver for binary constraint networks over int domains.
 
-Used to enumerate natural families: variables are cells (or face roots,
-or presheaf elements), domains are indices into the target's level
-sets, constraints are either functional (one value determines another
-through an action array) or relational tables.
+Used to enumerate natural families: variables are face roots or
+nondegenerate presheaf elements, domains are indices into the target's
+level sets, constraints are either functional (one value determines
+another through an action array) or relational tables.
 
 A domain is an int bitmask: value v is in it when bit v is set, so
 values are non-negative ints.  Each constraint gives two directed arcs,
@@ -39,7 +39,7 @@ from __future__ import annotations
 from functools import reduce
 from operator import itemgetter, or_
 
-from .errors import BudgetExceededError
+from .errors import DEFAULT_BUDGET, BudgetExceededError
 
 
 def _mask(values) -> int:
@@ -85,7 +85,7 @@ class Network:
         """The search nodes the last `solve_all` visited."""
         return self._nodes
 
-    def solve_all(self, budget: int = 10**7):
+    def solve_all(self, budget: int = DEFAULT_BUDGET):
         """Yield every solution as a tuple of values, in canonical order."""
         self._nodes = 0
         self._budget = budget

@@ -1,6 +1,8 @@
-"""Shared exception types."""
+"""Shared exception types and the default budget."""
 
 from __future__ import annotations
+
+DEFAULT_BUDGET = 10**7  # the library's default bound on a search or an enumeration
 
 
 class IncomposableError(ValueError):

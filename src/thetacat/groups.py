@@ -11,7 +11,7 @@ from __future__ import annotations
 import itertools
 from typing import NamedTuple
 
-from .errors import BudgetExceededError
+from .errors import DEFAULT_BUDGET, BudgetExceededError
 
 
 class FiniteGroup:
@@ -174,7 +174,7 @@ def _cocycle_failure(g_: FiniteGroup, a_: FiniteGroup, table) -> tuple | None:
 
 
 def normalized_2cocycles(
-    g_: FiniteGroup, a_: FiniteGroup, budget: int = 10**7
+    g_: FiniteGroup, a_: FiniteGroup, budget: int = DEFAULT_BUDGET
 ) -> tuple[Cocycle2, ...]:
     """Brute-force enumeration over all normalized tables."""
     if not a_.abelian:
@@ -225,7 +225,7 @@ class H2Data(NamedTuple):
     classes: int
 
 
-def cocycle_tools(g_: FiniteGroup, a_: FiniteGroup, budget: int = 10**7) -> H2Data:
+def cocycle_tools(g_: FiniteGroup, a_: FiniteGroup, budget: int = DEFAULT_BUDGET) -> H2Data:
     """Enumerate normalized cocycles and coboundaries; count their quotient."""
     z2 = normalized_2cocycles(g_, a_, budget)
     b2 = normalized_2coboundaries(g_, a_)

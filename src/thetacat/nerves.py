@@ -17,8 +17,8 @@ is what makes their actions independent of the class representative.
 
 The same truncation makes their action arrays cheap to share (it is the
 one behind Berger's cellular nerve, Adv. Math. 169, 2002).  A nerve's
-level at b is a function of b's first `core_dim` entries, and `apply`
-of a class f reads only f's first `core_dim` components, which carry
+level at b is a function of b's first `core_dim` entries, and the
+action of a class f reads only f's first `core_dim` components, which carry
 those entries of f.src and f.dst as their sizes.  So two classes with
 the same core, the tuple of those components, have the same source
 level, target level and action, hence equal arrays: `action` builds one
@@ -38,7 +38,7 @@ import itertools
 from operator import getitem
 from typing import NamedTuple
 
-from .errors import BudgetExceededError
+from .errors import DEFAULT_BUDGET, BudgetExceededError
 from .groups import Cocycle2, FiniteGroup, H2Data, builtin_group, cocycle_tools
 from .presheaves import (
     Presheaf,
@@ -74,8 +74,8 @@ class CoreNerve(Presheaf):
         return arr
 
     def _build_core_action(self, f: MorphismClass) -> tuple[int, ...]:
-        """The array shared by f's core: element by element, unless the
-        nerve knows an exact shortcut."""
+        """The array shared by f's core: element by element through
+        `apply`, unless the nerve defines its action here."""
         return super()._build_action(f)
 
 
@@ -122,23 +122,10 @@ class NerveB2Strict(CoreNerve):
         only sizes and action arrays."""
         return self.group.order ** (b.entry(1) * b.entry(2))
 
-    def apply(self, f: MorphismClass, x):
-        a_ = self.group
-        p, q = f.src.entry(1), f.src.entry(2)
-        q2 = f.dst.entry(2)
-        f1, f2 = f.component(1), f.component(2)
-        out = []
-        for i in range(1, p + 1):
-            for j in range(1, q + 1):
-                acc = a_.identity
-                for u in range(f1(i - 1) + 1, f1(i) + 1):
-                    for v in range(f2(j - 1) + 1, f2(j) + 1):
-                        acc = a_.mul(acc, x[(u - 1) * q2 + (v - 1)])
-                out.append(acc)
-        return tuple(out)
-
     def _build_core_action(self, f: MorphismClass) -> tuple[int, ...]:
-        """The array of `apply`, digit by digit.
+        """The action, digit by digit: cell (i, j) of the f.src grid is
+        the product of the f.dst cells (u, v) with f1(i) <= u < f1(i + 1)
+        and f2(j) <= v < f2(j + 1).
 
         A level lists its grids in base-|A| order, cell (i, j) of a p x q
         grid, counted from 0, being digit i * q + j from the most
@@ -146,8 +133,7 @@ class NerveB2Strict(CoreNerve):
         Each cell of the f.dst grid feeds at most one cell of the f.src
         grid, so appending the next f.dst digit d multiplies that one
         output digit by d, and a cell that feeds nothing repeats each
-        output n times.  The digits are appended in the order `apply`
-        multiplies them in.
+        output n times.
         """
         n, table = self.group.order, self.group.table
         p, q = f.src.entry(1), f.src.entry(2)
@@ -329,7 +315,7 @@ def vertex_indices(
 
 
 def homotopy_classes(
-    g_: FiniteGroup, a_: FiniteGroup, budget: int = 10**7
+    g_: FiniteGroup, a_: FiniteGroup, budget: int = DEFAULT_BUDGET
 ) -> HomotopyReport:
     """Maps of nerves modulo cylinder homotopy on `H2_WINDOW`, against the
     H^2 count.

@@ -1,13 +1,14 @@
 """Finite presheaves on the generalized-simplex category.
 
-A presheaf knows its level set at every shape and a contravariant
-action of morphism classes.  Levels and action arrays are memoized by
-index, so downstream enumeration works on plain ints.  An array is built
-element by element through `apply` unless the presheaf knows an exact
-shortcut: a product pairs its factors' arrays, since its level lists
-the pairs in factor order, and the nerves build one array per core
-(see `nerves`).  Natural families
-are enumerated two ways, both exact:
+A presheaf is its level set at every shape and a contravariant action
+of morphism classes, and each subclass defines that action once: per
+element (`apply`) or as index arrays (`_build_action`), the other form
+being read off it.  A product pairs its factors' arrays, since its
+level lists the pairs in factor order; a table returns its rows; a
+truncation or an extension shares its inner presheaf's arrays; the
+nerves build one array per core (see `nerves`).  Levels and arrays are
+memoized by index, so downstream enumeration works on plain ints.
+Natural families are enumerated two ways, both exact:
 
 * out of a union of face images (a horn, a boundary), by solving for
   the values on the face roots with compatibility on the maximal common
@@ -61,7 +62,7 @@ from typing import NamedTuple
 
 from .csp import Network
 from .delta import constant_map
-from .errors import BudgetExceededError
+from .errors import DEFAULT_BUDGET, BudgetExceededError
 from .subshapes import WindowSpec, common_restrictions
 from .theta import (
     FaceDescriptor,
@@ -76,11 +77,12 @@ from .theta import (
     identity_class,
 )
 
-DEFAULT_BUDGET = 10**7
-
 
 class Presheaf:
-    """Base class: caching of level sets and action arrays."""
+    """Base class: caching of level sets and action arrays.  A subclass
+    defines `_elements` and its action once, per element (`apply`) or as
+    arrays (`_build_action`): it must override one of the two, or the two
+    defaults call each other."""
 
     name = "presheaf"
 
@@ -93,13 +95,12 @@ class Presheaf:
         self._tables: dict[tuple, tuple] = {}
         self._solves: dict[tuple, tuple] = {}
 
-    # subclasses implement these two
     def _elements(self, b: Shape) -> tuple:
         raise NotImplementedError
 
     def apply(self, f: MorphismClass, x):
         """The action of a class f: B -> B' on an element of the B' level."""
-        raise NotImplementedError
+        return self.elements(f.src)[self.action(f)[self.index_of(f.dst, x)]]
 
     def elements(self, b: Shape) -> tuple:
         if b not in self._elems:
@@ -124,7 +125,7 @@ class Presheaf:
 
     def _build_action(self, f: MorphismClass) -> tuple[int, ...]:
         """The array of `action(f)`, element by element through `apply`.
-        Subclasses that know a cheaper exact construction override this,
+        Subclasses that define their action as arrays override this,
         never `action`, which stays the one memoized entry point."""
         return tuple(
             self.index_of(f.src, self.apply(f, x)) for x in self.elements(f.dst)
@@ -155,9 +156,6 @@ class ProductPresheaf(Presheaf):
             itertools.product(self.left.elements(b), self.right.elements(b))
         )
 
-    def apply(self, f: MorphismClass, x):
-        return (self.left.apply(f, x[0]), self.right.apply(f, x[1]))
-
     def _build_action(self, f: MorphismClass) -> tuple[int, ...]:
         # the level at b lists (x_i, y_j) at index i * |right(b)| + j
         width = self.right.size(f.src)
@@ -177,9 +175,8 @@ class TablePresheaf(Presheaf):
     def _elements(self, b: Shape) -> tuple:
         return tuple(self.levels[b])
 
-    def apply(self, f: MorphismClass, x):
-        row = self.actions_table[f]
-        return self.elements(f.src)[row[self.index_of(f.dst, x)]]
+    def _build_action(self, f: MorphismClass) -> tuple[int, ...]:
+        return tuple(self.actions_table[f])
 
     def require_covers(self, window: WindowSpec) -> None:
         """Raise ValueError unless the tables define x on the whole window.
@@ -275,10 +272,10 @@ class TruncatedPresheaf(Presheaf):
             raise ValueError(f"{b} exceeds truncation level {self.n}")
         return self.inner.elements(b)
 
-    def apply(self, f: MorphismClass, x):
+    def _build_action(self, f: MorphismClass) -> tuple[int, ...]:
         if f.src.dim > self.n or f.dst.dim > self.n:
             raise ValueError("class exceeds truncation level")
-        return self.inner.apply(f, x)
+        return self.inner.action(f)
 
 
 class ExtendedPresheaf(Presheaf):
@@ -290,8 +287,9 @@ class ExtendedPresheaf(Presheaf):
     def _elements(self, b: Shape) -> tuple:
         return self.inner.elements(project_shape(b, self.n))
 
-    def apply(self, f: MorphismClass, x):
-        return self.inner.apply(project_class(f, self.n), x)
+    def _build_action(self, f: MorphismClass) -> tuple[int, ...]:
+        # the level at b is the inner level at project_shape(b, n), in order
+        return self.inner.action(project_class(f, self.n))
 
 
 # ---------------------------------------------------------------------------

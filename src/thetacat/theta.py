@@ -7,6 +7,9 @@ of componentwise monotone maps, truncated at the first constant
 component (the "degree"): a class stores components 1..degree, where
 components below the degree are non-constant and the degree component
 is constant.  Components beyond the degree are quotiented away.
+A class reads one monotone map per coordinate, so not every representable
+is a cat: when some entry a_i >= 2 has i < dim a, y(a) has no filler for
+the inner horn (i, 1) of t[1,...,1,2], the 2 in coordinate i.
 """
 
 from __future__ import annotations

@@ -11,7 +11,7 @@ from thetacat import nerves as nerves_mod
 from thetacat.checkers import HornRecord
 from thetacat.csp import Network
 from thetacat.delta import MonotoneMap, constant_map, enumerate_monos
-from thetacat.errors import BudgetExceededError
+from thetacat.errors import DEFAULT_BUDGET, BudgetExceededError
 from thetacat.groups import Cocycle2, FiniteGroup
 from thetacat.nerves import (
     EM_LEVEL_BUDGET,
@@ -19,10 +19,10 @@ from thetacat.nerves import (
     CoreNerve,
     NerveB1,
     NerveB2EM,
+    NerveB2Strict,
     vertex_indices,
 )
 from thetacat.presheaves import (
-    DEFAULT_BUDGET,
     Presheaf,
     PresheafNatFamily,
     ProductPresheaf,
@@ -643,6 +643,43 @@ def cone_to_table(group: FiniteGroup, n: int, cone: tuple) -> tuple:
         group.mul(group.mul(at(j, k), group.inverse[at(i, k)]), at(i, j))
         for i, j, k in _triples(n)
     )
+
+
+# ---------------------------------------------------------------------------
+# oracle: the strict 2-nerve's action cell by cell
+#
+# `nerves.NerveB2Strict.apply` before the digit builder became the
+# nerve's one definition of its action, kept verbatim apart from taking
+# the group as the first argument: cell (i, j) of the f.src grid is the
+# product of the f.dst cells that f1 and f2 send to it.
+
+
+def b2strict_apply_oracle(group: FiniteGroup, f: MorphismClass, x):
+    a_ = group
+    p, q = f.src.entry(1), f.src.entry(2)
+    q2 = f.dst.entry(2)
+    f1, f2 = f.component(1), f.component(2)
+    out = []
+    for i in range(1, p + 1):
+        for j in range(1, q + 1):
+            acc = a_.identity
+            for u in range(f1(i - 1) + 1, f1(i) + 1):
+                for v in range(f2(j - 1) + 1, f2(j) + 1):
+                    acc = a_.mul(acc, x[(u - 1) * q2 + (v - 1)])
+            out.append(acc)
+    return tuple(out)
+
+
+def formula_array(x: CoreNerve, f: MorphismClass) -> tuple[int, ...]:
+    """The array of f on a nerve, element by element through its formula:
+    the nerve's `apply`, or the oracle above for the strict 2-nerve, whose
+    own `apply` is read off its array."""
+    if isinstance(x, NerveB2Strict):
+        return tuple(
+            x.index_of(f.src, b2strict_apply_oracle(x.group, f, y))
+            for y in x.elements(f.dst)
+        )
+    return tuple(x.index_of(f.src, x.apply(f, y)) for y in x.elements(f.dst))
 
 
 # ---------------------------------------------------------------------------

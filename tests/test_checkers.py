@@ -3,6 +3,7 @@ from conftest import (
     SubAsPresheaf,
     face_union_oracle,
     horn_filling_oracle,
+    shapes_with,
 )
 from test_presheaves import MEMO_PRESHEAVES, MEMO_SHAPES
 
@@ -140,6 +141,33 @@ def test_representable_horn_records_finite():
     rec = horn_filling(y, shape(2), 1, 1)
     assert rec.nat_size >= rec.x_size >= 0
     assert len(rec.fiber_sizes) == rec.nat_size
+
+
+@pytest.mark.parametrize(
+    "window, top, passing",
+    [(WindowSpec(2, 3), 5, 17), (WindowSpec(3, 3), 4, 11)],
+    ids=["sum<=5 at (2,3)", "sum<=4 at (3,3)"],
+)
+def test_which_representables_are_cats(window, top, passing):
+    # a class reads one monotone map per coordinate, so y(a) is a cat on the
+    # window exactly when no entry a_i >= 2 has i < dim a and i <= max_dim;
+    # a failure's first witness is the inner horn (i, 1) of t[1,...,1,2],
+    # the 2 in the first such coordinate i
+    shapes = [a for a in shapes_with(top, top) if sum(a.entries) <= top]
+    verdicts = []
+    for a in shapes:
+        bad = [i for i in range(1, a.dim) if a.entry(i) >= 2 and i <= window.max_dim]
+        report = check(Representable(a), "cat", window)
+        verdicts.append(report.verdict)
+        assert report.verdict == (not bad), a
+        if bad:
+            i = bad[0]
+            w = report.witness
+            assert (w.shape, w.k, w.m) == (shape(*[1] * (i - 1), 2), i, 1), a
+        if window == WindowSpec(2, 3):
+            strict = check(Representable(a), "strict-cat", window)
+            assert strict.verdict == report.verdict, a
+    assert (len(shapes), verdicts.count(True)) == (2**top, passing)
 
 
 @pytest.mark.parametrize("nerve", [NerveB1, NerveB2Strict])

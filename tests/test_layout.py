@@ -154,3 +154,62 @@ def test_no_unused_imports():
     paths = [*SRC.glob("*.py"), *TESTS.glob("*.py")]
     found = {p.name: names for p in sorted(paths) if (names := unused_imports(p))}
     assert found == {}
+
+
+# the classes that hold the two defaults, each read off the other, and the
+# core memo; every other presheaf of src/ defines its action once
+ACTION_BASES = {"Presheaf", "CoreNerve"}
+ARRAY_BUILDERS = {"_build_action", "_build_core_action"}
+CONCRETE_PRESHEAVES = {
+    "Representable",
+    "ProductPresheaf",
+    "TablePresheaf",
+    "TruncatedPresheaf",
+    "ExtendedPresheaf",
+    "NerveB1",
+    "NerveB2Strict",
+    "NerveB2EM",
+}
+
+
+def presheaf_classes() -> dict[str, tuple[list[str], set[str]]]:
+    """The subclasses of `Presheaf` in src/, itself included, by name:
+    their base names and the methods their own bodies define."""
+    classes = {}
+    for path in SRC.glob("*.py"):
+        for node in ast.parse(path.read_text()).body:
+            if isinstance(node, ast.ClassDef):
+                bases = [b.id for b in node.bases if isinstance(b, ast.Name)]
+                own = {s.name for s in node.body if isinstance(s, ast.FunctionDef)}
+                classes[node.name] = (bases, own)
+
+    def descends(name):
+        return name == "Presheaf" or any(
+            descends(b) for b in classes[name][0] if b in classes
+        )
+
+    return {name: entry for name, entry in classes.items() if descends(name)}
+
+
+def test_each_presheaf_defines_its_action_once():
+    """Per element (`apply`) or as arrays (`_build_action`, or
+    `_build_core_action` under `CoreNerve`), never both: the base reads
+    each form off the other, so a second definition is a second action
+    to keep equal to the first."""
+    classes = presheaf_classes()
+    twice = {
+        name
+        for name, (_, own) in classes.items()
+        if name not in ACTION_BASES and "apply" in own and own & ARRAY_BUILDERS
+    }
+    assert twice == set(), "define the action once: drop `apply` or the builder"
+
+    def defines(name):
+        bases, own = classes[name]
+        return bool(own & (ARRAY_BUILDERS | {"apply"})) or any(
+            defines(b) for b in bases if b in classes and b not in ACTION_BASES
+        )
+
+    concrete = classes.keys() - ACTION_BASES
+    assert concrete == CONCRETE_PRESHEAVES
+    assert {name for name in concrete if not defines(name)} == set()

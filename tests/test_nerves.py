@@ -9,6 +9,7 @@ from conftest import (
     NerveB2EMTables,
     cohomologous,
     cone_to_table,
+    formula_array,
     group_to_json,
     homotopy_pairs_oracle,
     one_class_too_many,
@@ -40,7 +41,6 @@ from thetacat.nerves import (
     nerve_from_spec,
 )
 from thetacat.presheaves import (
-    Presheaf,
     PresheafNatFamily,
     check_functoriality,
     nat_presheaves,
@@ -296,8 +296,7 @@ CORE_CLASSES = [
 def test_core_keyed_arrays_match_element_by_element(monkeypatch, make):
     # each class's array is either built for that class by the builder the
     # nerve calls (recorded), or shared from a class with the same core;
-    # both are compared with the element-by-element build here
-    element_by_element = Presheaf._build_action
+    # both are compared with the element-by-element build of the formula
     built = {}
     x = make()
     builder = type(x)._build_core_action
@@ -310,8 +309,7 @@ def test_core_keyed_arrays_match_element_by_element(monkeypatch, make):
     by_core = {}
     for f in CORE_CLASSES:
         arr = x.action(f)
-        want = element_by_element(x, f)
-        assert arr == want, f
+        assert arr == formula_array(x, f), f
         core = tuple(f.component(k) for k in range(1, x.core_dim + 1))
         assert by_core.setdefault(core, arr) is arr, f
     assert len(built) == len(by_core) < len(CORE_CLASSES)

@@ -11,13 +11,14 @@ from conftest import (
     constants_to_all_ones,
     face_union_oracle,
     family_is_natural,
+    formula_array,
     nat_cells_oracle,
     nat_presheaves_oracle,
     shapes_with,
     swap_in_first_row,
 )
 from thetacat.csp import Network
-from thetacat.errors import BudgetExceededError
+from thetacat.errors import DEFAULT_BUDGET, BudgetExceededError
 from thetacat.groups import builtin_group, cyclic, klein_four, symmetric_3
 from thetacat.nerves import (
     H2_WINDOW,
@@ -27,12 +28,10 @@ from thetacat.nerves import (
 )
 from thetacat.presheaves import (
     ExtendedPresheaf,
-    Presheaf,
     ProductPresheaf,
     Representable,
     TablePresheaf,
     TruncatedPresheaf,
-    DEFAULT_BUDGET,
     check_functoriality,
     generator_classes,
     nat_face_union,
@@ -209,11 +208,35 @@ def test_product_sizes():
 
 
 def test_product_arrays_pair_the_factor_arrays():
-    # the h2 cylinder B1(Z3) x y(t[1]) against the element-by-element build
-    cyl = ProductPresheaf(NerveB1(cyclic(3)), Representable(shape(1)))
+    # the h2 cylinder B1(Z3) x y(t[1]) against the pairs of the factors' images
+    left, right = NerveB1(cyclic(3)), Representable(shape(1))
+    cyl = ProductPresheaf(left, right)
     shapes = H2_WINDOW.shapes()
     for f in (f for b1 in shapes for b2 in shapes for f in enumerate_hom(b1, b2)):
-        assert cyl.action(f) == Presheaf._build_action(cyl, f), f
+        want = tuple(
+            cyl.index_of(f.src, (left.apply(f, x), right.apply(f, y)))
+            for x, y in cyl.elements(f.dst)
+        )
+        assert cyl.action(f) == want, f
+
+
+@pytest.mark.parametrize(
+    "nerve", [NerveB1(symmetric_3()), NerveB2Strict(cyclic(2))], ids=["B1(S3)", "B2strict(Z2)"]
+)
+@pytest.mark.parametrize("n", [1, 2])
+def test_wrappers_share_the_inner_arrays(nerve, n):
+    # a truncation returns its inner nerve's array objects; an extension's
+    # array is the nerve's formula along the projected class
+    truncated = TruncatedPresheaf(nerve, n)
+    extended = ExtendedPresheaf(truncated, n)
+    shapes = WindowSpec(3, 2).shapes()
+    for f in (f for b1 in shapes for b2 in shapes for f in enumerate_hom(b1, b2)):
+        if max(f.src.dim, f.dst.dim) <= n:
+            assert truncated.action(f) is nerve.action(f), f
+        else:
+            with pytest.raises(ValueError):
+                truncated.action(f)
+        assert extended.action(f) == formula_array(nerve, project_class(f, n)), f
 
 
 def test_truncate_extend_roundtrip():
