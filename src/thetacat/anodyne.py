@@ -50,7 +50,7 @@ from __future__ import annotations
 
 from typing import NamedTuple
 
-from .errors import BudgetExceededError
+from .errors import DEFAULT_BUDGET, BudgetExceededError
 from .subshapes import (
     SubOfRepresentable,
     full_sub,
@@ -261,7 +261,9 @@ PROBE_ENDS = {
 }
 
 
-def spine_probe(end: SubOfRepresentable, target: str, budget: int = 10**6) -> ProbeResult:
+def spine_probe(
+    end: SubOfRepresentable, target: str, budget: int = DEFAULT_BUDGET
+) -> ProbeResult:
     """Search for a certificate from the spine of `end.base` to `end`.
 
     `target` names the end in the certificate (`PROBE_ENDS` builds the

@@ -242,7 +242,7 @@ def cmd_h2(args) -> tuple[dict, int]:
         raise SystemExit(_usage_error(f"coefficient group {a.name} is not abelian"))
     hreport = homotopy_classes(g, a, budget=args.budget)
     data, maps = hreport.h2, hreport.maps
-    round_trip = all(cocycle_to_map(map_to_cocycle(m)) == m for m in maps)
+    round_trip = all(cocycle_to_map(map_to_cocycle(g, a, m)) == m for m in maps)
     report = {
         "command": "h2",
         "group": g.name,

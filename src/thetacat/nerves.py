@@ -24,29 +24,32 @@ the same core, the tuple of those components, have the same source
 level, target level and action, hence equal arrays: `action` builds one
 array per core, and classes with equal cores share the array object.
 
-`homotopy_classes` compares the maps B1(G) -> B2em(A) up to cylinder
-homotopy with the H^2 count.  A homotopy is a solution of the cylinder
-network of `nat_network`, and the relation needs only its two ends: each
-is read at the roots of the elements (x, vertex), added as a pair of map
-indices, and the solution is dropped.  No cylinder family is built; the
-counterexample bundle, kept for a disagreement, solves the network again.
+A map of nerves is a family as `nat_presheaves` gives it: the tuple of
+its components on `H2_WINDOW`, one index array per window shape.
+`cocycle_to_map` and `map_to_cocycle` pass between such tuples and group
+2-cocycles.  `homotopy_classes` compares the maps B1(G) -> B2em(A) up to
+cylinder homotopy with the H^2 count.  A homotopy is a solution of the
+cylinder network of `nat_network`, and the relation needs only its two
+ends: `read_family` reads each at the roots of the elements
+(x, vertex), which gives two maps, hence a pair of map indices, and the
+solution is dropped.  No cylinder family is built; the counterexample
+bundle, kept for a disagreement, solves the network again.
 """
 
 from __future__ import annotations
 
 import itertools
-from operator import getitem
 from typing import NamedTuple
 
 from .errors import DEFAULT_BUDGET, BudgetExceededError
 from .groups import Cocycle2, FiniteGroup, H2Data, builtin_group, cocycle_tools
 from .presheaves import (
     Presheaf,
-    PresheafNatFamily,
     ProductPresheaf,
     Representable,
     nat_network,
     nat_presheaves,
+    read_family,
     union_heads,
 )
 from .subshapes import WindowSpec
@@ -226,32 +229,31 @@ def nerve_from_spec(spec: str) -> Presheaf:
 # maps vs cocycles
 
 
-def map_to_cocycle(phi: PresheafNatFamily) -> Cocycle2:
-    """Read off the group 2-cocycle from a map of nerves.
+def map_to_cocycle(g_: FiniteGroup, a_: FiniteGroup, phi: tuple) -> Cocycle2:
+    """Read off the group 2-cocycle from a map of nerves B1(G) -> B2em(A),
+    given as the tuple of its components on `H2_WINDOW`.
 
     The value on a pair (g, h) is the component at t[2] applied to the
     string (g, h), evaluated on the ordered triple (0, 1, 2).
     """
-    src: NerveB1 = phi.source
-    tgt: NerveB2EM = phi.target
-    g_, a_ = src.group, tgt.group
+    src, tgt = NerveB1(g_), NerveB2EM(a_)
     b = shape(2)
-    n = g_.order
-    table = []
-    for g in range(n):
-        for h in range(n):
-            z = phi.value(b, (g, h))
-            table.append(z[0])  # the cone value on (0, 1, 2)
-    c = Cocycle2(g_, a_, tuple(table))
+    comp = phi[H2_WINDOW.shapes().index(b)]
+    table = tuple(
+        tgt.elements(b)[comp[src.index_of(b, x)]][0]  # the cone value on (0, 1, 2)
+        for x in itertools.product(range(g_.order), repeat=2)
+    )
+    c = Cocycle2(g_, a_, table)
     c.validate()
     return c
 
 
-def cocycle_to_map(c: Cocycle2) -> PresheafNatFamily:
-    """The map of nerves on `H2_WINDOW` classified by a group 2-cocycle."""
+def cocycle_to_map(c: Cocycle2) -> tuple:
+    """The map of nerves on `H2_WINDOW` classified by a group 2-cocycle,
+    as the tuple of its components, one per window shape in order."""
     g_, a_ = c.group, c.coeffs
     src, tgt = NerveB1(g_), NerveB2EM(a_)
-    comps = {}
+    comps = []
     for b in H2_WINDOW.shapes():
         values = []
         for x in src.elements(b):
@@ -259,8 +261,8 @@ def cocycle_to_map(c: Cocycle2) -> PresheafNatFamily:
                 c.value(g_.prod(x[:j]), g_.prod(x[j:k])) for j, k in _cone(b.entry(1))
             )
             values.append(tgt.index_of(b, cone))
-        comps[b] = tuple(values)
-    return PresheafNatFamily(src, tgt, H2_WINDOW, comps)
+        comps.append(tuple(values))
+    return tuple(comps)
 
 
 class HomotopyReport(NamedTuple):
@@ -271,7 +273,7 @@ class HomotopyReport(NamedTuple):
     relation_was_transitive: bool
     pairs: tuple[tuple[int, int], ...]
     counterexample: dict | None
-    maps: tuple[PresheafNatFamily, ...]
+    maps: tuple[tuple, ...]
     h2: H2Data
 
 
@@ -284,11 +286,6 @@ def vertex_inclusion_values(roots: dict, indices: dict) -> list:
         ([roots[b][i][0] for i in idx], [roots[b][i][1] for i in idx])
         for b, idx in indices.items()
     ]
-
-
-def _restrict(reader: list, sol: tuple) -> tuple:
-    """The key of the family a cylinder solution restricts to."""
-    return tuple(tuple(map(getitem, gs, map(sol.__getitem__, rs))) for rs, gs in reader)
 
 
 def is_transitive(pairs) -> bool:
@@ -328,21 +325,21 @@ def homotopy_classes(
     a bare failure.
 
     The cylinder network is solved once, lazily: each solution is read
-    at the roots of its two ends, whose keys give the pair of map
-    indices, and is then dropped.  Only the bundle lists the homotopies,
-    in the order of the cylinder families' keys, and it gets them by
+    at the roots of its two ends, which gives two maps, hence a pair of
+    map indices, and is then dropped.  Only the bundle lists the
+    homotopies, in the order of the cylinder families, and it gets them by
     solving the same network again, so a budget the first solve passed
     cannot trip.  Sorting the solutions gives that order: roots are
     numbered in (shape, index) order and each degenerate element's root
     comes before it, so the first element where two families differ is
     a root (a degenerate one's root would differ before it), whose value
-    is the solution's value there, and the families' keys compare as
-    their root tuples do.
+    is the solution's value there, and the families compare as their
+    root tuples do.
     """
     h2 = cocycle_tools(g_, a_, budget)
     src, tgt = NerveB1(g_), NerveB2EM(a_)
     maps = nat_presheaves(src, tgt, H2_WINDOW, budget)
-    key_of = {m.key(): i for i, m in enumerate(maps)}
+    map_index = {m: i for i, m in enumerate(maps)}
     cyl = ProductPresheaf(src, Representable(shape(1)))
     net, roots = nat_network(cyl, tgt, H2_WINDOW)
     readers = [
@@ -351,7 +348,7 @@ def homotopy_classes(
     ]
 
     def ends(sol: tuple) -> list[int]:
-        return [key_of[_restrict(reader, sol)] for reader in readers]
+        return [map_index[read_family(reader, sol)] for reader in readers]
 
     pairs = {tuple(ends(sol)) for sol in net.solve_all(budget)}
     reflexive = all((i, i) in pairs for i in range(len(maps)))
@@ -363,7 +360,17 @@ def homotopy_classes(
     counterexample = None
     if not agree:
         counterexample = {
-            "maps": [m.to_json() for m in maps],
+            "maps": [
+                {
+                    "source": src.name,
+                    "target": tgt.name,
+                    "components": [
+                        {"shape": list(b.entries), "map": list(comp)}
+                        for b, comp in zip(H2_WINDOW.shapes(), m)
+                    ],
+                }
+                for m in maps
+            ],
             "homotopy_pairs": sorted(pairs),
             "homotopy_transcript": [ends(sol) for sol in sorted(net.solve_all(budget))],
             "num_classes": classes,

@@ -18,7 +18,8 @@ Natural families are enumerated two ways, both exact:
   generating family of classes (faces and componentwise epis, which
   every class of the window factors through) carried over to them;
   each degenerate element's value is the action of its epi on its
-  root's value.
+  root's value; a family is the tuple of its components, one index
+  array per window shape.
 
 Horn checks repeat networks, and each distinct one is solved once per
 presheaf.  A face-union network is its roots' level sizes and one
@@ -186,34 +187,25 @@ class TablePresheaf(Presheaf):
         with entries indexing its source level: the checks act along
         composite classes too, not only along the generators.
         """
-        shapes = window.shapes()
-        for b in shapes:
+        for b in window.shapes():
             if b not in self.levels:
                 raise ValueError(f"no level at {b}")
             if len(set(self.levels[b])) != len(self.levels[b]):
                 raise ValueError(f"the level at {b} repeats an element")
-        for b1 in shapes:
-            for b2 in shapes:
-                size = len(self.levels[b1])
-                for f in enumerate_hom(b1, b2):
-                    row = self.actions_table.get(f)
-                    if row is None or len(row) != len(self.levels[b2]) or not all(
-                        isinstance(i, int) and 0 <= i < size for i in row
-                    ):
-                        comps = [list(c.values) for c in f.components]
-                        raise ValueError(
-                            f"no valid action row for {b1} -> {b2} {comps}"
-                        )
+        for f in window.classes():
+            size = len(self.levels[f.src])
+            row = self.actions_table.get(f)
+            if row is None or len(row) != len(self.levels[f.dst]) or not all(
+                isinstance(i, int) and 0 <= i < size for i in row
+            ):
+                comps = [list(c.values) for c in f.components]
+                raise ValueError(f"no valid action row for {f.src} -> {f.dst} {comps}")
 
     @classmethod
     def from_presheaf(cls, x: Presheaf, window: WindowSpec):
         """Materialize every level and every action over a window."""
         levels = {b: x.elements(b) for b in window.shapes()}
-        actions = {}
-        for b1 in window.shapes():
-            for b2 in window.shapes():
-                for f in enumerate_hom(b1, b2):
-                    actions[f] = x.action(f)
+        actions = {f: x.action(f) for f in window.classes()}
         return cls(levels, actions, f"table({x.name})")
 
 
@@ -342,22 +334,16 @@ def check_functoriality(
     for g in generator_classes(window):
         out_of[g.src].append(g)
     pairs = 0
-    for b1 in shapes:
-        for b2 in shapes:
-            for f in enumerate_hom(b1, b2):
-                farr = x.action(f)
-                for g in out_of[b2]:
-                    pairs += 1
-                    if pairs > budget:
-                        raise BudgetExceededError(
-                            "functoriality budget exceeded", pairs
-                        )
-                    lhs = x.action(compose_classes(g, f))
-                    rhs = tuple(farr[v] for v in x.action(g))
-                    if lhs != rhs:
-                        return FunctorialityReport(
-                            False, len(shapes), pairs, (f, g, lhs, rhs)
-                        )
+    for f in window.classes():
+        farr = x.action(f)
+        for g in out_of[f.dst]:
+            pairs += 1
+            if pairs > budget:
+                raise BudgetExceededError("functoriality budget exceeded", pairs)
+            lhs = x.action(compose_classes(g, f))
+            rhs = tuple(farr[v] for v in x.action(g))
+            if lhs != rhs:
+                return FunctorialityReport(False, len(shapes), pairs, (f, g, lhs, rhs))
     return FunctorialityReport(True, len(shapes), pairs, None)
 
 
@@ -490,40 +476,6 @@ def _equal_key_supports(keys1, keys2) -> tuple[list[int], list[int]]:
 # natural families between presheaves
 
 
-class PresheafNatFamily:
-    """A natural transformation stored as per-shape index arrays."""
-
-    __slots__ = ("source", "target", "window", "components")
-
-    def __init__(self, source, target, window, components):
-        self.source = source
-        self.target = target
-        self.window = window
-        self.components = components  # Shape -> tuple of target indices
-
-    def key(self):
-        return tuple(self.components[b] for b in self.window.shapes())
-
-    def value(self, b: Shape, x):
-        return self.target.elements(b)[self.components[b][self.source.index_of(b, x)]]
-
-    def __eq__(self, other):
-        return isinstance(other, PresheafNatFamily) and self.key() == other.key()
-
-    def __hash__(self):
-        return hash(self.key())
-
-    def to_json(self):
-        return {
-            "source": self.source.name,
-            "target": self.target.name,
-            "components": [
-                {"shape": list(b.entries), "map": list(self.components[b])}
-                for b in self.window.shapes()
-            ],
-        }
-
-
 def generator_classes(window: WindowSpec) -> list[MorphismClass]:
     """Faces and componentwise epis between window shapes.
 
@@ -623,19 +575,22 @@ def nat_presheaves(
     target: Presheaf,
     window: WindowSpec,
     budget: int = DEFAULT_BUDGET,
-) -> list[PresheafNatFamily]:
+) -> list[tuple]:
     """All natural transformations source -> target over the window, in
-    key order: the solutions of `nat_network`, each expanded to every
-    element."""
+    ascending order: the solutions of `nat_network`, each read by
+    `read_family` at every element.  A family is the tuple of its
+    components, one per shape of `window.shapes()`, in that order; the
+    component at b holds, for each element of the source level at b,
+    the index of its value in the target level."""
     net, roots = nat_network(source, target, window)
     columns = [
-        (b, [r for r, _ in roots[b]], [g for _, g in roots[b]]) for b in window.shapes()
+        ([r for r, _ in roots[b]], [g for _, g in roots[b]]) for b in window.shapes()
     ]
-    out = []
-    for sol in net.solve_all(budget):
-        comps = {
-            b: tuple(map(getitem, gs, map(sol.__getitem__, rs))) for b, rs, gs in columns
-        }
-        out.append(PresheafNatFamily(source, target, window, comps))
-    out.sort(key=lambda fam: fam.key())
-    return out
+    return sorted(read_family(columns, sol) for sol in net.solve_all(budget))
+
+
+def read_family(columns: list, sol: tuple) -> tuple:
+    """The family of a `nat_network` solution, read at the columns: per
+    component, the root variables and the arrays g of its elements, so
+    that the value of an element is g[sol[root]]."""
+    return tuple(tuple(map(getitem, gs, map(sol.__getitem__, rs))) for rs, gs in columns)

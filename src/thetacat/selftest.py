@@ -179,7 +179,7 @@ def _nerve_invariants(rng) -> dict:
     )
     ok_prop = len(maps) == len(data.z2)
     ok_round = all(
-        nerves.cocycle_to_map(nerves.map_to_cocycle(m)) == m for m in maps
+        nerves.cocycle_to_map(nerves.map_to_cocycle(z2, z2, m)) == m for m in maps
     )
     return {
         "cocycle_counts_z2": ok_counts,

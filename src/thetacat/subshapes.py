@@ -20,7 +20,7 @@ from __future__ import annotations
 
 import itertools
 from functools import lru_cache
-from typing import Iterable, NamedTuple
+from typing import Iterable, Iterator, NamedTuple
 
 from .delta import MonotoneMap, constant_map
 from .theta import (
@@ -44,6 +44,12 @@ class WindowSpec(NamedTuple):
 
     def shapes(self) -> tuple[Shape, ...]:
         return _window_shapes(self.max_dim, self.max_entry)
+
+    def classes(self) -> Iterator[MorphismClass]:
+        """Every class between window shapes, by source shape, then target
+        shape, each hom in `enumerate_hom` order."""
+        shapes = self.shapes()
+        return (f for b1 in shapes for b2 in shapes for f in enumerate_hom(b1, b2))
 
     def to_json(self) -> dict:
         return {"max_dim": self.max_dim, "max_entry": self.max_entry}

@@ -24,7 +24,6 @@ from thetacat.nerves import (
 )
 from thetacat.presheaves import (
     Presheaf,
-    PresheafNatFamily,
     ProductPresheaf,
     Representable,
     TablePresheaf,
@@ -508,10 +507,11 @@ def eager_probe_candidates(a: Shape) -> list[tuple[MorphismClass, FaceDescriptor
 # oracle: natural families between presheaves with a variable per element
 #
 # The body of `presheaves.nat_presheaves` before it solved on the
-# nondegenerate source elements only, kept verbatim apart from its name
-# and its constraints' masks, built by `fn_supports`: every element of
-# every level gets its own variable, and every generator gives one
-# functional constraint per element of its target level.
+# nondegenerate source elements only, kept verbatim apart from its name,
+# its constraints' masks, built by `fn_supports`, and its families, the
+# sorted tuples of their components: every element of every level gets
+# its own variable, and every generator gives one functional constraint
+# per element of its target level.
 
 
 def nat_presheaves_oracle(
@@ -519,7 +519,7 @@ def nat_presheaves_oracle(
     target: Presheaf,
     window: WindowSpec,
     budget: int = DEFAULT_BUDGET,
-) -> list[PresheafNatFamily]:
+) -> list[tuple]:
     """All natural transformations source -> target over the window."""
     shapes = window.shapes()
     net = Network()
@@ -538,11 +538,13 @@ def nat_presheaves_oracle(
             )
     out = []
     for sol in net.solve_all(budget):
-        comps = {}
-        for b in shapes:
-            comps[b] = tuple(sol[var_of[(b, i)]] for i in range(source.size(b)))
-        out.append(PresheafNatFamily(source, target, window, comps))
-    out.sort(key=lambda fam: fam.key())
+        out.append(
+            tuple(
+                tuple(sol[var_of[(b, i)]] for i in range(source.size(b)))
+                for b in shapes
+            )
+        )
+    out.sort()
     return out
 
 
@@ -689,7 +691,7 @@ def formula_array(x: CoreNerve, f: MorphismClass) -> tuple[int, ...]:
 # solution at its endpoint roots, kept verbatim apart from returning the
 # pairs and the transcript: every cylinder family is built by
 # `nat_presheaves`, restricted along each vertex inclusion to a family,
-# and looked up among the maps by that family's key.
+# and looked up among the maps.
 
 
 def homotopy_pairs_oracle(
@@ -702,7 +704,7 @@ def homotopy_pairs_oracle(
     transcript: [end 0, end 1] of each cylinder family, in key order."""
     src, tgt = NerveB1(g_), NerveB2EM(a_)
     maps = nat_presheaves(src, tgt, window, budget)
-    key_of = {m.key(): i for i, m in enumerate(maps)}
+    map_index = {m: i for i, m in enumerate(maps)}
     cyl = ProductPresheaf(src, Representable(shape(1)))
     homotopies = nat_presheaves(cyl, tgt, window, budget)
     indices = [vertex_indices(cyl, src, window, vertex) for vertex in (0, 1)]
@@ -711,12 +713,11 @@ def homotopy_pairs_oracle(
     for h in homotopies:
         ends = []
         for vertex in (0, 1):
-            comps = {
-                b: tuple(map(h.components[b].__getitem__, idx))
-                for b, idx in indices[vertex].items()
-            }
-            fam = PresheafNatFamily(src, tgt, window, comps)
-            ends.append(key_of[fam.key()])
+            fam = tuple(
+                tuple(map(comp.__getitem__, idx))
+                for comp, idx in zip(h, indices[vertex].values())
+            )
+            ends.append(map_index[fam])
         pairs.add((ends[0], ends[1]))
         transcripts.append(ends)
     return pairs, transcripts

@@ -260,9 +260,9 @@ def test_c08_maps_are_cocycles():
         assert len(z2) == count
         assert len(maps) == len(z2)
         for m in maps:
-            assert cocycle_to_map(map_to_cocycle(m)) == m
+            assert cocycle_to_map(map_to_cocycle(g_, a_, m)) == m
         for c in z2:
-            assert map_to_cocycle(cocycle_to_map(c)) == c
+            assert map_to_cocycle(g_, a_, cocycle_to_map(c)) == c
     report(f"C8 maps <-> 2-cocycles (2, 9, 3 with exact round trips): PASS {time.time()-t0:.1f}s")
 
 

@@ -829,3 +829,23 @@ def test_bench_tracer_runs_a_check(tmp_path):
     assert proc.returncode == 0, proc.stderr.decode()
     totals = json.loads(trace.read_text())["totals"]
     assert "presheaves.action" in totals and "csp.solve_all" in totals
+
+
+def test_bench_tracer_runs_an_h2(tmp_path):
+    # the h2 layers end to end: the maps are enumerated once, each cylinder
+    # end gets one reader, and the cocycles are counted once
+    root = Path(__file__).resolve().parents[1]
+    trace = tmp_path / "trace.json"
+    argv = ["h2", "--group", "Z2", "--coeff", "Z2"]
+    proc = subprocess.run(
+        [sys.executable, str(root / "bench" / "tracer.py"), str(trace), *argv],
+        capture_output=True,
+        env={**os.environ, "PYTHONPATH": str(root / "src")},
+        timeout=120,
+    )
+    assert proc.returncode == 0, proc.stderr.decode()
+    totals = json.loads(trace.read_text())["totals"]
+    calls = {name: totals[name][0] for name in totals}
+    assert calls["presheaves.nat_presheaves"] == 1
+    assert calls["nerves.vertex_inclusion_values"] == 2
+    assert calls["groups.cocycle_tools"] == 1

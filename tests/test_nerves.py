@@ -12,6 +12,7 @@ from conftest import (
     formula_array,
     group_to_json,
     homotopy_pairs_oracle,
+    nat_presheaves_oracle,
     one_class_too_many,
     transitive_oracle,
 )
@@ -41,7 +42,6 @@ from thetacat.nerves import (
     nerve_from_spec,
 )
 from thetacat.presheaves import (
-    PresheafNatFamily,
     check_functoriality,
     nat_presheaves,
     union_heads,
@@ -426,20 +426,22 @@ def test_maps_equal_cocycles(gname, aname, count):
     assert len(maps) == len(z2) == count
     # the two round trips are exact
     for m in maps:
-        assert cocycle_to_map(map_to_cocycle(m)) == m
+        assert cocycle_to_map(map_to_cocycle(g_, a_, m)) == m
     for c in z2:
         built = cocycle_to_map(c)
-        assert map_to_cocycle(built) == c
+        assert map_to_cocycle(g_, a_, built) == c
 
 
 def test_trivial_cocycle_gives_constant_map():
     z2 = cyclic(2)
     trivial = Cocycle2(z2, z2, (0,) * 4)
     m = cocycle_to_map(trivial)
-    em = m.target
-    for b in H2_WINDOW.shapes():
+    em = NerveB2EM(z2)
+    assert len(m) == len(H2_WINDOW.shapes())
+    for b, comp in zip(H2_WINDOW.shapes(), m):
         zero_idx = em.index_of(b, tuple([z2.identity] * len(em.elements(b)[0])))
-        assert all(v == zero_idx for v in m.components[b])
+        assert len(comp) == NerveB1(z2).size(b)
+        assert all(v == zero_idx for v in comp)
 
 
 def test_cocycle_maps_are_natural_beyond_window(monkeypatch):
@@ -447,25 +449,31 @@ def test_cocycle_maps_are_natural_beyond_window(monkeypatch):
     # with the map built on WindowSpec(3, 3) in place of H2_WINDOW
     rng = random.Random(11)
     z3 = cyclic(3)
+    src, tgt = NerveB1(z3), NerveB2EM(z3)
+    pos = {b: k for k, b in enumerate(WindowSpec(3, 3).shapes())}
     for c in normalized_2cocycles(z3, z3):
         with monkeypatch.context() as m:
             m.setattr(nerves, "H2_WINDOW", WindowSpec(3, 3))
-            big = cocycle_to_map(c)
-        src, tgt = big.source, big.target
+            comps = cocycle_to_map(c)
+        assert len(comps) == len(pos)
+
+        def value(b, x):
+            return tgt.elements(b)[comps[pos[b]][src.index_of(b, x)]]
+
         for _ in range(10):
             b_out = rng.choice([shape(1, 1, 1), shape(3, 2, 1), shape(2, 2)])
             b_in = rng.choice(H2_WINDOW.shapes())
             f = rng.choice(enumerate_hom(b_out, b_in))
             for x in src.elements(b_in):
-                lhs = big.value(b_out, src.apply(f, x))
-                rhs = tgt.apply(f, big.value(b_in, x))
+                lhs = value(b_out, src.apply(f, x))
+                rhs = tgt.apply(f, value(b_in, x))
                 assert lhs == rhs
 
 
 def test_map_to_cocycle_requires_em_target():
     z2 = cyclic(2)
     maps = nat_presheaves(NerveB1(z2), NerveB2EM(z2), H2_WINDOW)
-    c = map_to_cocycle(maps[0])
+    c = map_to_cocycle(z2, z2, maps[0])
     c.validate()
 
 
@@ -572,10 +580,20 @@ def test_homotopy_pairs_match_expansion_oracle(gname, aname):
 def test_counterexample_bundle_matches_expansion_oracle(gname, aname):
     g_, a_ = builtin_group(gname), builtin_group(aname)
     pairs, transcript = homotopy_pairs_oracle(g_, a_)
-    maps = nat_presheaves(NerveB1(g_), NerveB2EM(a_), H2_WINDOW)
+    maps = nat_presheaves_oracle(NerveB1(g_), NerveB2EM(a_), H2_WINDOW)
     h2 = cocycle_tools(g_, a_)
     want = {
-        "maps": [m.to_json() for m in maps],
+        "maps": [
+            {
+                "source": f"B1({gname})",
+                "target": f"B2em({aname})",
+                "components": [
+                    {"shape": list(b.entries), "map": list(comp)}
+                    for b, comp in zip(H2_WINDOW.shapes(), m, strict=True)
+                ],
+            }
+            for m in maps
+        ],
         "homotopy_pairs": sorted(pairs),
         "homotopy_transcript": transcript,
         "num_classes": len(set(union_heads(len(maps), pairs))),
@@ -588,18 +606,19 @@ def test_counterexample_bundle_matches_expansion_oracle(gname, aname):
 
 
 def test_homotopy_classes_builds_no_cylinder_family(monkeypatch):
-    # only the maps are families; the cylinder solutions are read at roots
-    built = []
-    init = PresheafNatFamily.__init__
+    # only the maps are enumerated as families; the cylinder solutions
+    # are read at roots, never expanded by nat_presheaves
+    calls = []
+    enumerate_families = nerves.nat_presheaves
 
-    def counting_init(fam, source, *args):
-        built.append(source.name)
-        init(fam, source, *args)
+    def spy(source, target, *args):
+        calls.append((source.name, target.name))
+        return enumerate_families(source, target, *args)
 
-    monkeypatch.setattr(PresheafNatFamily, "__init__", counting_init)
+    monkeypatch.setattr(nerves, "nat_presheaves", spy)
     rep = homotopy_classes(cyclic(3), cyclic(3))
     assert rep.agree and len(rep.maps) == 9
-    assert built == ["B1(Z3)"] * 9
+    assert calls == [("B1(Z3)", "B2em(Z3)")]
 
 
 def test_is_transitive_matches_pair_of_pairs_loop():

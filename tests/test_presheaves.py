@@ -270,11 +270,10 @@ def test_extension_full_and_faithful_small():
     low = nat_presheaves(x1, y1, WindowSpec(1, 2))
     high = nat_presheaves(ExtendedPresheaf(x1, 1), ExtendedPresheaf(y1, 1), WindowSpec(2, 2))
     assert len(low) == len(high)
-    low_keys = {tuple(f.components[b] for b in WindowSpec(1, 2).shapes()) for f in low}
-    high_keys = {
-        tuple(f.components[b] for b in WindowSpec(1, 2).shapes()) for f in high
-    }
-    assert low_keys == high_keys
+    # the components of a family at the shapes of dimension <= 1 come first
+    n = len(WindowSpec(1, 2).shapes())
+    assert WindowSpec(2, 2).shapes()[:n] == WindowSpec(1, 2).shapes()
+    assert set(low) == {f[:n] for f in high}
 
 
 def test_yoneda_small_window_all_methods():
@@ -310,9 +309,11 @@ def test_sub_as_presheaf_families_match_cell_oracle(name):
     for sub in _route_subobjects():
         cells, want = nat_cells_oracle(sub, x)
         source = SubAsPresheaf(sub)
+        window = window_for(sub.base)
+        pos = {b: k for k, b in enumerate(window.shapes())}
         got = {
-            tuple(fam.components[c.src][source.index_of(c.src, c)] for c in cells)
-            for fam in nat_presheaves(source, x, window_for(sub.base))
+            tuple(fam[pos[c.src]][source.index_of(c.src, c)] for c in cells)
+            for fam in nat_presheaves(source, x, window)
         }
         assert got == set(want), (name, sub.base, sorted(sub.cells, key=str))
         count += 1
@@ -553,7 +554,7 @@ def test_cell_families_are_natural():
 
 
 def _nat_outcome(monkeypatch, builder, source, target, window, budget=DEFAULT_BUDGET):
-    """(family keys, solver nodes), or (None, the node the budget trips at)."""
+    """(families, solver nodes), or (None, the node the budget trips at)."""
     nets = []
     solve_all = Network.solve_all
 
@@ -567,7 +568,7 @@ def _nat_outcome(monkeypatch, builder, source, target, window, budget=DEFAULT_BU
             fams = builder(source, target, window, budget)
         except BudgetExceededError as exc:
             return None, exc.count
-    return [fam.key() for fam in fams], nets[0]._nodes
+    return fams, nets[0]._nodes
 
 
 def _h2_networks(gname, aname):
@@ -620,8 +621,8 @@ def test_nat_presheaves_exact_between_tables_that_are_not_presheaves():
     for bad in (swap_in_first_row(table), constants_to_all_ones(table)):
         assert not check_functoriality(bad, w).ok
         for source, target in ((bad, table), (table, bad), (bad, bad)):
-            want = [fam.key() for fam in nat_presheaves_oracle(source, target, w)]
-            assert [fam.key() for fam in nat_presheaves(source, target, w)] == want
+            want = nat_presheaves_oracle(source, target, w)
+            assert nat_presheaves(source, target, w) == want
 
 
 @pytest.mark.parametrize("gname, aname", [("Z2", "Z2"), ("Z3", "Z2")])
