@@ -3,7 +3,7 @@
 A presheaf X is a cat when every inner horn in X can be filled: X -> 1
 has the right lifting property against the inner horn inclusions.
 `check` in mode `cat` decides this horn by horn, and the other modes
-ask for more horns or for unique fillers.
+ask for more horns or for unique fillers: each mode is a row of `MODES`.
 
 All checks are windowed: they quantify over the horns of the shapes in
 a finite window, and every report records that window, so a pass is
@@ -20,59 +20,46 @@ from .subshapes import WindowSpec
 from .theta import Shape, face_class, faces_of, face_descriptor
 
 
+# kind -> (inner horns only, requirement(a, n)): "surjective" or
+# "bijective" on the horns of shape a, or None when the mode skips a.
+# The kinds named n-... take an integer n >= 0.
+MODES = {
+    "cat": (True, lambda a, n: "surjective"),
+    "groupoid": (False, lambda a, n: "surjective"),
+    "strict-cat": (True, lambda a, n: "bijective"),
+    # unique filling of the two vertex horns of t[1] would allow at most one
+    # arrow out of each vertex, so uniqueness starts at entry sum two, the
+    # analogue of the dimension-two threshold in the classical
+    # unique-filling characterization of nerves
+    "strict-groupoid": (False, lambda a, n: "bijective" if sum(a.entries) >= 2 else "surjective"),
+    "n-strict": (True, lambda a, n: "bijective" if a.dim >= n else "surjective"),
+    "n-cat": (True, lambda a, n: "surjective" if a.dim <= n else None),
+}
+
+
 class Mode(NamedTuple):
-    """A horn-filling requirement: which horns, and how strict.
+    """A key of `MODES`, with its n for the kinds that take one."""
 
-    Strict groupoid mode demands unique fillers for every horn except
-    the two vertex horns of the interval t[1]: unique filling there
-    would force at most one arrow out of each vertex, so uniqueness is
-    only required from total entry sum two upward, the analogue of the
-    dimension-two threshold in the classical unique-filling
-    characterization of nerves.
-    """
-
-    kind: str  # cat | groupoid | strict-cat | strict-groupoid | n-strict | n-cat
+    kind: str
     n: int | None = None
 
     def __str__(self):
         return self.kind if self.n is None else f"{self.kind}:{self.n}"
 
-    @property
-    def inner_only(self) -> bool:
-        return self.kind in ("cat", "strict-cat", "n-strict", "n-cat")
-
-    def requirement(self, a: Shape) -> str:
-        if self.kind in ("cat", "groupoid", "n-cat"):
-            return "surjective"
-        if self.kind == "strict-groupoid":
-            return "bijective" if sum(a.entries) >= 2 else "surjective"
-        if self.kind == "strict-cat":
-            return "bijective"
-        if self.kind == "n-strict":
-            return "bijective" if a.dim >= self.n else "surjective"
-        raise ValueError(f"unknown mode {self.kind!r}")
-
-    def wants_shape(self, a: Shape) -> bool:
-        if self.kind == "n-cat":
-            return a.dim <= self.n
-        return True
-
 
 def parse_mode(text: str) -> Mode:
-    if ":" in text:
-        kind, n = text.split(":", 1)
-        if kind not in ("n-strict", "n-cat"):
-            raise ValueError(f"unknown mode {text!r}")
-        try:
-            n = int(n)
-        except ValueError:
-            raise ValueError(f"mode {text!r} needs an integer n") from None
-        if n < 0:
-            raise ValueError(f"mode {text!r} needs n >= 0")
-        return Mode(kind, n)
-    if text not in ("cat", "groupoid", "strict-cat", "strict-groupoid"):
+    kind, colon, n = text.partition(":")
+    if kind not in MODES or bool(colon) != kind.startswith("n-"):
         raise ValueError(f"unknown mode {text!r}")
-    return Mode(text)
+    if not colon:
+        return Mode(kind)
+    try:
+        n = int(n)
+    except ValueError:
+        raise ValueError(f"mode {text!r} needs an integer n") from None
+    if n < 0:
+        raise ValueError(f"mode {text!r} needs n >= 0")
+    return Mode(kind, n)
 
 
 class HornRecord(NamedTuple):
@@ -99,13 +86,6 @@ class HornRecord(NamedTuple):
         }
 
 
-def _root_values(x: Presheaf, roots):
-    """For each element of x(a), in index order, the root values of its
-    restriction to the union of the roots; each root's face array is read
-    once."""
-    return zip(*(x.action(face_class(fd)) for fd in roots))
-
-
 def horn_filling(
     x: Presheaf, a: Shape, k: int, m: int, budget: int = DEFAULT_BUDGET
 ) -> HornRecord:
@@ -114,7 +94,9 @@ def horn_filling(
     roots = tuple(fd for fd in faces_of(a) if fd != missing)
     families = nat_face_union(roots, x, budget)
     keys = dict.fromkeys(families, 0)
-    for idx, key in enumerate(_root_values(x, roots)):
+    # per element of x(a), in index order, the root values of its
+    # restriction; each root's face array is read once
+    for idx, key in enumerate(zip(*(x.action(face_class(fd)) for fd in roots))):
         if key not in keys:
             raise AssertionError(
                 f"restriction of element {idx} of {x.name}({a}) is not natural"
@@ -153,23 +135,20 @@ class CheckReport(NamedTuple):
 def check(
     x: Presheaf, mode: Mode | str, window: WindowSpec, budget: int = DEFAULT_BUDGET
 ) -> CheckReport:
-    """Run the mode's requirement over every horn of the window."""
+    """Run the mode's requirement over every horn of the window; the
+    witness is the first horn that fails it."""
     if isinstance(mode, str):
         mode = parse_mode(mode)
+    inner_only, requirement = MODES[mode.kind]
     records = []
-    verdict = True
-    witness = None
     for a in window.shapes():
-        if not mode.wants_shape(a):
+        req = requirement(a, mode.n)
+        if req is None:
             continue
         for fd in faces_of(a):
-            if mode.inner_only and not fd.inner:
+            if inner_only and not fd.inner:
                 continue
             rec = horn_filling(x, a, fd.k, fd.m, budget)
-            req = mode.requirement(a)
-            ok = rec.bijective if req == "bijective" else rec.surjective
-            records.append((rec, req, ok))
-            if not ok and witness is None:
-                witness = rec
-                verdict = False
-    return CheckReport(x.name, mode, window, tuple(records), verdict, witness)
+            records.append((rec, req, rec.bijective if req == "bijective" else rec.surjective))
+    witness = next((rec for rec, _, ok in records if not ok), None)
+    return CheckReport(x.name, mode, window, tuple(records), witness is None, witness)

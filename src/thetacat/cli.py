@@ -18,7 +18,7 @@ from itertools import islice
 from . import __version__
 from .anodyne import PROBE_ENDS, certify_union_inclusion, spine_probe, verify_certificate
 from .checkers import check, parse_mode
-from .errors import BudgetExceededError
+from .errors import DEFAULT_BUDGET, BudgetExceededError
 from .groups import FiniteGroup, builtin_group
 from .nerves import (
     cocycle_to_map,
@@ -320,7 +320,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--seed", type=int, default=0)
 
     for p in searches:  # last, so that --help lists it after the command's own
-        p.add_argument("--budget", type=int, default=10**6)
+        p.add_argument("--budget", type=int, default=DEFAULT_BUDGET)
     return parser
 
 

@@ -2,7 +2,7 @@
 
 from __future__ import annotations
 
-DEFAULT_BUDGET = 10**7  # the library's default bound on a search or an enumeration
+DEFAULT_BUDGET = 10**6  # the default bound on a search or an enumeration, also for `--budget`
 
 
 class IncomposableError(ValueError):

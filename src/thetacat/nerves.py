@@ -301,8 +301,6 @@ def vertex_indices(
     cyl: ProductPresheaf, src: Presheaf, window: WindowSpec, vertex: int
 ) -> dict:
     """Per window shape, the cylinder index of (x, vertex) for each x of src."""
-    if not isinstance(cyl.right, Representable):
-        raise TypeError("cylinder must be a product with a representable interval")
     interval = cyl.right.base
     out = {}
     for b in window.shapes():

@@ -6,9 +6,10 @@ import itertools
 import unittest.mock as mock
 from contextlib import contextmanager
 from functools import lru_cache
+from typing import NamedTuple
 
 from thetacat import nerves as nerves_mod
-from thetacat.checkers import HornRecord
+from thetacat.checkers import CheckReport, HornRecord, Mode, horn_filling
 from thetacat.csp import Network
 from thetacat.delta import MonotoneMap, constant_map, enumerate_monos
 from thetacat.errors import DEFAULT_BUDGET, BudgetExceededError
@@ -831,6 +832,66 @@ def horn_filling_oracle(
     return HornRecord(
         a, k, m, missing.inner, x.size(a), len(families), fibers, surjective, bijective
     )
+
+
+# ---------------------------------------------------------------------------
+# oracle: the rules of each check mode as three methods of the mode, the
+# form they had before `checkers.MODES` made each mode one row; the
+# methods are kept verbatim, and `check_oracle` is the loop of
+# `checkers.check` that read them, with its running verdict and witness.
+
+
+class ModeRules(NamedTuple):
+    kind: str
+    n: int | None = None
+
+    @property
+    def inner_only(self) -> bool:
+        return self.kind in ("cat", "strict-cat", "n-strict", "n-cat")
+
+    def requirement(self, a: Shape) -> str:
+        if self.kind in ("cat", "groupoid", "n-cat"):
+            return "surjective"
+        if self.kind == "strict-groupoid":
+            return "bijective" if sum(a.entries) >= 2 else "surjective"
+        if self.kind == "strict-cat":
+            return "bijective"
+        if self.kind == "n-strict":
+            return "bijective" if a.dim >= self.n else "surjective"
+        raise ValueError(f"unknown mode {self.kind!r}")
+
+    def wants_shape(self, a: Shape) -> bool:
+        if self.kind == "n-cat":
+            return a.dim <= self.n
+        return True
+
+
+def mode_rule_oracle(mode: Mode, a: Shape) -> tuple[bool, str | None]:
+    """A mode's inner-only flag and its requirement on shape a, None
+    when the mode skips a: the form of a row of `checkers.MODES`."""
+    rules = ModeRules(*mode)
+    return rules.inner_only, rules.requirement(a) if rules.wants_shape(a) else None
+
+
+def check_oracle(x: Presheaf, mode: Mode, window: WindowSpec) -> CheckReport:
+    rules = ModeRules(*mode)
+    records = []
+    verdict = True
+    witness = None
+    for a in window.shapes():
+        if not rules.wants_shape(a):
+            continue
+        for fd in faces_of(a):
+            if rules.inner_only and not fd.inner:
+                continue
+            rec = horn_filling(x, a, fd.k, fd.m)
+            req = rules.requirement(a)
+            ok = rec.bijective if req == "bijective" else rec.surjective
+            records.append((rec, req, ok))
+            if not ok and witness is None:
+                witness = rec
+                verdict = False
+    return CheckReport(x.name, mode, window, tuple(records), verdict, witness)
 
 
 # ---------------------------------------------------------------------------

@@ -1,14 +1,17 @@
 import pytest
 from conftest import (
     SubAsPresheaf,
+    check_oracle,
     face_union_oracle,
     horn_filling_oracle,
+    mode_rule_oracle,
     shapes_with,
 )
 from test_presheaves import MEMO_PRESHEAVES, MEMO_SHAPES
 
 from thetacat import checkers
 from thetacat.checkers import (
+    MODES,
     Mode,
     check,
     horn_filling,
@@ -30,6 +33,41 @@ def test_parse_mode():
         parse_mode("weak-cat")
     with pytest.raises(ValueError):
         parse_mode("n-cat:-3")
+
+
+PLAIN_KINDS = ("cat", "groupoid", "strict-cat", "strict-groupoid")
+N_KINDS = ("n-strict", "n-cat")
+
+
+def every_mode(ns) -> list[Mode]:
+    return [Mode(k) for k in PLAIN_KINDS] + [Mode(k, n) for k in N_KINDS for n in ns]
+
+
+def test_mode_table_matches_mode_rules_oracle():
+    # each row of MODES gives the inner-only flag and the requirement that
+    # the three methods of the oracle give, on every shape of the window
+    assert set(MODES) == set(PLAIN_KINDS + N_KINDS)
+    for mode in every_mode(range(5)):
+        inner_only, requirement = MODES[mode.kind]
+        for a in WindowSpec(4, 3).shapes():
+            got = (inner_only, requirement(a, mode.n))
+            assert got == mode_rule_oracle(mode, a), (str(mode), a)
+
+
+@pytest.mark.parametrize(
+    "x",
+    [
+        NerveB1(cyclic(2)),
+        NerveB1(builtin_group("S3")),
+        NerveB2Strict(cyclic(2)),
+        NerveB2EM(cyclic(2)),
+    ],
+    ids=lambda x: x.name,
+)
+def test_check_matches_mode_rules_loop(x):
+    w = WindowSpec(2, 2)
+    for mode in every_mode(range(3)):
+        assert check(x, str(mode), w) == check_oracle(x, mode, w), str(mode)
 
 
 def test_horn_filling_group_nerve_unique():

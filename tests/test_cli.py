@@ -182,13 +182,21 @@ def test_tables_not_covering_the_window_exit_1(tmp_path):
 def test_check_usage_errors(tmp_path, capsys):
     assert main(["check", "--mode", "cat"]) == 1
     assert main(["check", "--mode", "nonsense", "--nerve", "B1:Z2"]) == 1
-    assert main(["check", "--mode", "n-cat:-3", "--nerve", "B1:Z2"]) == 1
     assert main(["check", "--mode", "cat", "--nerve", "B9:Z2"]) == 1
-    # a mode's n that is no integer is named with its mode
-    for mode in ("n-strict:x", "n-cat:"):
+    # each bad mode is named in its message
+    for mode, reason in (
+        ("weak-cat", "unknown mode {!r}"),
+        ("cat:1", "unknown mode {!r}"),
+        ("n-cat", "unknown mode {!r}"),
+        (":", "unknown mode {!r}"),
+        ("n-strict:x", "mode {!r} needs an integer n"),
+        ("n-cat:", "mode {!r} needs an integer n"),
+        ("n-strict:1:2", "mode {!r} needs an integer n"),
+        ("n-cat:-3", "mode {!r} needs n >= 0"),
+    ):
         capsys.readouterr()
         assert main(["check", "--mode", mode, "--nerve", "B1:Z2"]) == 1
-        assert capsys.readouterr().err == f"thetacat: mode {mode!r} needs an integer n\n"
+        assert capsys.readouterr() == ("", f"thetacat: {reason.format(mode)}\n")
 
 
 def test_check_takes_exactly_one_source(tmp_path):
