@@ -44,13 +44,21 @@ L5. Let gamma be a union of faces of a that contains every outer face,
     faces of B that contains every outer face of B.  (With B the only
     missing face, it is the whole boundary of B, and B attaches as one
     inner horn instead.)
+
+The spine probe rests on one more lemma, tested on every state reachable
+from every spine of entry sum 2-4 toward both ends of `PROBE_ENDS`.
+L6. Every state that valid steps inside an end E reach from spine(a)
+    has a valid step inside E, unless it is E.  So the probe may take
+    the first valid step it finds and never backtrack.  By L4 each step
+    adds two cells of E, so it takes at most
+    (|E.cells| - |spine(a).cells|) / 2 steps.
 """
 
 from __future__ import annotations
 
 from typing import NamedTuple
 
-from .errors import DEFAULT_BUDGET, BudgetExceededError
+from .errors import DEFAULT_BUDGET
 from .subshapes import (
     SubOfRepresentable,
     full_sub,
@@ -268,11 +276,16 @@ def spine_probe(
 
     `target` names the end in the certificate (`PROBE_ENDS` builds the
     named ones).  Candidate steps prefer cells of smaller dimension and
-    entry sum, then lexicographically smaller attaching classes, so the
-    returned certificate is canonical.  A search that exhausts or runs
-    out of budget is an exhaustion report, never a refutation.  The
-    candidate cells are the shapes of `window_for(a)`, which hold the
-    source of every mono cell into a: by L2 no other cell attaches.
+    entry sum, then lexicographically smaller attaching classes, and each
+    state takes the first candidate that is a valid step inside `end`, so
+    the returned certificate is canonical.  By L6 of the module docstring
+    a state other than `end` always has such a step, so the search never
+    backtracks, and by L4 it ends.  A search that stops without a
+    certificate ran out of budget or reached a dead end, a state with no
+    valid step: a dead end would be a finding about L6, never a
+    refutation.  The candidate cells are the shapes of `window_for(a)`,
+    which hold the source of every mono cell into a: by L2 no other cell
+    attaches.
     """
     a = end.base
     start = spine(a)
@@ -288,56 +301,40 @@ def spine_probe(
         if (horns := inner_faces(c_shape))
     ]
 
-    def candidates():
-        """(attaching class, horn face) in search order.  Each state scans
-        afresh, so a hom set is built only when a scan reaches its shape,
-        and the budget bounds that work too."""
-        for c_shape, horns in cells:
-            for c in enumerate_hom(c_shape, a):
-                for fd in horns:
-                    yield c, fd
-
     nodes = 0
-    seen: set[SubOfRepresentable] = set()
-    best: list[Step] | None = None
-    max_depth = 0
-
-    def dfs(current, trail):
-        nonlocal nodes, best, max_depth
-        max_depth = max(max_depth, len(trail))
-        if current == end:
-            best = list(trail)
-            return True
-        if current in seen:
-            return False
-        seen.add(current)
-        for c, fd in candidates():
+    current, steps = start, []
+    while current != end:
+        # (attaching class, horn face) in search order.  Each state scans
+        # afresh, so a hom set is built only when a scan reaches its shape,
+        # and the budget bounds that work too.
+        scan = (
+            (c, fd)
+            for c_shape, horns in cells
+            for c in enumerate_hom(c_shape, a)
+            for fd in horns
+        )
+        step = None
+        for c, fd in scan:
             nodes += 1
             if nodes > budget:
-                raise BudgetExceededError("probe budget exceeded", nodes)
-            if _pushout_fault(current, c, fd) is not None:
-                continue
-            step = Step(fd.base, c, (fd.k, fd.m))
-            new = _apply_step(current, step)
-            if not new.is_subset(end):
-                continue
-            trail.append(step)
-            if dfs(new, trail):
-                return True
-            trail.pop()
-        return False
-
-    try:
-        found = dfs(start, [])
-    except BudgetExceededError:
-        found = False
-    if not found:
-        return ProbeResult(False, None, nodes, len(seen), max_depth)
+                break
+            if _pushout_fault(current, c, fd) is None:
+                candidate = Step(fd.base, c, (fd.k, fd.m))
+                new = _apply_step(current, candidate)
+                if new.is_subset(end):
+                    step = candidate
+                    break
+        if step is None:
+            # the budget tripped, or a dead end; either way this state
+            # was scanned
+            return ProbeResult(False, None, nodes, len(steps) + 1, len(steps))
+        steps.append(step)
+        current = new
     cert = AnodyneCertificate(
         start,
         end,
-        steps=tuple(best),
+        steps=tuple(steps),
         start_tag="spine",
         end_tag=target,
     )
-    return ProbeResult(True, cert, nodes, len(seen), max_depth)
+    return ProbeResult(True, cert, nodes, len(steps), len(steps))

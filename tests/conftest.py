@@ -9,6 +9,13 @@ from functools import lru_cache
 from typing import NamedTuple
 
 from thetacat import nerves as nerves_mod
+from thetacat.anodyne import (
+    AnodyneCertificate,
+    ProbeResult,
+    Step,
+    _apply_step,
+    _pushout_fault,
+)
 from thetacat.checkers import CheckReport, HornRecord, Mode, horn_filling
 from thetacat.csp import Network
 from thetacat.delta import MonotoneMap, constant_map, enumerate_monos
@@ -37,6 +44,7 @@ from thetacat.subshapes import (
     WindowSpec,
     _common_value_sets,
     horn,
+    spine,
     window_for,
 )
 from thetacat.theta import (
@@ -502,6 +510,97 @@ def eager_probe_candidates(a: Shape) -> list[tuple[MorphismClass, FaceDescriptor
         for c in enumerate_hom(c_shape, a):
             candidates.extend((c, fd) for fd in horns)
     return candidates
+
+
+# ---------------------------------------------------------------------------
+# oracle: the spine probe as a depth-first search
+#
+# `anodyne.spine_probe` before it became a loop, kept verbatim apart from
+# its name: a recursive search with a `seen` set that backtracks out of a
+# state with no valid step.  Under L6 it never backtracks, and the loop
+# must give the same report.
+
+
+def spine_probe_dfs(
+    end: SubOfRepresentable, target: str, budget: int = DEFAULT_BUDGET
+) -> ProbeResult:
+    """Search for a certificate from the spine of `end.base` to `end`.
+
+    `target` names the end in the certificate (`PROBE_ENDS` builds the
+    named ones).  Candidate steps prefer cells of smaller dimension and
+    entry sum, then lexicographically smaller attaching classes, so the
+    returned certificate is canonical.  A search that exhausts or runs
+    out of budget is an exhaustion report, never a refutation.  The
+    candidate cells are the shapes of `window_for(a)`, which hold the
+    source of every mono cell into a: by L2 no other cell attaches.
+    """
+    a = end.base
+    start = spine(a)
+
+    # window shapes with their inner faces, in search order: they pass the
+    # guards of `_step_fault`, so the search checks only the pushout
+    cells = [
+        (c_shape, horns)
+        for c_shape in sorted(
+            window_for(a).shapes(),
+            key=lambda c: (c.dim + sum(c.entries), c.dim, c.entries),
+        )
+        if (horns := inner_faces(c_shape))
+    ]
+
+    def candidates():
+        """(attaching class, horn face) in search order.  Each state scans
+        afresh, so a hom set is built only when a scan reaches its shape,
+        and the budget bounds that work too."""
+        for c_shape, horns in cells:
+            for c in enumerate_hom(c_shape, a):
+                for fd in horns:
+                    yield c, fd
+
+    nodes = 0
+    seen: set[SubOfRepresentable] = set()
+    best: list[Step] | None = None
+    max_depth = 0
+
+    def dfs(current, trail):
+        nonlocal nodes, best, max_depth
+        max_depth = max(max_depth, len(trail))
+        if current == end:
+            best = list(trail)
+            return True
+        if current in seen:
+            return False
+        seen.add(current)
+        for c, fd in candidates():
+            nodes += 1
+            if nodes > budget:
+                raise BudgetExceededError("probe budget exceeded", nodes)
+            if _pushout_fault(current, c, fd) is not None:
+                continue
+            step = Step(fd.base, c, (fd.k, fd.m))
+            new = _apply_step(current, step)
+            if not new.is_subset(end):
+                continue
+            trail.append(step)
+            if dfs(new, trail):
+                return True
+            trail.pop()
+        return False
+
+    try:
+        found = dfs(start, [])
+    except BudgetExceededError:
+        found = False
+    if not found:
+        return ProbeResult(False, None, nodes, len(seen), max_depth)
+    cert = AnodyneCertificate(
+        start,
+        end,
+        steps=tuple(best),
+        start_tag="spine",
+        end_tag=target,
+    )
+    return ProbeResult(True, cert, nodes, len(seen), max_depth)
 
 
 # ---------------------------------------------------------------------------

@@ -1,5 +1,6 @@
 import itertools
 import random
+import sys
 
 import pytest
 
@@ -8,6 +9,7 @@ from conftest import (
     full_level_step_check,
     is_mono_cell,
     levelwise_sub,
+    spine_probe_dfs,
 )
 from thetacat import anodyne
 from thetacat.anodyne import (
@@ -260,11 +262,47 @@ def test_lemma_l5_pullback_to_a_missing_face_is_a_union_of_faces():
             check_l5(*case)
 
 
+def valid_successors(current, end, candidates):
+    """The states that one valid step inside `end` leads to from `current`:
+    a candidate that `_pushout_fault` accepts, with its result in `end`."""
+    out = set()
+    for c, fd in candidates:
+        if _pushout_fault(current, c, fd) is None:
+            new = _apply_step(current, Step(fd.base, c, (fd.k, fd.m)))
+            if new.is_subset(end):
+                out.add(new)
+    return out
+
+
+def test_lemma_l6_no_dead_ends():
+    # exhaustive from every spine of entry sum 2-4 toward both ends: every
+    # reachable state other than the end has a valid step, so the probe
+    # never needs to backtrack
+    walked = 0
+    for n in range(2, 5):
+        for a in shapes_of_entry_sum(n):
+            candidates = eager_probe_candidates(a)
+            for target, build in PROBE_ENDS.items():
+                end, start = build(a), spine(a)
+                reached, frontier = {start}, [start]
+                while frontier:
+                    current = frontier.pop()
+                    if current == end:
+                        continue
+                    successors = valid_successors(current, end, candidates)
+                    assert successors, (a, target, len(current.cells))
+                    frontier.extend(successors - reached)
+                    reached |= successors
+                assert end in reached, (a, target)
+                walked += len(reached)
+    assert walked == 756
+
+
 def test_lemma_l4_each_step_adds_two_mono_cells():
     # every certify input and every probe up to entry sum 6: each step adds
     # exactly c and c . face_class((k, m)), so the step count is half the
     # number of mono cells added.  The probes are the spine census: each
-    # finds a certificate that verifies, and never backtracks
+    # finds a certificate that verifies, scanning one state per step
     certs = [
         certify_union_inclusion(a, [(fd.k, fd.m) for fd in gamma])
         for n in range(1, 7)
@@ -393,10 +431,57 @@ def test_probe_tetrahedron_no_three_step_certificate():
 
 
 def test_probe_budget_exhaustion_report():
+    # the sixth node trips the budget while the spine is scanned: one
+    # state scanned, no step taken
     r = spine_probe(PROBE_ENDS["full"](shape(3)), "full", budget=5)
-    assert not r.found
     assert r.certificate is None
-    assert r.nodes >= 5
+    assert (r.found, r.nodes, r.states, r.max_depth) == (False, 6, 1, 0)
+
+
+def test_probe_loop_matches_dfs_oracle():
+    # every probe of entry sum <= 5: the same report, certificate included,
+    # as the depth-first search it replaced
+    checked = 0
+    for n in range(1, 6):
+        for a in shapes_of_entry_sum(n):
+            for target, build in PROBE_ENDS.items():
+                end = build(a)
+                assert spine_probe(end, target) == spine_probe_dfs(end, target), (a, target)
+                checked += 1
+    assert checked == 62
+
+
+@pytest.mark.parametrize("text", ["t[2]", "t[3]", "t[2,1]"])
+@pytest.mark.parametrize("target", ["full", "outer"])
+def test_probe_loop_matches_dfs_oracle_at_every_budget(text, target):
+    # up to one past the nodes the probe needs (t[2]'s spine is already its
+    # outer end: no node at all)
+    end = PROBE_ENDS[target](parse_shape(text))
+    total = spine_probe(end, target).nodes
+    for budget in range(1, total + 2):
+        result = spine_probe(end, target, budget)
+        assert result == spine_probe_dfs(end, target, budget), budget
+        assert result.found == (budget >= total), budget
+
+
+def stack_depth() -> int:
+    depth, frame = 0, sys._getframe()
+    while frame is not None:
+        depth, frame = depth + 1, frame.f_back
+    return depth
+
+
+def test_probe_does_not_recurse_once_per_step():
+    # 72 steps under a recursion limit 40 frames above the caller's: a
+    # search with one frame per step raises RecursionError here
+    end = PROBE_ENDS["full"](shape(3, 3))
+    limit = sys.getrecursionlimit()
+    sys.setrecursionlimit(stack_depth() + 40)
+    try:
+        r = spine_probe(end, "full")
+    finally:
+        sys.setrecursionlimit(limit)
+    assert r.found and len(r.certificate.steps) == 72
 
 
 def test_probe_builds_a_hom_set_only_when_its_scan_reaches_it():

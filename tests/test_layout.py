@@ -1,6 +1,7 @@
 """Layout lint: every definition in the package is used by the package,
-every module of the package and the tests reads what it imports, and the
-package imports its own modules at module level.
+every module of the package and the tests reads what it imports, the
+package imports its own modules at module level, and every recursion in
+the package is listed with the bound on its depth.
 
 A module-level function or class, or a method other than a dunder, counts
 as used when its name appears in `src/` outside its own body and outside
@@ -154,6 +155,55 @@ def test_no_unused_imports():
     paths = [*SRC.glob("*.py"), *TESTS.glob("*.py")]
     found = {p.name: names for p in sorted(paths) if (names := unused_imports(p))}
     assert found == {}
+
+
+# the self-recursive functions of src/, each with the reason its depth is
+# bounded: a Python frame per level, so the depth must stay well under the
+# default recursion limit of 1 000
+RECURSIVE = {
+    "anodyne._union_steps": "each level descends to a face, so the depth is at most the entry sum",
+    "csp.Network._search": "each level branches on one more variable, so the depth is at most "
+    "the number of variables",
+    "presheaves._freeze": "each level is one level of JSON nesting, and `cli._read_json` turns "
+    "a `RecursionError` into exit 1",
+}
+
+
+def _callee(call: ast.Call) -> str | None:
+    """`f` for a call `f(...)` or `self.f(...)`, else None."""
+    func = call.func
+    if isinstance(func, ast.Name):
+        return func.id
+    if isinstance(func, ast.Attribute) and isinstance(func.value, ast.Name):
+        return func.attr if func.value.id == "self" else None
+    return None
+
+
+def recursive_functions() -> set[str]:
+    """The functions of `src/`, nested ones and methods included, whose body
+    calls the function itself: by its bare name, or as `self.<name>`."""
+    out = set()
+
+    def walk(prefix: str, body) -> None:
+        for node in body:
+            if isinstance(node, ast.ClassDef):
+                walk(f"{prefix}.{node.name}", node.body)
+            elif isinstance(node, ast.FunctionDef):
+                qualname = f"{prefix}.{node.name}"
+                calls = {_callee(n) for n in ast.walk(node) if isinstance(n, ast.Call)}
+                if node.name in calls:
+                    out.add(qualname)
+                walk(qualname, node.body)
+
+    for path in SRC.glob("*.py"):
+        walk(path.stem, ast.parse(path.read_text()).body)
+    return out
+
+
+def test_recursion_is_listed_with_its_bound():
+    found = recursive_functions()
+    assert found - RECURSIVE.keys() == set(), "bound its depth, or write it as a loop"
+    assert RECURSIVE.keys() - found == set(), "not recursive: drop from RECURSIVE"
 
 
 # the classes that hold the two defaults, each read off the other, and the
