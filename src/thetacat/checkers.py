@@ -12,6 +12,8 @@ evidence on the window and never a proof of the unbounded statement.
 
 from __future__ import annotations
 
+from collections import Counter
+from operator import rshift
 from typing import NamedTuple
 
 from .errors import DEFAULT_BUDGET
@@ -89,24 +91,45 @@ class HornRecord(NamedTuple):
 def horn_filling(
     x: Presheaf, a: Shape, k: int, m: int, budget: int = DEFAULT_BUDGET
 ) -> HornRecord:
-    """One horn: the family count, the restriction map, and its fibers."""
+    """One horn: the family count, the restriction map, and its fibers.
+
+    The key of an element of x(a), its roots' values, is a family
+    exactly when every face-pair table accepts it.  Each table is
+    checked against its two faces' arrays over all of x(a) once per x,
+    keyed by the identities of the three, which stay alive in x's memos
+    (face pairs that read the same objects share one check); a key that
+    fails is an error naming the first such element in index order.  A
+    family that no key hits is a fiber of size 0."""
     missing = face_descriptor(a, k, m)
     roots = tuple(fd for fd in faces_of(a) if fd != missing)
-    families = nat_face_union(roots, x, budget)
-    keys = dict.fromkeys(families, 0)
-    # per element of x(a), in index order, the root values of its
-    # restriction; each root's face array is read once
-    for idx, key in enumerate(zip(*(x.action(face_class(fd)) for fd in roots))):
-        if key not in keys:
-            raise AssertionError(
-                f"restriction of element {idx} of {x.name}({a}) is not natural"
-            )
-        keys[key] += 1
-    fibers = tuple(sorted(keys.values()))
-    surjective = all(c > 0 for c in keys.values())
-    bijective = surjective and all(c == 1 for c in keys.values())
+    count, arcs = nat_face_union(roots, x, budget)
+    columns = [x.action(face_class(fd)) for fd in roots]
+    unchecked = {}  # (table, face array, face array) identities -> (i, j, fwd)
+    for i, j, table in arcs:
+        ids = (id(table), id(columns[i]), id(columns[j]))
+        if ids not in x._naturality_checked:
+            unchecked[ids] = (i, j, table[0])
+    # per element, bit key[j] of the table's mask fwd[key[i]]
+    accepted = (
+        map((1).__and__, map(rshift, map(fwd.__getitem__, columns[i]), columns[j]))
+        for i, j, fwd in unchecked.values()
+    )
+    if not all(map(all, accepted)):
+        idx = next(
+            idx
+            for idx, key in enumerate(zip(*columns))
+            if not all(fwd[key[i]] >> key[j] & 1 for i, j, fwd in unchecked.values())
+        )
+        raise AssertionError(
+            f"restriction of element {idx} of {x.name}({a}) is not natural"
+        )
+    x._naturality_checked.update(unchecked)
+    hits = Counter(zip(*columns))
+    fibers = (0,) * (count - len(hits)) + tuple(sorted(hits.values()))
+    surjective = count == len(hits)
+    bijective = surjective and len(hits) == x.size(a)
     return HornRecord(
-        a, k, m, missing.inner, x.size(a), len(families), fibers, surjective, bijective
+        a, k, m, missing.inner, x.size(a), count, fibers, surjective, bijective
     )
 
 

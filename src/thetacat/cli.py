@@ -3,8 +3,9 @@
 Each command maps its arguments to a report and an exit code, and `main`
 writes that report, or the report of a search that ran out of budget.
 
-Exit codes: 0 success or check passed, 1 usage error, 2 check failed
-(the report carries the witness), 3 search budget exceeded.
+Exit codes: 0 success or check passed, 1 usage error or out of memory,
+2 check failed (the report carries the witness), 3 search budget
+exceeded.
 """
 
 from __future__ import annotations
@@ -337,6 +338,8 @@ def main(argv=None) -> int:
         except BudgetExceededError as exc:
             report = {"command": args.command, "error": "budget exceeded", "nodes": exc.count}
             code = 3
+        except MemoryError:
+            return _usage_error("out of memory")
         _write_report(report, args.out)
     except SystemExit as exc:  # a usage error, its message already written
         return exc.code

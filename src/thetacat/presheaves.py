@@ -8,11 +8,13 @@ level lists the pairs in factor order; a table returns its rows; a
 truncation or an extension shares its inner presheaf's arrays; the
 nerves build one array per core (see `nerves`).  Levels and arrays are
 memoized by index, so downstream enumeration works on plain ints.
-Natural families are enumerated two ways, both exact:
+Natural families are found two ways, both exact:
 
-* out of a union of face images (a horn, a boundary), by solving for
-  the values on the face roots with compatibility on the maximal common
-  cells of face pairs; a family is the tuple of its roots' values;
+* out of a union of face images (a horn, a boundary), counted by
+  solving for the values on the face roots with compatibility on the
+  maximal common cells of face pairs; a family is the tuple of its
+  roots' values, and a tuple is one exactly when every face-pair table
+  accepts it;
 * between two presheaves, by solving for the values on the
   nondegenerate source elements, with the constraints along a
   generating family of classes (faces and componentwise epis, which
@@ -22,21 +24,22 @@ Natural families are enumerated two ways, both exact:
   array per window shape.
 
 Horn checks repeat networks, and each distinct one is solved once per
-presheaf.  A face-union network is its roots' level sizes and one
-table per face pair that shares cells, and a table reads only the two
-faces' restriction arrays to the shared cells.  `_face_pair_supports`
-keys each table by those arrays' identities, so pairs whose arrays are
-the same objects (as the nerves' core-keyed arrays often are) share one
+presheaf, which keeps its solution count, never its solutions.  A
+face-union network is its roots' level sizes and one table per face
+pair that shares cells, and a table reads only the two faces'
+restriction arrays to the shared cells.  `_face_pair_supports` keys
+each table by those arrays' identities, so pairs whose arrays are the
+same objects (as the nerves' core-keyed arrays often are) share one
 table object.  The solver is deterministic, so the same network gives
-the same solutions, order and node count, and a budget trips on it
-exactly when that count exceeds the budget.
+the same count and node count, and a budget trips on it exactly when
+that node count exceeds the budget.
 
 Roots whose table is the identity (equal level sizes, each value
 compatible with itself only) are one variable.  On the nerves these
 are faces in coordinates past `core_dim`.  `solve_tables` merges
 such roots into classes, each represented by its lowest root, moves
 every other table onto the representatives (a table inside a class
-becomes a self-arc), and keys its solutions and node count by the
+becomes a self-arc), and keys its count and node count by the
 merged network.  This changes no search:
 
 * An identity arc makes its two domains equal at every arc-consistency
@@ -51,14 +54,14 @@ merged network.  This changes no search:
   singletons in the same propagation.  Node counts and the node a
   budget trips at are the full network's.
 * Each full solution repeats its representative's value at every
-  member, and a representative precedes its members, so expanding
-  keeps lexicographic order: the merged solutions are sorted once.
+  member, so expanding is one to one: the merged count is the full
+  network's.
 """
 
 from __future__ import annotations
 
 import itertools
-from operator import getitem, itemgetter
+from operator import getitem
 from typing import NamedTuple
 
 from .csp import Network
@@ -94,7 +97,8 @@ class Presheaf:
         # see _face_pair_supports and nat_face_union
         self._face_pairs: dict[tuple, tuple | None] = {}
         self._tables: dict[tuple, tuple] = {}
-        self._solves: dict[tuple, tuple] = {}
+        self._solves: dict[tuple, tuple[int, int]] = {}
+        self._naturality_checked: set[tuple] = set()  # see checkers.horn_filling
 
     def _elements(self, b: Shape) -> tuple:
         raise NotImplementedError
@@ -355,11 +359,13 @@ def nat_face_union(
     roots: tuple[FaceDescriptor, ...],
     x: Presheaf,
     budget: int = DEFAULT_BUDGET,
-) -> list[tuple]:
-    """All natural families on the union of the given face images, each
-    the tuple of its values on the roots, in ascending order: the
-    solutions of the roots' face-pair tables (`_face_pair_supports`),
-    solved once per distinct network on x by `solve_tables`."""
+) -> tuple[int, list[tuple]]:
+    """The number of natural families on the union of the given face
+    images, and the roots' face-pair tables as arcs (i, j, table), i < j,
+    one per pair of roots that shares cells (`_face_pair_supports`).  A
+    family is a tuple of values on the roots that every table accepts;
+    the count is the number of solutions of the tables, solved once per
+    distinct network on x by `solve_tables`."""
     arcs = []
     for i, fd1 in enumerate(roots):
         for j in range(i + 1, len(roots)):
@@ -367,23 +373,23 @@ def nat_face_union(
             if table is not None:
                 arcs.append((i, j, table))
     sizes = [x.size(fd.target) for fd in roots]
-    return solve_tables(sizes, arcs, budget, x._solves)
+    return solve_tables(sizes, arcs, budget, x._solves), arcs
 
 
-def solve_tables(sizes, arcs, budget: int, memo: dict) -> list[tuple]:
-    """All solutions, in ascending order, of the table network on
-    variables range(size) with the arcs (i, j, (fwd, bwd, identity)),
-    i < j, as `_face_pair_supports` builds them.
+def solve_tables(sizes, arcs, budget: int, memo: dict) -> int:
+    """The number of solutions of the table network on variables
+    range(size) with the arcs (i, j, (fwd, bwd, identity)), i < j, as
+    `_face_pair_supports` builds them.
 
     Variables tied by identity tables are one variable, represented by
     the class's lowest index; the other tables move onto the
     representatives, once per table object and pair.  The merged
-    network's sorted solutions and node count are memoized in `memo` by
+    network's solution count and node count are memoized in `memo` by
     its sizes and the identities of its tables, which must stay alive
     as long as `memo` does.  A hit whose solve took more nodes than
     `budget` raises what the solver raises at node budget + 1; a solve
     that ran out of budget is not stored.  See the module docstring for
-    why the merged network searches like the full one.
+    why the merged network searches and counts like the full one.
     """
     heads = union_heads(len(sizes), [(i, j) for i, j, table in arcs if table[2]])
     var = {}  # representative -> merged variable, in index order
@@ -403,14 +409,12 @@ def solve_tables(sizes, arcs, budget: int, memo: dict) -> list[tuple]:
             net.add_var(range(size))
         for (a, b, _), (fwd, bwd, _) in merged.items():
             net.add_arcs(a, b, "tab", fwd, bwd)
-        solutions = sorted(net.solve_all(budget))
-        solved = memo[key] = (solutions, net.nodes)
-    solutions, nodes = solved
+        count = sum(1 for _ in net.solve_all(budget))
+        solved = memo[key] = (count, net.nodes)
+    count, nodes = solved
     if nodes > budget:
         raise BudgetExceededError("enumeration budget exceeded", budget + 1)
-    if len(classes) <= 1:  # itemgetter of one index returns no tuple
-        return list(solutions)
-    return list(map(itemgetter(*classes), solutions))
+    return count
 
 
 def union_heads(n: int, pairs) -> list[int]:

@@ -36,7 +36,6 @@ from thetacat.presheaves import (
     Representable,
     TablePresheaf,
     generator_classes,
-    nat_face_union,
     nat_presheaves,
 )
 from thetacat.subshapes import (
@@ -901,8 +900,9 @@ def face_union_oracle(
 #
 # The body of `checkers.horn_filling` before each horn's face arrays were
 # read once, kept verbatim apart from its name and its families, which are
-# value tuples: every element looks up each root's face class and action
-# array again, through `restriction_key`.
+# the value tuples of `face_union_oracle`, with every face-pair table
+# built per call: every element looks up each root's face class and
+# action array again, through `restriction_key`.
 
 
 def restriction_key(x: Presheaf, a: Shape, xa_index: int, roots) -> tuple[int, ...]:
@@ -916,7 +916,7 @@ def horn_filling_oracle(
     """One horn: the family count, the restriction map, and its fibers."""
     missing = face_descriptor(a, k, m)
     roots = tuple(fd for fd in faces_of(a) if fd != missing)
-    families = nat_face_union(roots, x, budget)
+    families = face_union_oracle(roots, x, budget)
     keys = dict.fromkeys(families, 0)
     for idx in range(x.size(a)):
         key = restriction_key(x, a, idx, roots)

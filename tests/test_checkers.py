@@ -2,7 +2,6 @@ import pytest
 from conftest import (
     SubAsPresheaf,
     check_oracle,
-    face_union_oracle,
     horn_filling_oracle,
     mode_rule_oracle,
     shapes_with,
@@ -210,7 +209,8 @@ def test_which_representables_are_cats(window, top, passing):
 
 @pytest.mark.parametrize("nerve", [NerveB1, NerveB2Strict])
 def test_reports_match_per_call_face_tables(nerve, monkeypatch):
-    # the same checks with every face-pair table rebuilt per horn
+    # the same checks with every face-pair table rebuilt per horn and
+    # every horn's families enumerated
     w = WindowSpec(2, 2)
 
     def reports():
@@ -221,8 +221,19 @@ def test_reports_match_per_call_face_tables(nerve, monkeypatch):
         )
 
     memoized = reports()
-    monkeypatch.setattr(checkers, "nat_face_union", face_union_oracle)
+    monkeypatch.setattr(checkers, "horn_filling", horn_filling_oracle)
     assert reports() == memoized
+
+
+def test_check_keeps_no_solution_list():
+    # a solved horn network leaves its family count and node count in the
+    # memo, never its families
+    x = NerveB2Strict(cyclic(2))
+    check(x, "n-strict:2", WindowSpec(3, 3))
+    assert x._solves
+    for value in x._solves.values():
+        assert type(value) is tuple and len(value) == 2
+        assert all(type(v) is int for v in value)
 
 
 def test_horn_filling_rejects_a_restriction_that_is_not_natural():
@@ -235,6 +246,29 @@ def test_horn_filling_rejects_a_restriction_that_is_not_natural():
     y.actions_table[f] = tuple(row)
     with pytest.raises(AssertionError, match=r"element 0 of .* is not natural"):
         horn_filling(y, shape(2), 1, 1)
+
+
+@pytest.mark.parametrize(
+    "swaps, first",
+    [({0: (3, 4)}, 3), ({2: (1, 2)}, 1), ({0: (3, 4), 2: (1, 2)}, 1)],
+    ids=["root0", "root2", "both"],
+)
+def test_naturality_error_names_the_first_element(swaps, first):
+    # the horn (1, 1) of t[3] in y(t[1]) has roots d0, d2, d3 and face
+    # pairs (0, 1), (0, 2), (1, 2).  Swapping elements 3 and 4 in d0's row
+    # breaks pairs (0, 1) and (0, 2) at them; swapping 1 and 2 in d3's row
+    # breaks (0, 2) and (1, 2) at them.  With both, the first pair in arc
+    # order first fails at element 3, but element 1 comes first
+    y = TablePresheaf.from_presheaf(Representable(shape(1)), WindowSpec(1, 3))
+    a = shape(3)
+    roots = [fd for fd in faces_of(a) if (fd.k, fd.m) != (1, 1)]
+    for r, (u, v) in swaps.items():
+        f = face_class(roots[r])
+        row = list(y.actions_table[f])
+        row[u], row[v] = row[v], row[u]
+        y.actions_table[f] = tuple(row)
+    with pytest.raises(AssertionError, match=rf"element {first} of .* is not natural"):
+        horn_filling(y, a, 1, 1)
 
 
 @pytest.mark.parametrize("name", sorted(MEMO_PRESHEAVES))

@@ -255,6 +255,21 @@ def test_h2_cocycle_budget_report(tmp_path):
     assert data == {"command": "h2", "error": "budget exceeded", "nodes": 2**25}
 
 
+def test_out_of_memory_exits_1_with_a_message(tmp_path, monkeypatch, capsys):
+    # a command that runs out of memory (`probe t[12,12] --budget 1` under
+    # a small address-space limit) ends in a message, not a traceback
+    def exhausted(*args, **kwargs):
+        raise MemoryError
+
+    monkeypatch.setattr(cli, "spine_probe", exhausted)
+    out = tmp_path / "report.json"
+    code = main(["probe", "t[2]", "--budget", "1", "--out", str(out)])
+    assert code == 1
+    assert not out.exists()
+    captured = capsys.readouterr()
+    assert (captured.out, captured.err) == ("", "thetacat: out of memory\n")
+
+
 def test_budget_below_one_is_a_usage_error(tmp_path):
     # no search fits in a budget below 1; budget 1 still runs the command
     commands = (
@@ -823,8 +838,9 @@ def test_bench_tracer_targets_resolve():
 
 
 def test_bench_tracer_runs_a_check(tmp_path):
-    # a traced benchmark job end to end: the wrapped action memo and the
-    # wrapped solver must both be reached, and the exit code passed on
+    # a traced benchmark job end to end: the wrapped action memo, the
+    # wrapped solver and the horn functions the tracer wraps by name must
+    # all be reached, and the exit code passed on
     root = Path(__file__).resolve().parents[1]
     trace = tmp_path / "trace.json"
     argv = ["check", "--mode", "strict-cat", "--nerve", "B1:Z2", "--max-dim", "2"]
@@ -837,6 +853,7 @@ def test_bench_tracer_runs_a_check(tmp_path):
     assert proc.returncode == 0, proc.stderr.decode()
     totals = json.loads(trace.read_text())["totals"]
     assert "presheaves.action" in totals and "csp.solve_all" in totals
+    assert "presheaves.nat_face_union" in totals and "checkers.horn_filling" in totals
 
 
 def test_bench_tracer_runs_an_h2(tmp_path):

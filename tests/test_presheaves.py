@@ -330,12 +330,28 @@ def test_nat_on_boundary_of_interval():
     assert len(fams) == rep.size(POINT) ** 2 == 9
 
 
+def _accepts(arcs, values) -> bool:
+    """Whether every table (i, j, (fwd, bwd, identity)) accepts the tuple
+    of root values: bit values[j] of fwd[values[i]]."""
+    return all(fwd[values[i]] >> values[j] & 1 for i, j, (fwd, _, _) in arcs)
+
+
+def _table_families(roots, x):
+    """`nat_face_union`'s family count, and every tuple of root values
+    that all its tables accept, by brute force over the tuples."""
+    count, arcs = nat_face_union(roots, x)
+    tuples = itertools.product(*(range(x.size(fd.target)) for fd in roots))
+    return count, [t for t in tuples if _accepts(arcs, t)]
+
+
 def test_nat_face_union_inner_horn_of_triangle():
     b1 = NerveB1(cyclic(2))
     a = shape(2)
     roots = tuple(fd for fd in faces_of(a) if not (fd.k == 1 and fd.m == 1))
-    fams = nat_face_union(roots, b1)
-    assert len(fams) == 4
+    fams = face_union_oracle(roots, b1)
+    count, accepted = _table_families(roots, b1)
+    assert count == len(fams) == 4
+    assert accepted == fams  # the tables accept the families and nothing else
     hits = set(zip(*(b1.action(face_class(fd)) for fd in roots)))
     assert hits == set(fams)  # the restriction is a bijection onto the families
 
@@ -372,7 +388,9 @@ def _horn_roots(a, fd):
 @pytest.mark.parametrize("name", sorted(MEMO_PRESHEAVES))
 def test_nat_face_union_matches_per_call_tables(name):
     # the memoized face-pair tables must not depend on which horns filled
-    # the memo first: request the horns in check order and in reverse
+    # the memo first: request the horns in check order and in reverse.
+    # Each horn's count is the number of the oracle's families, and its
+    # tables accept every one of them
     horns = [(a, fd) for a in MEMO_SHAPES for fd in faces_of(a)]
     oracle_x = MEMO_PRESHEAVES[name]()
     expected = {
@@ -381,10 +399,22 @@ def test_nat_face_union_matches_per_call_tables(name):
     for order in (horns, horns[::-1]):
         x = MEMO_PRESHEAVES[name]()
         for a, fd in order:
-            assert nat_face_union(_horn_roots(a, fd), x) == expected[(a, fd)]
+            count, arcs = nat_face_union(_horn_roots(a, fd), x)
+            fams = expected[(a, fd)]
+            assert count == len(fams), (a, fd)
+            assert all(_accepts(arcs, fam) for fam in fams), (a, fd)
+
+
+def _oracle_count(roots, x, budget):
+    return len(face_union_oracle(roots, x, budget))
+
+
+def _count(roots, x, budget):
+    return nat_face_union(roots, x, budget)[0]
 
 
 def _outcome(route, roots, x, budget):
+    """(family count, None), or (None, the node the budget trips at)."""
     try:
         return route(roots, x, budget), None
     except BudgetExceededError as exc:
@@ -423,22 +453,24 @@ def test_nat_face_union_budget_trips_like_per_call_tables(
     monkeypatch.setattr(Network, "solve_all", counted)
     outcomes = []
     for budget in range(1, nodes + 1):
-        want = _outcome(face_union_oracle, roots, oracle_x, budget)
+        want = _outcome(_oracle_count, roots, oracle_x, budget)
         solved.clear()
-        assert _outcome(nat_face_union, roots, x, budget) == want, budget
+        assert _outcome(_count, roots, x, budget) == want, budget
         assert solved == [variables[1]], budget
         assert (want[1] is None) == (budget == nodes)
         outcomes.append(want)
     # with the full solve stored, every budget is answered from the memo
-    # without solving, with the same families or the same trip count
-    nat_face_union(roots, x)
+    # without solving, with the same count or the same trip count; the
+    # stored tables accept every family of the oracle
+    _, arcs = nat_face_union(roots, x)
+    assert all(_accepts(arcs, fam) for fam in face_union_oracle(roots, oracle_x))
 
     def unreachable(net, budget):
         raise AssertionError("a stored network was solved again")
 
     monkeypatch.setattr(Network, "solve_all", unreachable)
     for budget in range(1, nodes + 1):
-        assert _outcome(nat_face_union, roots, x, budget) == outcomes[budget - 1], budget
+        assert _outcome(_count, roots, x, budget) == outcomes[budget - 1], budget
 
 
 def _random_table(rng, size1, size2, density):
@@ -458,7 +490,8 @@ def test_solve_tables_merges_ties_like_the_full_network(seed):
     # with a non-identity table between 0 and 2 (a self-arc once merged),
     # the tie 3 ~ n-1 around the variables between them, further random
     # ties, and one table object on several pairs.  The merged solve must
-    # give the full network's solutions, order, node count and budget trips
+    # count the full network's solutions, with its node count and budget
+    # trips, and every full solution must pass the tables
     rng = random.Random(seed)
     n = rng.randint(5, 8)
     sizes = [rng.randint(2, 4)] * 3 + [rng.randint(1, 4) for _ in range(n - 3)]
@@ -485,38 +518,38 @@ def test_solve_tables_merges_ties_like_the_full_network(seed):
         full.add_var(range(size))
     for i, j, (fwd, bwd, _) in arcs:
         full.add_arcs(i, j, "tab", fwd, bwd)
-    want = sorted(full.solve_all())
+    want = list(full.solve_all())
     nodes = full.nodes
+    assert all(_accepts(arcs, sol) for sol in want)
     memo = {}
-    assert solve_tables(sizes, arcs, DEFAULT_BUDGET, memo) == want
+    assert solve_tables(sizes, arcs, DEFAULT_BUDGET, memo) == len(want)
     ((merged_sizes, _), (_, merged_nodes)), = memo.items()
     assert merged_nodes == nodes
     assert len(merged_sizes) <= n - 3
     for budget in range(1, nodes + 1):
         try:
-            full_outcome = list(full.solve_all(budget)), None
+            full_outcome = len(list(full.solve_all(budget))), None
         except BudgetExceededError as exc:
             full_outcome = None, exc.count
         try:
             outcome = solve_tables(sizes, arcs, budget, {}), None
         except BudgetExceededError as exc:
             outcome = None, exc.count
-        if full_outcome[0] is not None:
-            full_outcome = sorted(full_outcome[0]), None
         assert outcome == full_outcome, budget
 
 
 def test_face_union_families_agree_with_cell_search():
-    # two independent enumeration routes over the same horn: each family
-    # on the roots, read at every cell, is one of the cell search's
+    # two independent enumeration routes over the same horn: each tuple
+    # on the roots that the face-pair tables accept, read at every cell,
+    # is one of the cell search's, and there are as many as it counts
     b1 = NerveB1(cyclic(2))
     for a in [shape(2), shape(2, 1), shape(1, 2)]:
         for fd in faces_of(a):
             roots = tuple(f for f in faces_of(a) if f != fd)
             root_cells = tuple(face_class(f) for f in roots)
-            via_roots = nat_face_union(roots, b1)
+            count, via_roots = _table_families(roots, b1)
             cells, via_cells = nat_cells_oracle(horn(a, fd.k, fd.m), b1)
-            assert len(via_roots) == len(via_cells)
+            assert count == len(via_roots) == len(via_cells)
             read = {
                 tuple(
                     b1.index_of(c.src, cell_value(b1, root_cells, fam, c))
@@ -534,7 +567,9 @@ def test_face_union_families_are_natural():
         roots = tuple(f for f in faces_of(a) if f != fd)
         sub = horn(a, fd.k, fd.m)
         cells = tuple(face_class(f) for f in roots)
-        for fam in nat_face_union(roots, b1):
+        count, fams = _table_families(roots, b1)
+        assert count == len(fams)
+        for fam in fams:
             assert family_is_natural(sub, b1, partial(cell_value, b1, cells, fam))
 
 
@@ -665,7 +700,7 @@ def test_naturality_beyond_window_sampling():
     a = shape(2)
     roots = tuple(fd for fd in faces_of(a) if not (fd.k == 1 and fd.m == 1))
     root_cells = tuple(face_class(fd) for fd in roots)
-    fams = nat_face_union(roots, b1)
+    _, fams = _table_families(roots, b1)
     outside = [shape(1, 1, 1, 1), shape(2, 2, 1), shape(3, 1)]
     horn_sub = horn(a, 1, 1)
     for _ in range(50):
